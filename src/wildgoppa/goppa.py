@@ -108,11 +108,15 @@ def goppa_code(spec: GoppaSpec) -> LinearCode:
 
     Rows of the parity matrix over the top field are a_i^j / G(a_i) for
     0 <= j < deg G; the code is the F_q kernel of the coordinate expansion.
+    When deg G >= n the first n rows are a scaled Vandermonde matrix on
+    distinct points, of rank n, so the code is zero without any elimination.
     """
     field = spec.field
     L = np.array(spec.support, dtype=np.int64)
     g = spec.goppa_poly
     d = int(g.degree)
+    if d >= len(L):
+        return LinearCode.zero_code(field.subfield, len(L))
     gv = g.evaluate_codes(L)
     inv = field.inv_table[gv].astype(np.int64)
     rows = np.zeros((d, len(L)), dtype=np.int64)

@@ -2,9 +2,17 @@
 
 Matrices hold integer element codes in numpy arrays; all row operations go
 through the owning field's lookup tables, so elimination over F_8 or F_512
-vectorises the same way as over F_2. Row reduction uses first-nonzero
-pivoting (no pivot choice freedom), which makes the reduced row echelon
-form, and everything derived from it, fully deterministic.
+vectorises the same way as over F_2. In characteristic 2 addition is the
+XOR of codes, because codes are base-p digit vectors added digitwise.
+
+``rref`` uses first-nonzero pivoting from the left (no pivot choice
+freedom), which makes the reduced row echelon form, and everything derived
+from it, fully deterministic. ``kernel`` eliminates once, taking pivots
+from the right (the RREF of the column-reversed matrix). Each pivot row is
+then zero to the right of its pivot, so the null-space vector for a free
+column f is nonzero only at f and at pivot columns to the right of f. The
+rows for the free columns, in increasing order, are therefore already the
+canonical RREF of the null space, with no second elimination.
 """
 
 from __future__ import annotations
@@ -120,6 +128,7 @@ def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int
     """In-place RREF of a writable int array of codes."""
     add, mul = field.add_table, field.mul_table
     neg, inv = field.neg_table, field.inv_table
+    xor = field.p == 2
     nrows, ncols = W.shape
     r = 0
     pivots: list[int] = []
@@ -129,18 +138,28 @@ def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int
         nz = np.nonzero(W[r:, col])[0]
         if nz.size == 0:
             continue
+        # rows r and below are zero left of col, so only columns col: change
         pr = r + int(nz[0])
         if pr != r:
-            W[[r, pr]] = W[[pr, r]]
+            W[[r, pr], col:] = W[[pr, r], col:]
         pv = int(W[r, col])
         if pv != 1:
-            W[r] = mul[int(inv[pv]), W[r]]
+            W[r, col:] = mul[int(inv[pv]), W[r, col:]]
         colvals = W[:, col].copy()
         colvals[r] = 0
         rows_nz = np.nonzero(colvals)[0]
         if rows_nz.size:
+            prow = W[r, col:]
             factors = neg[colvals[rows_nz]]
-            W[rows_nz] = add[W[rows_nz], mul[factors[:, None], W[r][None, :]]]
+            # the smaller temporary: one row per field element, or per row
+            if rows_nz.size > field.order:
+                scaled = mul[:, prow][factors]
+            else:
+                scaled = mul[factors[:, None], prow[None, :]]
+            if xor:
+                W[rows_nz, col:] ^= scaled
+            else:
+                W[rows_nz, col:] = add[W[rows_nz, col:], scaled]
         pivots.append(col)
         r += 1
     return W, r, tuple(pivots)
@@ -169,18 +188,13 @@ def kernel(M: MatrixGF) -> MatrixGF:
     """
     field = M.field
     n = M.ncols
-    res = rref(M)
-    piv = list(res.pivots)
-    free = [c for c in range(n) if c not in set(piv)]
-    nf = len(free)
-    B = np.zeros((nf, n), dtype=_DT)
-    if nf:
-        B[np.arange(nf), free] = 1
-        if res.rank:
-            R = res.matrix.array
-            B[:, piv] = field.neg_table[R[: res.rank, free]].T
-    W, rk, _ = _rref_array(field, B)
-    return MatrixGF._wrap(field, W[:rk])
+    W, rk, rpiv = _rref_array(field, M.array[:, ::-1].astype(_DT, copy=True))
+    piv = [n - 1 - c for c in rpiv]
+    free = np.delete(np.arange(n), piv)
+    B = np.zeros((free.size, n), dtype=_DT)
+    B[np.arange(free.size), free] = 1
+    B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
+    return MatrixGF._wrap(field, B)
 
 
 def row_space_equal(A: MatrixGF, B: MatrixGF) -> bool:

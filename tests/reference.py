@@ -1,0 +1,70 @@
+"""Slow reference algorithms that the fast library paths are tested against.
+
+``rref_array`` is the original elimination step: it updates whole rows and
+adds through ``add_table`` in every characteristic. ``kernel`` is the
+original two-pass kernel: left-pivoting RREF of M, the (n - r) x n basis
+built from it, then a second elimination of that basis to make it
+canonical. Neither is used by the library.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wildgoppa.gf import Field
+from wildgoppa.linalg import MatrixGF
+
+_DT = np.int16
+
+
+def rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """In-place RREF of a writable int array of codes."""
+    add, mul = field.add_table, field.mul_table
+    neg, inv = field.neg_table, field.inv_table
+    nrows, ncols = W.shape
+    r = 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(W[r:, col])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            W[[r, pr]] = W[[pr, r]]
+        pv = int(W[r, col])
+        if pv != 1:
+            W[r] = mul[int(inv[pv]), W[r]]
+        colvals = W[:, col].copy()
+        colvals[r] = 0
+        rows_nz = np.nonzero(colvals)[0]
+        if rows_nz.size:
+            factors = neg[colvals[rows_nz]]
+            W[rows_nz] = add[W[rows_nz], mul[factors[:, None], W[r][None, :]]]
+        pivots.append(col)
+        r += 1
+    return W, r, tuple(pivots)
+
+
+def kernel(M: MatrixGF) -> MatrixGF:
+    """Canonical (RREF) basis of the right null space, in two eliminations."""
+    field = M.field
+    n = M.ncols
+    R, rk, piv_t = rref_array(field, M.array.astype(_DT, copy=True))
+    piv = list(piv_t)
+    free = [c for c in range(n) if c not in set(piv)]
+    nf = len(free)
+    B = np.zeros((nf, n), dtype=_DT)
+    if nf:
+        B[np.arange(nf), free] = 1
+        if rk:
+            B[:, piv] = field.neg_table[R[:rk, free]].T
+    W, rk2, _ = rref_array(field, B)
+    return MatrixGF._wrap(field, W[:rk2])
+
+
+def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
+    """Intersection as the kernel of the stacked kernels, via ``kernel``."""
+    stacked = np.vstack([kernel(A).array, kernel(B).array])
+    return kernel(MatrixGF._wrap(A.field, stacked.astype(_DT)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -35,6 +36,24 @@ def test_verify_theorem_small(capsys):
     )
     assert code == 0
     assert "equal: yes" in out
+
+
+@pytest.mark.parametrize(
+    "argv,dims",
+    [
+        # deg g^e = 2044 >= n = 1024: the zero code, with no elimination
+        (("--p", "2", "--m", "10", "--g", "irreducible:2"), "dims (0, 0)"),
+        # one elimination per kernel on 192x1024 and 198x1024 over F_32
+        (("--p", "2", "--a", "5", "--m", "2", "--g", "irreducible:3"), "dims (841, 841)"),
+    ],
+)
+def test_verify_large_towers_fast(capsys, argv, dims):
+    t0 = time.monotonic()
+    code, out, _ = run_main(capsys, "verify", *argv)
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert dims in out and "equal: yes" in out
+    assert elapsed < 5.0
 
 
 def test_input_error_exit_2(capsys):

@@ -99,6 +99,19 @@ class TestAgainstDefinition:
             assert goppa_code(spec) == goppa_via_crt(spec)
 
 
+    def test_degree_at_least_length_gives_zero_code(self):
+        # deg G >= n: a shortcut in goppa_code, full elimination in goppa_via_crt
+        rng = np.random.default_rng(6)
+        for n, d in [(5, 6), (5, 5), (3, 4), (8, 9)]:
+            coeffs = [int(c) for c in rng.integers(0, F16.order, size=d)] + [1]
+            g = Polynomial(F16, coeffs)
+            vals = g.evaluate_codes(np.arange(F16.order))
+            support = tuple(int(c) for c in np.flatnonzero(vals)[:n])
+            spec = GoppaSpec(F16, support, g)
+            assert goppa_code(spec) == goppa_via_crt(spec)
+            assert goppa_code(spec).k == 0
+
+
 class TestSpecValidation:
     def test_rejects_root_on_support(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from wildgoppa.codes import LinearCode
 from wildgoppa.gf import build_tower
 from wildgoppa.linalg import (
     MatrixGF,
+    _rref_array,
     basis_rows,
     in_row_space,
     intersect_row_spaces,
@@ -27,6 +30,12 @@ F2 = build_tower(2, 1, 1)
 F4 = build_tower(2, 1, 2)
 F8 = build_tower(2, 1, 3)
 F9 = build_tower(3, 1, 2)
+F1024 = build_tower(2, 5, 2)
+F49 = build_tower(7, 1, 2)
+F81 = build_tower(3, 2, 2)
+
+# characteristic 2 (the XOR path) and odd characteristic
+REFERENCE_FIELDS = [F4, F1024.subfield, F1024, F9, F49, F81]
 
 
 def enumerate_row_space(M: MatrixGF) -> set[tuple[int, ...]]:
@@ -236,3 +245,98 @@ def test_large_elimination_is_fast():
     assert res.rank == 220
     assert K.nrows == 511 - 220
     assert elapsed < 5.0
+
+
+# ------------------------------------------- against the slow reference paths
+
+
+@st.composite
+def edge_matrices(draw, field, ncols=None, max_rows=12, max_cols=9):
+    """Random matrices, some with no rows, zero columns, repeated rows or
+    full rank."""
+    nrows = draw(st.integers(0, max_rows))
+    if ncols is None:
+        ncols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.integers(0, 1), st.integers(0, field.order - 1))
+    flat = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
+    A = np.array(flat, dtype=np.int64).reshape(nrows, ncols)
+    shape = draw(st.sampled_from(["random", "zero_columns", "repeated_rows", "full_rank"]))
+    if shape == "zero_columns":
+        A[:, draw(st.lists(st.integers(0, ncols - 1), min_size=1))] = 0
+    elif shape == "repeated_rows" and nrows:
+        A = A[draw(st.lists(st.integers(0, nrows - 1), min_size=nrows, max_size=nrows))]
+    elif shape == "full_rank" and nrows:
+        # a staircase of nonzero leading entries, rows shuffled
+        r = min(nrows, ncols)
+        leads = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=r, max_size=r)))
+        for i, c in enumerate(leads):
+            A[i, :c] = 0
+            A[i, c] = draw(st.integers(1, field.order - 1))
+        A = A[draw(st.permutations(range(nrows)))]
+    return MatrixGF(field, A)
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=lambda f: f"GF{f.order}/GF{f.q}")
+class TestAgainstReference:
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rref_array(self, field, data):
+        M = data.draw(edge_matrices(field))
+        W, rk, piv = _rref_array(field, M.array.copy())
+        W_ref, rk_ref, piv_ref = reference.rref_array(field, M.array.copy())
+        assert (rk, piv) == (rk_ref, piv_ref)
+        assert_same_array(W, W_ref)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel(self, field, data):
+        M = data.draw(edge_matrices(field))
+        assert_same_array(kernel(M).array, reference.kernel(M).array)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_dual(self, field, data):
+        M = data.draw(edge_matrices(field))
+        code = LinearCode(field, M.ncols, M.array)
+        if code.k:
+            assert_same_array(code.dual().generator, reference.kernel(code.matrix).array)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_intersect_row_spaces(self, field, data):
+        ncols = data.draw(st.integers(1, 9))
+        A = data.draw(edge_matrices(field, ncols))
+        B = data.draw(edge_matrices(field, ncols))
+        assert_same_array(
+            intersect_row_spaces(A, B).array, reference.intersect_row_spaces(A, B).array
+        )
+
+    def test_more_rows_to_clear_than_field_elements(self, field):
+        # rows > order takes the row-gather branch of the elimination step
+        rng = np.random.default_rng(field.order)
+        top = rng.integers(0, field.order, size=(field.order + 8, 24))
+        M = MatrixGF(field, np.vstack([top, top[:5]]))
+        W, rk, piv = _rref_array(field, M.array.copy())
+        W_ref, rk_ref, piv_ref = reference.rref_array(field, M.array.copy())
+        assert (rk, piv) == (rk_ref, piv_ref)
+        assert_same_array(W, W_ref)
+        wide = MatrixGF(field, M.array[:20].T)
+        assert_same_array(kernel(wide).array, reference.kernel(wide).array)
+
+
+@pytest.mark.parametrize(
+    "a,m",
+    [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 10),
+     (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)],
+)
+def test_characteristic_two_addition_is_xor(a, m):
+    """The XOR elimination path relies on codes adding digitwise mod 2."""
+    field = build_tower(2, a, m)
+    for f in (field, field.subfield):
+        codes = np.arange(f.order)
+        assert np.array_equal(f.add_table, codes[:, None] ^ codes[None, :])
