@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +275,50 @@ def test_f512_commutativity(i, j):
     assert x * y == y * x
     assert x + y == y + x
     assert ((x * y) ** 7).code == ((x**7) * (y**7)).code
+
+
+# ------------------------------------------------------------------ golden
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "tower_golden.json"
+GOLDEN_TABLES = ("add_table", "mul_table", "neg_table", "inv_table",
+                 "frobenius_table", "trace_table", "norm_table")
+
+
+def _primes_below(n: int) -> list[int]:
+    return [k for k in range(2, n) if all(k % d for d in range(2, int(k**0.5) + 1))]
+
+
+def golden_towers() -> list[tuple[int, int, int]]:
+    """Every tower that runs an irreducible search (a*m > 1) within the cap,
+    every prime field with p < 100, and the two prime fields next to the cap."""
+    searched = [(p, a, m) for p in _primes_below(ORDER_CAP + 1)
+                for a in range(1, 11) for m in range(1, 11)
+                if a * m > 1 and p ** (a * m) <= ORDER_CAP]
+    prime = [(p, 1, 1) for p in _primes_below(100) + [1019, 1021]]
+    return sorted(searched + prime)
+
+
+def tower_digests(F: Field) -> dict[str, str]:
+    """SHA-256 of each modulus, the generator code and each lookup table."""
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    out = {
+        "base_modulus": sha(repr(tuple(map(int, F.base_modulus_coeffs))).encode()),
+        "top_modulus": sha(repr(tuple(map(int, F.top_modulus_coeffs))).encode()),
+        "generator_code": sha(str(int(F.generator_code)).encode()),
+    }
+    for name in GOLDEN_TABLES:
+        out[name] = sha(np.ascontiguousarray(getattr(F, name), dtype="<i2").tobytes())
+    return out
+
+
+def test_tower_tables_golden():
+    """Moduli, generator and tables are frozen: any change to how a tower is
+    built must reproduce these digests exactly."""
+    expected = json.loads(GOLDEN_PATH.read_text())
+    towers = golden_towers()
+    assert len([t for t in towers if t[1] * t[2] > 1]) == 64
+    assert sorted(expected) == sorted(f"{p},{a},{m}" for p, a, m in towers)
+    for p, a, m in towers:
+        assert tower_digests(build_tower(p, a, m)) == expected[f"{p},{a},{m}"], (p, a, m)
