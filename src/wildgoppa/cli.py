@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -138,18 +136,11 @@ def _table2_row(q, tower):
 
 
 def cmd_table(args) -> int:
-    jobs = args.jobs or int(os.environ.get("GOPPA_JOBS", "1"))
     if args.id == 1:
-        cells = [(q, tower, t) for q, tower, ts in TABLE1_CELLS for t in ts]
-        work = lambda cell: _table1_row(cell[0], cell[1], cell[2], args.budget)
+        rows = [_table1_row(q, tower, t, args.budget)
+                for q, tower, ts in TABLE1_CELLS for t in ts]
     else:
-        cells = TABLE2_QS
-        work = lambda cell: _table2_row(cell[0], cell[1])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(work, cells))
-    else:
-        rows = [work(cell) for cell in cells]
+        rows = [_table2_row(q, tower) for q, tower in TABLE2_QS]
 
     lines = []
     if args.id == 1:
@@ -418,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict-distance", action="store_true",
         help="fail with exit 4 when a distance column stays within budget",
     )
-    p_table.add_argument("--jobs", type=int, default=None)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", parents=[common], help="check one identity instance")

@@ -18,6 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .gf import prime_factors
+
 __all__ = [
     "CyclotomicClass",
     "ClassDecomposition",
@@ -29,24 +31,8 @@ __all__ = [
 ]
 
 
-def _prime_power_base(q: int) -> tuple[int, int] | None:
-    """(p, a) with q = p**a, or None when q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1)  # q itself is prime
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            return (p, a) if q == 1 else None
-    return None
-
-
 def _validate_qm(q: int, m: int) -> None:
-    if _prime_power_base(q) is None:
+    if len(prime_factors(q)) != 1:
         raise ValueError(f"q must be a prime power, got {q}")
     if m < 2:
         raise ValueError(f"need a proper extension m >= 2, got m={m}")

@@ -57,28 +57,19 @@ def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
         raise ValueError(
             f"degree {f.degree} does not fit below bound {degree_bound}"
         )
-    m = field.m
-    q = field.q
-    out = np.zeros(degree_bound * m, dtype=np.int16)
-    for l, code in enumerate(f.coeffs):
-        for j in range(m):
-            out[l * m + j] = (code // q**j) % q
-    return out
+    coeffs = np.zeros(degree_bound, dtype=np.int64)
+    coeffs[: len(f.coeffs)] = f.coeffs
+    digits = coeffs[:, None] // field.q ** np.arange(field.m) % field.q
+    return digits.ravel().astype(np.int16)
 
 
 def unflatten_poly(field: Field, vec: np.ndarray, degree_bound: int) -> Polynomial:
     """Inverse of flatten_poly."""
     m = field.m
-    q = field.q
     if len(vec) != degree_bound * m:
         raise ValueError(f"expected length {degree_bound * m}, got {len(vec)}")
-    coeffs = []
-    for l in range(degree_bound):
-        code = 0
-        for j in reversed(range(m)):
-            code = code * q + int(vec[l * m + j])
-        coeffs.append(code)
-    return Polynomial(field, coeffs)
+    digits = np.asarray(vec, dtype=np.int64).reshape(degree_bound, m)
+    return Polynomial(field, (digits @ field.q ** np.arange(m)).tolist())
 
 
 @dataclass(frozen=True)

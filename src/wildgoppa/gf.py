@@ -1,17 +1,21 @@
 """Exact arithmetic in two-level towers of finite fields.
 
-A tower F_p < F_q < F_(q^m), with q = p^a, is built from deterministically
-chosen moduli, so the same (p, a, m) always yields the same field and the
-same element encoding. Elements are plain integers: an element of F_(p^a)
-with power-basis coordinates (c_0, ..., c_(a-1)) over F_p is encoded as
-sum(c_i * p^i), and an element of the top field with coordinates
-(e_0, ..., e_(m-1)) over F_q is encoded as sum(enc(e_j) * q^j). The overall
-encoding is therefore positional base p, and addition is digitwise.
+A tower F_p < F_q < F_(q^m), with q = p^a, is built one level at a time.
+Each level is K[x]/(f): K is the level below and f is the first monic
+irreducible of degree [level : K] in the deterministic order of
+:func:`wildgoppa.poly.find_irreducible`, so the same (p, a, m) always yields
+the same field and the same element encoding. Elements are plain integers:
+an element of F_(p^a) with power-basis coordinates (c_0, ..., c_(a-1)) over
+F_p is encoded as sum(c_i * p^i), and an element of the top field with
+coordinates (e_0, ..., e_(m-1)) over F_q is encoded as sum(enc(e_j) * q^j).
+The overall encoding is therefore positional base p, and addition is
+digitwise.
 
-Arithmetic is backed by full lookup tables (numpy arrays), which keeps both
-scalar work and vectorised linear algebra exact and fast for the field sizes
-this library targets (a few hundred elements). Towers whose top field would
-exceed ``ORDER_CAP`` elements are rejected.
+Construction multiplies in ``poly`` over K; afterwards all arithmetic goes
+through full lookup tables (numpy arrays), which keeps both scalar work and
+vectorised linear algebra exact and fast for the field sizes this library
+targets (a few hundred elements). Towers whose top field would exceed
+``ORDER_CAP`` elements are rejected.
 """
 
 from __future__ import annotations
@@ -38,21 +42,8 @@ ORDER_CAP = 1024
 _TABLE_DTYPE = np.int16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending; n is prime iff this is [n]."""
     out = []
     d = 2
     while d * d <= n:
@@ -66,92 +57,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Construction-time polynomial helpers.
-#
-# These operate on coefficient lists (low degree first, no trailing zeros)
-# whose entries are integer codes of some scalar level, with the level's
-# add/sub/mul supplied as callables. They are only used while building a
-# Field; everything afterwards goes through the lookup tables.
-# ---------------------------------------------------------------------------
-
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _cp_mul(a: Sequence[int], b: Sequence[int], add, mul) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = add(out[i + j], mul(ai, bj))
-    return _trim(out)
-
-
-def _cp_rem_monic(a: Sequence[int], b: Sequence[int], sub, mul) -> list[int]:
-    """Remainder of a by monic b (requires b monic, deg b >= 1)."""
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        if lead:
-            for j, bj in enumerate(b[:-1]):
-                if bj:
-                    r[shift + j] = sub(r[shift + j], mul(lead, bj))
-        r.pop()
-        _trim(r)
-    return r
-
-
-def _cp_is_irreducible(f: Sequence[int], order: int, add, sub, mul) -> bool:
-    """Trial-division irreducibility for monic f over a field of given order.
-
-    Candidate divisors are enumerated by degree then by encoded coefficient
-    vector; fine for the tiny degrees met during field construction.
-    """
-    d = len(f) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if f[0] == 0:  # divisible by x
-        return False
-    for ddiv in range(1, d // 2 + 1):
-        for idx in range(order**ddiv):
-            b = []
-            k = idx
-            for _ in range(ddiv):
-                b.append(k % order)
-                k //= order
-            b.append(1)  # monic
-            if not _cp_rem_monic(f, b, sub, mul):
-                return False
-    return True
-
-
-def _min_irreducible(degree: int, order: int, add, sub, mul) -> list[int]:
-    """Monic irreducible of given degree, minimal by the encoded integer of
-    its non-leading coefficient vector."""
-    for idx in range(order**degree):
-        c = []
-        k = idx
-        for _ in range(degree):
-            c.append(k % order)
-            k //= order
-        c.append(1)
-        if _cp_is_irreducible(c, order, add, sub, mul):
-            return c
-    raise RuntimeError("no irreducible polynomial found; unreachable")
-
-
 class Field:
     """A finite field presented as a two-level tower F_p < F_q < F_(q^m).
 
@@ -160,14 +65,20 @@ class Field:
     either level share one code path. For m == 1 the tower is degenerate and
     the field is its own scalar level.
 
+    Each level is K[x]/(f): K is the level below (F_q under F_(q^m), F_p
+    under F_q, the integers mod p at the bottom) and f is the monic
+    irreducible that :func:`wildgoppa.poly.find_irreducible` returns over K.
+    Construction multiplies in ``poly`` over K only to find the generator and
+    fill the lookup tables; after that the tables are the only arithmetic.
+
     Attributes of interest: ``p``, ``a``, ``m``, ``q = p**a``,
     ``order = q**m``, ``base_modulus_coeffs`` (the degree-a modulus over F_p,
     as a tuple of ints), ``top_modulus_coeffs`` (the degree-m modulus over
-    F_q, as a tuple of F_q codes).
+    F_q, as a tuple of F_q codes). A degree-1 modulus is x, ``(0, 1)``.
     """
 
     def __init__(self, p: int, a: int, m: int):
-        if not _is_prime(p):
+        if prime_factors(p) != [p]:
             raise ValueError(f"p must be prime, got {p}")
         if a < 1 or m < 1:
             raise ValueError("tower degrees must be >= 1")
@@ -180,77 +91,38 @@ class Field:
         self.p = p
         self.a = a
         self.m = m
-        self.q = p**a
+        self.q = q = p**a
         self.order = order
 
-        # Level 1: modulus over F_p. Codes of F_p are the residues.
-        padd = lambda x, y: (x + y) % p
-        psub = lambda x, y: (x - y) % p
-        pmul = lambda x, y: (x * y) % p
-        base_mod = _min_irreducible(a, p, padd, psub, pmul)
-        self.base_modulus_coeffs: tuple[int, ...] = tuple(base_mod)
+        self.base_modulus_coeffs: tuple[int, ...] = (0, 1)
+        self.top_modulus_coeffs: tuple[int, ...] = (0, 1)
+        if a * m == 1:
+            mul = lambda x, y: x * y % p
+            power = lambda x, e: pow(x, e, p)
+        else:
+            from . import poly  # poly imports this module at load time
 
-        # Scalar ops on F_q codes via base-p digits and the level-1 modulus.
-        q = self.q
-
-        def qdigits(x: int) -> list[int]:
-            out = []
-            for _ in range(a):
-                out.append(x % p)
-                x //= p
-            return out
-
-        def qencode(c: Sequence[int]) -> int:
-            v = 0
-            for d in reversed(list(c)):
-                v = v * p + d
-            return v
-
-        def qadd(x: int, y: int) -> int:
-            return qencode([(u + v) % p for u, v in zip(qdigits(x), qdigits(y))])
-
-        def qsub(x: int, y: int) -> int:
-            return qencode([(u - v) % p for u, v in zip(qdigits(x), qdigits(y))])
-
-        def qmul(x: int, y: int) -> int:
-            prod = _cp_mul(_trim(qdigits(x)), _trim(qdigits(y)), padd, pmul)
-            rem = _cp_rem_monic(prod, base_mod, psub, pmul)
-            rem += [0] * (a - len(rem))
-            return qencode(rem)
-
-        # Level 2: modulus over F_q.
-        top_mod = _min_irreducible(m, q, qadd, qsub, qmul)
-        self.top_modulus_coeffs: tuple[int, ...] = tuple(top_mod)
-
-        # Scalar multiply on top-field codes (base-q digits, level-2 modulus).
-        def tdigits(x: int) -> list[int]:
-            out = []
-            for _ in range(m):
-                out.append(x % q)
-                x //= q
-            return out
-
-        def tencode(c: Sequence[int]) -> int:
-            v = 0
-            for d in reversed(list(c)):
-                v = v * q + d
-            return v
-
-        def tmul(x: int, y: int) -> int:
-            prod = _cp_mul(_trim(tdigits(x)), _trim(tdigits(y)), qadd, qmul)
-            rem = _cp_rem_monic(prod, top_mod, qsub, qmul)
-            rem += [0] * (m - len(rem))
-            return tencode(rem)
-
-        self._scalar_mul = tmul
+            K = build_tower(p, a, 1) if m > 1 else build_tower(p, 1, 1)
+            f = poly.find_irreducible(K, m if m > 1 else a)
+            if m > 1:
+                self.base_modulus_coeffs = K.base_modulus_coeffs
+                self.top_modulus_coeffs = f.coeffs
+            else:
+                self.base_modulus_coeffs = f.coeffs
+            # A code is the element whose base-|K| digits are its coordinates.
+            r, d = K.order, int(f.degree)
+            lift = lambda x: poly.Polynomial(K, [x // r**i % r for i in range(d)])
+            code = lambda g: sum(c * r**i for i, c in enumerate(g.coeffs))
+            mul = lambda x, y: code(lift(x) * lift(y) % f)
+            power = lambda x, e: code(poly.pow_mod(lift(x), e, f))
 
         # Multiplicative generator: smallest code whose order is order - 1.
         n1 = order - 1
         gen = 1
         if n1 > 1:
-            checks = [n1 // ell for ell in _prime_factors(n1)]
+            checks = [n1 // ell for ell in prime_factors(n1)]
             for cand in range(2, order):
-                if all(self._pow_slow(cand, e) != 1 for e in checks):
+                if all(power(cand, e) != 1 for e in checks):
                     gen = cand
                     break
             else:
@@ -262,7 +134,7 @@ class Field:
         exp[0] = 1
         acc = 1
         for i in range(1, n1):
-            acc = tmul(acc, gen)
+            acc = mul(acc, gen)
             exp[i] = acc
         log = np.zeros(order, dtype=np.int64)
         log[exp] = np.arange(max(n1, 1))
@@ -330,15 +202,6 @@ class Field:
         self._mul_py = self.mul_table.tolist()
         self._neg_py = self.neg_table.tolist()
         self._inv_py = self.inv_table.tolist()
-
-    def _pow_slow(self, x: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._scalar_mul(r, x)
-            x = self._scalar_mul(x, x)
-            e >>= 1
-        return r
 
     # -- identity ----------------------------------------------------------
 

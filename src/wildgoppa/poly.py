@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, prime_factors
 
 __all__ = [
     "NEG_INF",
@@ -349,25 +349,11 @@ def is_irreducible(f: Polynomial) -> bool:
     x = Polynomial.x(f.field)
     if pow_mod(x, Q**d, fm) != x % fm:
         return False
-    for ell in _prime_divisors(d):
+    for ell in prime_factors(d):
         h = pow_mod(x, Q ** (d // ell), fm) - x
         if gcd(h, fm).degree != 0:
             return False
     return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_irreducible(field: Field, degree: int) -> Polynomial:

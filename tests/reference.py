@@ -4,7 +4,9 @@
 adds through ``add_table`` in every characteristic. ``kernel`` is the
 original two-pass kernel: left-pivoting RREF of M, the (n - r) x n basis
 built from it, then a second elimination of that basis to make it
-canonical. Neither is used by the library.
+canonical. ``flatten_poly`` and ``unflatten_poly`` are the original
+per-coefficient, per-digit loops of the evidence flattening. None of these
+is used by the library.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from wildgoppa.gf import Field
 from wildgoppa.linalg import MatrixGF
+from wildgoppa.poly import Polynomial
 
 _DT = np.int16
 
@@ -68,3 +71,25 @@ def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     """Intersection as the kernel of the stacked kernels, via ``kernel``."""
     stacked = np.vstack([kernel(A).array, kernel(B).array])
     return kernel(MatrixGF._wrap(A.field, stacked.astype(_DT)))
+
+
+def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
+    """Slot l*m + j holds coordinate j of coefficient l, digit by digit."""
+    m, q = f.field.m, f.field.q
+    out = np.zeros(degree_bound * m, dtype=np.int16)
+    for l, code in enumerate(f.coeffs):
+        for j in range(m):
+            out[l * m + j] = (code // q**j) % q
+    return out
+
+
+def unflatten_poly(field: Field, vec: np.ndarray, degree_bound: int) -> Polynomial:
+    """Inverse of ``flatten_poly``, coefficient by coefficient."""
+    m, q = field.m, field.q
+    coeffs = []
+    for l in range(degree_bound):
+        code = 0
+        for j in reversed(range(m)):
+            code = code * q + int(vec[l * m + j])
+        coeffs.append(code)
+    return Polynomial(field, coeffs)

@@ -1,7 +1,6 @@
 """Command line behaviour: exit codes, output shapes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -107,6 +106,12 @@ def test_argparse_rejects_unknown_table():
     assert exc.value.code == 2
 
 
+def test_table_has_no_jobs_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--id", "2", "--jobs", "3"])
+    assert exc.value.code == 2
+
+
 # -------------------------------------------------------------------- output
 
 
@@ -205,33 +210,29 @@ def test_chain_check_with_s(capsys):
 # -------------------------------------------------------------- determinism
 
 
-def _run_proc(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _run_proc(args):
     return subprocess.run(
         [sys.executable, "-m", "wildgoppa.cli", *args],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, check=True,
     ).stdout
 
 
-def test_table2_byte_identical_and_parallel():
+def test_table2_byte_identical():
     args = ["--format", "json", "table", "--id", "2"]
     one = _run_proc(args)
     two = _run_proc(args)
-    par = _run_proc(args, {"GOPPA_JOBS": "4"})
-    assert one == two == par
+    assert one == two
     rows = json.loads(one)["rows"]
     assert [(r["n"], r["k"]) for r in rows] == [
         (63, 26), (124, 63), (342, 215), (511, 342)]
     assert all(r["gap"] == 1 for r in rows)
 
 
-def test_table1_jobs_flag_identical():
+def test_table1_byte_identical():
     args = ["--format", "json", "table", "--id", "1", "--budget", "10000"]
-    seq = _run_proc(args)
-    par = _run_proc(args + ["--jobs", "3"])
-    assert seq == par
-    rows = json.loads(seq)["rows"]
+    one = _run_proc(args)
+    two = _run_proc(args)
+    assert one == two
+    rows = json.loads(one)["rows"]
     assert len(rows) == 13
     assert all(r["formula_ok"] and r["identity_ok"] for r in rows)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from wildgoppa.errors import FalsificationError
 from wildgoppa.evidence import (
     FqSubspace,
@@ -47,6 +48,24 @@ def test_flatten_round_trip(idx):
     f = Polynomial(field, codes)
     vec = flatten_poly(f, 6)
     assert unflatten_poly(field, vec, 6) == f
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 2, 2), (2, 2, 3), (2, 1, 10)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_flatten_round_trip_against_reference(p, a, m, data):
+    field = build_tower(p, a, m)
+    bound = data.draw(st.integers(min_value=0, max_value=8))
+    codes = data.draw(st.lists(st.integers(min_value=0, max_value=field.order - 1),
+                               max_size=bound))
+    f = Polynomial(field, codes)
+    vec = flatten_poly(f, bound)
+    expected = reference.flatten_poly(f, bound)
+    assert vec.dtype == expected.dtype and vec.shape == expected.shape
+    assert vec.tobytes() == expected.tobytes()
+    back = unflatten_poly(field, vec, bound)
+    assert back == f
+    assert back.coeffs == reference.unflatten_poly(field, vec, bound).coeffs
 
 
 def test_flatten_layout():

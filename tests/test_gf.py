@@ -322,3 +322,27 @@ def test_tower_tables_golden():
     assert sorted(expected) == sorted(f"{p},{a},{m}" for p, a, m in towers)
     for p, a, m in towers:
         assert tower_digests(build_tower(p, a, m)) == expected[f"{p},{a},{m}"], (p, a, m)
+
+
+def test_prime_field_moduli_against_sympy():
+    """Every modulus over a prime field is the first irreducible candidate in
+    the enumeration order (non-leading coefficients as a base-p integer, low
+    digit first), as judged by sympy's independent irreducibility test."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def irreducible(coeffs, p):
+        return sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+    for p in _primes_below(ORDER_CAP + 1):
+        for d in range(2, 11):
+            if p**d > ORDER_CAP:
+                break
+            for coeffs in (build_tower(p, d, 1).base_modulus_coeffs,
+                           build_tower(p, 1, d).top_modulus_coeffs):
+                assert len(coeffs) == d + 1 and coeffs[-1] == 1
+                assert irreducible(coeffs, p), (p, d, coeffs)
+                index = sum(c * p**i for i, c in enumerate(coeffs[:-1]))
+                for k in range(index):
+                    earlier = [k // p**i % p for i in range(d)] + [1]
+                    assert not irreducible(earlier, p), (p, d, earlier)
