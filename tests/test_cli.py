@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,23 @@ def test_chain_check_with_s(capsys):
     )
     assert code == 0
     assert "(3, 4, 5, 6)" in out
+
+
+# -------------------------------------------------------------------- golden
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+@pytest.mark.parametrize(
+    "case", json.loads(GOLDEN_PATH.read_text()),
+    ids=lambda case: " ".join(case["argv"][2:]),
+)
+def test_json_reports_golden(capsys, case):
+    """The JSON reports of every `verify` check and of `evidence` are frozen:
+    stdout and exit code must match the recorded bytes."""
+    code, out, _ = run_main(capsys, *case["argv"])
+    assert code == case["code"]
+    assert out == case["stdout"]
 
 
 # -------------------------------------------------------------- determinism
