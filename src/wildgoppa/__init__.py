@@ -10,7 +10,7 @@ for the underlying trace-space decompositions.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, FalsificationError
-from .gf import Field, FieldElement, build_tower, hilbert90, norm, trace
+from .gf import Field, FieldElement, build_tower
 from .poly import (
     Polynomial,
     QuotientRing,
@@ -30,7 +30,6 @@ from .linalg import (
     intersect_row_spaces,
     kernel,
     rank,
-    row_space_equal,
     rref,
 )
 from .codes import DEFAULT_DISTANCE_BUDGET, LinearCode
@@ -76,7 +75,6 @@ from .evidence import (
     mu_generators,
     startkey_search,
     tau,
-    unflatten_poly,
     verify_dual_reformulation,
     verify_K_properties,
     verify_trace_kernel_mod,
@@ -88,9 +86,6 @@ __all__ = [
     "Field",
     "FieldElement",
     "build_tower",
-    "hilbert90",
-    "norm",
-    "trace",
     "Polynomial",
     "QuotientRing",
     "count_distinct_roots",
@@ -107,7 +102,6 @@ __all__ = [
     "intersect_row_spaces",
     "kernel",
     "rank",
-    "row_space_equal",
     "rref",
     "DEFAULT_DISTANCE_BUDGET",
     "LinearCode",
@@ -146,7 +140,6 @@ __all__ = [
     "mu_generators",
     "startkey_search",
     "tau",
-    "unflatten_poly",
     "verify_dual_reformulation",
     "verify_K_properties",
     "verify_trace_kernel_mod",

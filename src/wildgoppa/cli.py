@@ -79,7 +79,9 @@ def _field_from(args):
 
 
 def _report_dict(rep) -> dict:
-    # elapsed wall time would break byte-for-byte reproducibility
+    """The one path from a report dataclass to JSON: its fields, without the
+    wall time (which would break byte-for-byte reproducibility) and with
+    ``distinct_roots`` written as ``r``."""
     d = asdict(rep)
     d.pop("elapsed", None)
     if "distinct_roots" in d:
@@ -295,8 +297,8 @@ def cmd_evidence(args) -> int:
     krep = verify_K_properties(field, g)
     tkrep = verify_trace_kernel_mod(field, h, s)
     payload = {
-        "K": asdict(krep),
-        "trace_kernel": asdict(tkrep),
+        "K": _report_dict(krep),
+        "trace_kernel": _report_dict(tkrep),
     }
     lines = [
         f"dim K = {krep.dim_K} (expected {field.m * krep.t - 1}): ok",
@@ -310,7 +312,7 @@ def cmd_evidence(args) -> int:
     roots = [c for c in range(field.order) if int(values[c]) == 0]
     support = punctured_support(field, roots) if roots else full_support(field)
     drep = verify_dual_reformulation(field, support, g)
-    payload["dual_spans"] = _dual_dict(drep)
+    payload["dual_spans"] = _report_dict(drep)
     lines.append(
         f"tau span gap {drep.gap} "
         f"({drep.dim_full} vs {drep.dim_multiples})"
@@ -326,7 +328,7 @@ def cmd_evidence(args) -> int:
         alpha = startkey_search(field, h, lam)
         witness, wrep = find_decomposition(field, g, lam)
         payload["startkey"] = list(alpha.coeffs)
-        payload["decomposition"] = _decomp_dict(wrep)
+        payload["decomposition"] = _report_dict(wrep)
         lines.append(f"startkey residue coeffs {list(alpha.coeffs)}")
         lines.append(
             f"decomposition witness coeffs {list(witness.coeffs)}: "
@@ -337,18 +339,6 @@ def cmd_evidence(args) -> int:
         lines.append("decomposition skipped: base factor is linear")
     _emit(args, payload, lines)
     return 0
-
-
-def _dual_dict(rep) -> dict:
-    d = asdict(rep)
-    d["gap"] = rep.gap
-    return d
-
-
-def _decomp_dict(rep) -> dict:
-    d = asdict(rep)
-    d["witness_coeffs"] = list(rep.witness_coeffs)
-    return d
 
 
 # ------------------------------------------------------------------ distance

@@ -13,13 +13,12 @@ an estimate.
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import linalg
-from .gf import Field, build_tower
+from .gf import Field
 from .linalg import MatrixGF
 
 __all__ = [
@@ -129,16 +128,6 @@ class LinearCode:
         sub = res.matrix.array[rows][:, ns:] if rows else None
         return LinearCode(self.field, len(keep), sub)
 
-    def puncture(self, positions: Iterable[int]) -> "LinearCode":
-        """Delete the given 0-based positions from every codeword."""
-        S = set(int(p) for p in positions)
-        keep = [c for c in range(self.n) if c not in S]
-        if not keep:
-            raise ValueError("cannot puncture away every coordinate")
-        if self.k == 0:
-            return LinearCode.zero_code(self.field, len(keep))
-        return LinearCode(self.field, len(keep), self.generator[:, keep])
-
     def subfield_subcode(self) -> "LinearCode":
         """Codewords with every entry in the scalar level F_q, read as a code
         over F_q. Requires a proper tower (m >= 2)."""
@@ -217,28 +206,6 @@ class LinearCode:
             if w.size:
                 best = min(best, int(w.min()))
         return best
-
-    # -- serialisation ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "field": {"p": self.field.p, "a": self.field.a, "m": self.field.m},
-                "n": self.n,
-                "k": self.k,
-                "generator": [[int(c) for c in row] for row in self.generator],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearCode":
-        data = json.loads(text)
-        field = build_tower(data["field"]["p"], data["field"]["a"], data["field"]["m"])
-        code = cls(field, data["n"], np.array(data["generator"], dtype=np.int64).reshape(-1, data["n"]) if data["generator"] else None)
-        if code.k != data["k"]:
-            raise ValueError("generator rows were not a basis of the stated dimension")
-        return code
 
 
 def expand_over_subfield(field: Field, H: np.ndarray) -> np.ndarray:

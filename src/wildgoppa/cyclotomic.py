@@ -69,13 +69,6 @@ class ClassDecomposition:
     modulus: int                  # q^m - 1
     classes: tuple[CyclotomicClass, ...]
 
-    def class_of(self, x: int) -> CyclotomicClass:
-        x %= self.modulus
-        for cls in self.classes:
-            if x in cls.members:
-                return cls
-        raise RuntimeError("residue not covered; unreachable")
-
 
 def cyclotomic_classes(q: int, m: int) -> ClassDecomposition:
     """All multiplication-by-q classes modulo q^m - 1, reps ascending."""

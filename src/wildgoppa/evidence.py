@@ -9,15 +9,14 @@ FalsificationError with the offending witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FalsificationError
-from .gf import Field, FieldElement
-from .linalg import MatrixGF, RrefResult, rank, reduce_row, rref
+from .errors import BudgetExceeded, FalsificationError
+from .gf import Field, FieldElement, digits
+from .linalg import MatrixGF, rank, reduce_row, rref
 from .poly import (
     Polynomial,
     QuotientRing,
@@ -29,7 +28,6 @@ from .goppa import full_support
 
 __all__ = [
     "flatten_poly",
-    "unflatten_poly",
     "FqSubspace",
     "tau",
     "mu_generators",
@@ -44,6 +42,11 @@ __all__ = [
     "TraceKernelReport",
     "verify_trace_kernel_mod",
 ]
+
+# Cells of the stacked K + g*F matrix that verify_K_properties row-reduces.
+# The largest instance in the tests and the benchmark, q = 2, m = 6, t = 2,
+# is 755 x 756; q = 2, m = 10, t = 2 would be about 4.2e8.
+K_STACK_CELL_BUDGET = 4_000_000
 
 
 def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
@@ -61,15 +64,6 @@ def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
     coeffs[: len(f.coeffs)] = f.coeffs
     digits = coeffs[:, None] // field.q ** np.arange(field.m) % field.q
     return digits.ravel().astype(np.int16)
-
-
-def unflatten_poly(field: Field, vec: np.ndarray, degree_bound: int) -> Polynomial:
-    """Inverse of flatten_poly."""
-    m = field.m
-    if len(vec) != degree_bound * m:
-        raise ValueError(f"expected length {degree_bound * m}, got {len(vec)}")
-    digits = np.asarray(vec, dtype=np.int64).reshape(degree_bound, m)
-    return Polynomial(field, (digits @ field.q ** np.arange(m)).tolist())
 
 
 @dataclass(frozen=True)
@@ -105,12 +99,6 @@ class FqSubspace:
         vec = flatten_poly(f, self.degree_bound)
         resid = reduce_row(self.basis, self.pivots, vec)
         return not resid.any()
-
-    def basis_polys(self):
-        return [
-            unflatten_poly(self.field, row, self.degree_bound)
-            for row in self.basis.array
-        ]
 
 
 def tau(field: Field, support: Sequence[int], f: Polynomial) -> np.ndarray:
@@ -208,7 +196,7 @@ def _ring_abs_trace(ring: QuotientRing, w: Polynomial) -> int:
     cur = w
     for _ in range(steps - 1):
         cur = ring.pow(cur, q)
-        acc = ring.add(acc, cur)
+        acc = acc + cur
     if len(acc.coeffs) > 1:
         raise FalsificationError(
             f"absolute trace produced a non-constant residue {acc.coeffs}"
@@ -219,6 +207,27 @@ def _ring_abs_trace(ring: QuotientRing, w: Polynomial) -> int:
             f"absolute trace landed outside the subfield: code {code}"
         )
     return code
+
+
+def _reduced_trace_kernel_dim(ring: QuotientRing, gens: Sequence[Polynomial]) -> int:
+    """Reduce the mu generators mod h and check that they fill the kernel of
+    the absolute trace on F[x]/(h): each residue has trace zero and together
+    they span m*r - 1 dimensions. Returns that dimension."""
+    field = ring.field
+    r = ring.degree
+    reduced = [ring.reduce(f) for f in gens]
+    for f in reduced:
+        if _ring_abs_trace(ring, f) != 0:
+            raise FalsificationError(
+                f"K residue {f.coeffs} mod base factor has nonzero trace"
+            )
+    rows = np.array([flatten_poly(f, r) for f in reduced], dtype=np.int16)
+    dim = rank(MatrixGF(field.subfield, rows))
+    if dim != field.m * r - 1:
+        raise FalsificationError(
+            f"K mod base factor has dim {dim}, expected {field.m * r - 1}"
+        )
+    return dim
 
 
 @dataclass(frozen=True)
@@ -236,9 +245,6 @@ class KReport:
     dim_K_mod_base: int
     tau_vanishes: bool
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
 
 def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     """Check the three pillars that make K usable against g = h^s.
@@ -250,7 +256,9 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     (III) dim K = m t - 1, and reducing K mod h fills the full trace-zero
         hyperplane of F[x]/(h), of dimension m r - 1.
 
-    Raises FalsificationError when any pillar fails.
+    Raises FalsificationError when any pillar fails, and BudgetExceeded
+    before any work when the stacked K + g*F matrix, (m t - 1 + m e t) rows
+    by m (e+1) t columns, has more than K_STACK_CELL_BUDGET cells.
     """
     g = g.monic()
     h, s = _require_prime_power_factor(g)
@@ -259,6 +267,12 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     m = field.m
     e1 = field.norm_exponent
     D = e1 * t
+    rows = m * t - 1 + m * (e1 - 1) * t
+    if rows * m * D > K_STACK_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"K + g*F would be a {rows} x {m * D} matrix, over the budget "
+            f"of {K_STACK_CELL_BUDGET} cells"
+        )
     K = build_K(field, t, D)
     if K.dim != m * t - 1:
         raise FalsificationError(
@@ -287,19 +301,7 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
             f"K intersects g*F: rank {dim_sum} < {K.dim} + {dim_gF}"
         )
 
-    ring = QuotientRing(h)
-    reduced = [ring.reduce(f) for f in gens]
-    for f in reduced:
-        if _ring_abs_trace(ring, f) != 0:
-            raise FalsificationError(
-                f"K residue {f.coeffs} mod base factor has nonzero trace"
-            )
-    red_rows = np.array([flatten_poly(f, r) for f in reduced], dtype=np.int16)
-    dim_mod = rank(MatrixGF(field.subfield, red_rows))
-    if dim_mod != m * r - 1:
-        raise FalsificationError(
-            f"K mod base factor has dim {dim_mod}, expected {m * r - 1}"
-        )
+    dim_mod = _reduced_trace_kernel_dim(QuotientRing(h), gens)
 
     return KReport(
         q=field.q, m=m, t=t, base_degree=r, power=s,
@@ -358,11 +360,6 @@ class DecompositionReport:
     ring_trace: int
     tau_vanishes: bool
 
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["witness_coeffs"] = list(self.witness_coeffs)
-        return json.dumps(d, sort_keys=True)
-
 
 def find_decomposition(field: Field, g: Polynomial, lam):
     """Search the witness a making K, lam*a^(e+1), g*F[x]_{<et} a direct sum.
@@ -415,12 +412,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     support = full_support(field)
     total = field.order**t
     for idx in range(total):
-        codes = []
-        k = idx
-        for _ in range(t):
-            codes.append(k % field.order)
-            k //= field.order
-        a = Polynomial(field, codes)
+        a = Polynomial(field, digits(idx, field.order, t))
         w = lam_poly * a**e1
         vec = flatten_poly(w, D)
         resid = reduce_row(W, pivots, vec)
@@ -460,16 +452,8 @@ class DualSpanReport:
     n: int
     dim_full: int
     dim_multiples: int
+    gap: int
     equal: bool
-
-    @property
-    def gap(self) -> int:
-        return self.dim_full - self.dim_multiples
-
-    def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["gap"] = self.gap
-        return json.dumps(d, sort_keys=True)
 
 
 def verify_dual_reformulation(field: Field, support: Sequence[int],
@@ -507,7 +491,7 @@ def verify_dual_reformulation(field: Field, support: Sequence[int],
     report = DualSpanReport(
         q=field.q, m=m, t=t, n=len(support),
         dim_full=int(dim_full), dim_multiples=int(dim_mult),
-        equal=bool(dim_full == dim_mult),
+        gap=int(dim_full - dim_mult), equal=bool(dim_full == dim_mult),
     )
     decomp = irreducible_power(g)
     rootless = count_distinct_roots(g) == 0
@@ -534,9 +518,6 @@ class TraceKernelReport:
     expected: int
     trace_surjective: bool
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
 
 def verify_trace_kernel_mod(field: Field, h: Polynomial,
                             power: int = 1) -> TraceKernelReport:
@@ -552,29 +533,15 @@ def verify_trace_kernel_mod(field: Field, h: Polynomial,
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     r = int(h.degree)
-    m = field.m
-    t = power * r
     ring = QuotientRing(h)
-    reduced = [ring.reduce(f) for f in mu_generators(field, t)]
-    for f in reduced:
-        if _ring_abs_trace(ring, f) != 0:
-            raise FalsificationError(
-                f"reduced generator {f.coeffs} has nonzero absolute trace"
-            )
-    rows = np.array([flatten_poly(f, r) for f in reduced], dtype=np.int16)
-    dim_reduced = rank(MatrixGF(field.subfield, rows))
-    expected = m * r - 1
-    if dim_reduced != expected:
-        raise FalsificationError(
-            f"reduced K has dim {dim_reduced}, expected {expected}"
-        )
+    dim_reduced = _reduced_trace_kernel_dim(ring, mu_generators(field, power * r))
     surjective = any(
         _ring_abs_trace(ring, ring.element_at(i)) != 0 for i in range(ring.size)
     )
     if not surjective:
         raise FalsificationError("absolute trace vanished on the whole ring")
     return TraceKernelReport(
-        q=field.q, m=m, r=r, power=power,
-        dim_reduced=int(dim_reduced), expected=int(expected),
+        q=field.q, m=field.m, r=r, power=power,
+        dim_reduced=int(dim_reduced), expected=field.m * r - 1,
         trace_surjective=bool(surjective),
     )

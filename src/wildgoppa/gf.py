@@ -21,7 +21,7 @@ targets (a few hundred elements). Towers whose top field would exceed
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -29,9 +29,6 @@ __all__ = [
     "Field",
     "FieldElement",
     "build_tower",
-    "trace",
-    "norm",
-    "hilbert90",
     "ORDER_CAP",
 ]
 
@@ -54,6 +51,16 @@ def prime_factors(n: int) -> list[int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append(n)
+    return out
+
+
+def digits(k: int, base: int, count: int) -> list[int]:
+    """The ``count`` lowest base-``base`` digits of k >= 0, low digit first,
+    as plain ints."""
+    out = []
+    for _ in range(count):
+        k, d = divmod(k, base)
+        out.append(d)
     return out
 
 
@@ -111,7 +118,7 @@ class Field:
                 self.base_modulus_coeffs = f.coeffs
             # A code is the element whose base-|K| digits are its coordinates.
             r, d = K.order, int(f.degree)
-            lift = lambda x: poly.Polynomial(K, [x // r**i % r for i in range(d)])
+            lift = lambda x: poly.Polynomial(K, digits(x, r, d))
             code = lambda g: sum(c * r**i for i, c in enumerate(g.coeffs))
             mul = lambda x, y: code(lift(x) * lift(y) % f)
             power = lambda x, e: code(poly.pow_mod(lift(x), e, f))
@@ -259,29 +266,16 @@ class Field:
         for c in range(self.order):
             yield FieldElement(self, c)
 
-    def from_coordinates(self, coords: Sequence["FieldElement | int"]) -> "FieldElement":
-        """Element with the given coordinates over F_q, low power first."""
-        if len(coords) > self.m:
-            raise ValueError("too many coordinates")
-        code = 0
-        for c in reversed([_subfield_code(self, c) for c in coords]):
-            code = code * self.q + c
-        return FieldElement(self, code)
-
     def embed(self, x: "FieldElement | int") -> "FieldElement":
         """Image of an F_q element in the top field (same code by encoding)."""
-        return FieldElement(self, _subfield_code(self, x))
-
-
-def _subfield_code(field: Field, x: "FieldElement | int") -> int:
-    if isinstance(x, FieldElement):
-        if x.field != field.subfield:
-            raise ValueError(f"{x!r} is not in the scalar level of {field!r}")
-        return x.code
-    code = int(x)
-    if not 0 <= code < field.q:
-        raise ValueError(f"scalar code {code} out of range for F_{field.q}")
-    return code
+        if isinstance(x, FieldElement):
+            if x.field != self.subfield:
+                raise ValueError(f"{x!r} is not in the scalar level of {self!r}")
+            return FieldElement(self, x.code)
+        code = int(x)
+        if not 0 <= code < self.q:
+            raise ValueError(f"scalar code {code} out of range for F_{self.q}")
+        return FieldElement(self, code)
 
 
 class FieldElement:
@@ -361,23 +355,13 @@ class FieldElement:
         """Coordinates over F_q, low power first, as subfield elements."""
         f = self.field
         sub = f.subfield
-        x = self.code
-        out = []
-        for _ in range(f.m):
-            out.append(FieldElement(sub, x % f.q))
-            x //= f.q
-        return tuple(out)
+        return tuple(FieldElement(sub, c) for c in digits(self.code, f.q, f.m))
 
     @property
     def in_subfield(self) -> bool:
         """Whether the element lies in F_q (fixed by x -> x^q; by the
         encoding this is exactly code < q)."""
         return self.code < self.field.q
-
-    def as_subfield(self) -> "FieldElement":
-        if not self.in_subfield:
-            raise ValueError(f"{self!r} is not in the scalar level")
-        return FieldElement(self.field.subfield, self.code)
 
     def frobenius(self) -> "FieldElement":
         """x -> x^q."""
@@ -401,30 +385,3 @@ def build_tower(p: int, a: int, m: int) -> Field:
     parameters, so a cache-bypassing rebuild still compares equal.
     """
     return Field(p, a, m)
-
-
-def trace(x: FieldElement) -> FieldElement:
-    """Trace of x down to the scalar level F_q."""
-    return x.trace()
-
-
-def norm(x: FieldElement) -> FieldElement:
-    """Norm of x down to the scalar level F_q."""
-    return x.norm()
-
-
-def hilbert90(alpha: FieldElement) -> FieldElement:
-    """First beta (in encoding order) with beta - beta^q == alpha.
-
-    Requires trace(alpha) == 0; the additive Hilbert 90 theorem guarantees a
-    solution exactly in that case.
-    """
-    field = alpha.field
-    if int(field.trace_table[alpha.code]) != 0:
-        raise ValueError(f"{alpha!r} has nonzero trace; no solution exists")
-    codes = np.arange(field.order)
-    diff = field.add_table[codes, field.neg_table[field.frobenius_table[codes]]]
-    hits = np.nonzero(diff == alpha.code)[0]
-    if hits.size == 0:
-        raise RuntimeError("additive Hilbert 90 failed; unreachable")
-    return FieldElement(field, int(hits[0]))

@@ -99,9 +99,6 @@ class GoppaSpec:
     def n(self) -> int:
         return len(self.support)
 
-    def with_poly(self, g: Polynomial) -> "GoppaSpec":
-        return GoppaSpec(self.field, self.support, g)
-
 
 def goppa_code(spec: GoppaSpec) -> LinearCode:
     """The Goppa code over F_q via the standard parity check.

@@ -20,9 +20,8 @@ inputs raise ValueError instead.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,28 +71,6 @@ class IdentityReport:
     distinct_roots: int | None
     elapsed: float
     note: str = ""
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["r"] = d.pop("distinct_roots")
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IdentityReport":
-        d = json.loads(text)
-        return cls(
-            q=d["q"],
-            m=d["m"],
-            t=d["t"],
-            n=d["n"],
-            exponents=tuple(d["exponents"]),
-            dims=tuple(d["dims"]),
-            equal=tuple(bool(b) for b in d["equal"]),
-            gap=d["gap"],
-            distinct_roots=d["r"],
-            elapsed=d["elapsed"],
-            note=d.get("note", ""),
-        )
 
 
 def _codes_for_exponents(

@@ -18,7 +18,7 @@ canonical RREF of the null space, with no second elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +29,9 @@ __all__ = [
     "RrefResult",
     "rref",
     "rank",
-    "basis_rows",
     "kernel",
-    "row_space_equal",
     "intersect_row_spaces",
-    "matmul",
     "reduce_row",
-    "in_row_space",
 ]
 
 _DT = np.int16
@@ -71,10 +67,6 @@ class MatrixGF:
         a.setflags(write=False)
         self.array = a
         return self
-
-    @classmethod
-    def zeros(cls, field: Field, nrows: int, ncols: int) -> "MatrixGF":
-        return cls._wrap(field, np.zeros((nrows, ncols), dtype=_DT))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "MatrixGF":
@@ -175,12 +167,6 @@ def rank(M: MatrixGF) -> int:
     return rref(M).rank
 
 
-def basis_rows(M: MatrixGF) -> MatrixGF:
-    """Canonical basis of the row space: nonzero rows of the RREF."""
-    res = rref(M)
-    return MatrixGF._wrap(M.field, res.matrix.array[: res.rank])
-
-
 def kernel(M: MatrixGF) -> MatrixGF:
     """Canonical (RREF) basis of the right null space, as rows.
 
@@ -197,15 +183,6 @@ def kernel(M: MatrixGF) -> MatrixGF:
     return MatrixGF._wrap(field, B)
 
 
-def row_space_equal(A: MatrixGF, B: MatrixGF) -> bool:
-    if A.field != B.field or A.ncols != B.ncols:
-        raise ValueError("row spaces live in different ambient spaces")
-    ra, rb = rref(A), rref(B)
-    return ra.rank == rb.rank and np.array_equal(
-        ra.matrix.array[: ra.rank], rb.matrix.array[: rb.rank]
-    )
-
-
 def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     """Canonical basis of (row space of A) intersect (row space of B).
 
@@ -216,23 +193,6 @@ def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     ka, kb = kernel(A), kernel(B)
     stacked = np.vstack([ka.array, kb.array])
     return kernel(MatrixGF._wrap(A.field, stacked.astype(_DT)))
-
-
-def matmul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    """Exact matrix product over the field (small sizes; used for checks)."""
-    if A.field != B.field:
-        raise ValueError("mixed fields in matmul")
-    if A.ncols != B.nrows:
-        raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
-    field = A.field
-    add, mul = field.add_table, field.mul_table
-    C = np.zeros((A.nrows, B.ncols), dtype=_DT)
-    for k in range(A.ncols):
-        colk = A.array[:, k]
-        if not colk.any():
-            continue
-        C = add[C, mul[colk[:, None], B.array[k][None, :]]]
-    return MatrixGF._wrap(field, C)
 
 
 def reduce_row(R: MatrixGF, pivots: Sequence[int], row: np.ndarray) -> np.ndarray:
@@ -248,7 +208,3 @@ def reduce_row(R: MatrixGF, pivots: Sequence[int], row: np.ndarray) -> np.ndarra
         if c:
             v = add[v, mul[np.int16(neg[c]), R.array[j]]]
     return v
-
-
-def in_row_space(R: MatrixGF, pivots: Sequence[int], row: np.ndarray) -> bool:
-    return not reduce_row(R, pivots, row).any()

@@ -13,11 +13,11 @@ irreducible of degree r this realises the extension field of order
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf import Field, FieldElement, prime_factors
+from .gf import Field, FieldElement, digits, prime_factors
 
 __all__ = [
     "NEG_INF",
@@ -26,7 +26,6 @@ __all__ = [
     "gcd",
     "ext_gcd",
     "pow_mod",
-    "ev_support",
     "is_irreducible",
     "find_irreducible",
     "count_distinct_roots",
@@ -324,14 +323,6 @@ def pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     return result
 
 
-def ev_support(f: Polynomial, support: Sequence) -> tuple[FieldElement, ...]:
-    """Evaluate f at each support point, in order."""
-    field = f.field
-    codes = np.array([_as_code(field, s) for s in support], dtype=np.int64)
-    vals = f.evaluate_codes(codes)
-    return tuple(field.element(int(v)) for v in vals)
-
-
 def is_irreducible(f: Polynomial) -> bool:
     """Deterministic irreducibility over the coefficient field.
 
@@ -363,13 +354,7 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
         raise ValueError("degree must be >= 1")
     order = field.order
     for idx in range(order**degree):
-        coeffs = []
-        k = idx
-        for _ in range(degree):
-            coeffs.append(k % order)
-            k //= order
-        coeffs.append(1)
-        cand = Polynomial._raw(field, coeffs)
+        cand = Polynomial._raw(field, digits(idx, order, degree) + [1])
         if is_irreducible(cand):
             return cand
     raise RuntimeError("no irreducible polynomial of requested degree; unreachable")
@@ -493,12 +478,6 @@ class QuotientRing:
         a._check(self.modulus)
         return a % self.modulus
 
-    def add(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return a + b
-
-    def sub(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return a - b
-
     def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
         return (a * b) % self.modulus
 
@@ -516,19 +495,7 @@ class QuotientRing:
     def element_at(self, k: int) -> Polynomial:
         if not 0 <= k < self.size:
             raise ValueError(f"index {k} out of range")
-        order = self.field.order
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(k % order)
-            k //= order
-        return Polynomial._raw(self.field, coeffs)
-
-    def index_of(self, a: Polynomial) -> int:
-        a = self.reduce(a)
-        idx = 0
-        for c in reversed(a.coeffs):
-            idx = idx * self.field.order + c
-        return idx
+        return Polynomial._raw(self.field, digits(k, self.field.order, self.degree))
 
     def elements(self) -> Iterator[Polynomial]:
         for k in range(self.size):

@@ -5,8 +5,9 @@ adds through ``add_table`` in every characteristic. ``kernel`` is the
 original two-pass kernel: left-pivoting RREF of M, the (n - r) x n basis
 built from it, then a second elimination of that basis to make it
 canonical. ``flatten_poly`` and ``unflatten_poly`` are the original
-per-coefficient, per-digit loops of the evidence flattening. None of these
-is used by the library.
+per-coefficient, per-digit loops of the evidence flattening. ``matmul`` is
+a plain matrix product over the field, for checking kernels (M K^T = 0).
+None of these is used by the library.
 """
 
 from __future__ import annotations
@@ -93,3 +94,20 @@ def unflatten_poly(field: Field, vec: np.ndarray, degree_bound: int) -> Polynomi
             code = code * q + int(vec[l * m + j])
         coeffs.append(code)
     return Polynomial(field, coeffs)
+
+
+def matmul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
+    """Exact matrix product over the field, one column of A at a time."""
+    if A.field != B.field:
+        raise ValueError("mixed fields in matmul")
+    if A.ncols != B.nrows:
+        raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
+    field = A.field
+    add, mul = field.add_table, field.mul_table
+    C = np.zeros((A.nrows, B.ncols), dtype=_DT)
+    for k in range(A.ncols):
+        colk = A.array[:, k]
+        if not colk.any():
+            continue
+        C = add[C, mul[colk[:, None], B.array[k][None, :]]]
+    return MatrixGF(field, C)

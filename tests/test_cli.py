@@ -83,6 +83,18 @@ def test_distance_budget_exit_4(capsys):
     assert "budget" in err
 
 
+def test_evidence_budget_exit_4_fast(capsys):
+    # K + g*F over F_1024 would be 20459 x 20460; refused before any work
+    t0 = time.monotonic()
+    code, out, err = run_main(
+        capsys, "evidence", "--p", "2", "--m", "10", "--g", "irreducible:2",
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 4
+    assert out == "" and "20459 x 20460" in err
+    assert elapsed < 5.0
+
+
 def test_strict_distance_exit_4(capsys):
     code, _, err = run_main(
         capsys, "table", "--id", "1", "--strict-distance",

@@ -44,13 +44,6 @@ class TestCanonicalForm:
         E = LinearCode.full_code(F2, 3)
         assert E.k == 3 and len(words(E)) == 8
 
-    def test_json_round_trip(self):
-        C = random_code(F9, 6, 3, seed=2)
-        D = LinearCode.from_json(C.to_json())
-        assert C == D
-        Z = LinearCode.zero_code(F4, 4)
-        assert LinearCode.from_json(Z.to_json()) == Z
-
 
 class TestDual:
     def test_repetition_dual_is_even_weight(self):
@@ -111,12 +104,6 @@ class TestShorten:
         C = random_code(F2, 3, 2, seed=5)
         with pytest.raises(ValueError):
             C.shorten([3])
-
-    def test_puncture_brute_force(self):
-        C = random_code(F4, 5, 2, seed=11)
-        got = C.puncture([1, 2])
-        expected = {(w[0], w[3], w[4]) for w in words(C)}
-        assert words(got) == expected
 
 
 class TestSubfieldSubcode:

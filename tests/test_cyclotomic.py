@@ -42,11 +42,6 @@ class TestClasses:
                 # class size divides m
                 assert m % cls.size == 0 or cls.size <= m
 
-    def test_class_of(self):
-        dec = cyclotomic_classes(3, 2)
-        assert dec.class_of(7).members == (5, 7)
-        assert dec.class_of(8 + 5).members == (5, 7)
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             cyclotomic_classes(6, 2)  # not a prime power

@@ -69,11 +69,6 @@ class TestTheorem1:
         assert rep.distinct_roots == 0
         assert rep.elapsed >= 0
 
-    def test_json_round_trip(self):
-        g = find_irreducible(F4t, 2)
-        rep = verify_theorem1(F4t, full_support(F4t), g)
-        assert IdentityReport.from_json(rep.to_json()) == rep
-
     def test_rejects_rooted_polynomial(self):
         x = Polynomial.x(F4t)
         with pytest.raises(ValueError, match="dimension_gap"):
