@@ -254,6 +254,8 @@ def cmd_dims(args) -> int:
 
 def cmd_classes(args) -> int:
     q = args.p**args.a
+    if args.t is not None and args.t < 1:
+        raise ValueError(f"need t >= 1, got {args.t}")
     dec = cyclotomic_classes(q, args.m)
     e1 = norm_exponent(q, args.m)
     window = args.t * e1 if args.t is not None else None

@@ -167,20 +167,6 @@ class LinearCode:
         stacked = np.vstack([self.generator, other.generator])
         return linalg.rank(MatrixGF._wrap(self.field, stacked)) == self.k
 
-    def codewords(self) -> np.ndarray:
-        """All q^k codewords as an array (message enumeration order)."""
-        field = self.field
-        total = field.order**self.k
-        out = np.zeros((total, self.n), dtype=np.int16)
-        if self.k == 0:
-            return out
-        add, mul = field.add_table, field.mul_table
-        idx = np.arange(total)
-        for j in range(self.k):
-            digit = (idx // field.order**j) % field.order
-            out = add[out, mul[digit[:, None].astype(np.int16), self.generator[j][None, :]]]
-        return out
-
     def min_distance(self, budget: int = DEFAULT_DISTANCE_BUDGET) -> int | None:
         """Exact minimum distance by full enumeration, or None if the number
         of codewords exceeds the budget. Never an estimate."""

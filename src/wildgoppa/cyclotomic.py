@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .errors import BudgetExceeded
 from .gf import prime_factors
 
 __all__ = [
@@ -29,6 +30,10 @@ __all__ = [
     "class_sum_dim",
     "closed_form",
 ]
+
+# Largest modulus q^m - 1 whose classes are enumerated, one table entry per
+# residue; q = 2, m = 22 is just under it and takes seconds.
+CLASS_MODULUS_BUDGET = 1 << 22
 
 
 def _validate_qm(q: int, m: int) -> None:
@@ -71,9 +76,15 @@ class ClassDecomposition:
 
 
 def cyclotomic_classes(q: int, m: int) -> ClassDecomposition:
-    """All multiplication-by-q classes modulo q^m - 1, reps ascending."""
+    """All multiplication-by-q classes modulo q^m - 1, reps ascending;
+    BudgetExceeded before any work when q^m - 1 > CLASS_MODULUS_BUDGET."""
     _validate_qm(q, m)
     modulus = q**m - 1
+    if modulus > CLASS_MODULUS_BUDGET:
+        raise BudgetExceeded(
+            f"classes modulo {modulus} exceed the budget of "
+            f"{CLASS_MODULUS_BUDGET} residues"
+        )
     seen = [False] * modulus
     out = []
     for b in range(modulus):

@@ -5,6 +5,11 @@ top field.  A polynomial of degree < D over F_{q^m} flattens to a vector of
 length m*D over F_q (coefficient-major, coordinate-minor), linear algebra
 happens in linalg, and each verification either returns a report or raises
 FalsificationError with the offending witness.
+
+The absolute trace of F[x]/(h) to F_q is F_q-linear: each check that needs
+it sums q-power orbits only for the m*deg(h) basis residues z^j x^l, once,
+and the trace of any residue is the F_q dot product of that trace form
+with the residue flattened below deg(h).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digits
-from .linalg import MatrixGF, rank, reduce_row, rref
+from .linalg import MatrixGF, RrefResult, rank, reduce_row, rref
 from .poly import (
     Polynomial,
     QuotientRing,
@@ -43,7 +48,7 @@ __all__ = [
     "verify_trace_kernel_mod",
 ]
 
-# Cells of the stacked K + g*F matrix that verify_K_properties row-reduces.
+# Cells of the stacked K + g*F matrix that _K_plus_gF row-reduces.
 # The largest instance in the tests and the benchmark, q = 2, m = 6, t = 2,
 # is 755 x 756; q = 2, m = 10, t = 2 would be about 4.2e8.
 K_STACK_CELL_BUDGET = 4_000_000
@@ -83,8 +88,7 @@ class FqSubspace:
             rows = [np.zeros(degree_bound * field.m, dtype=np.int16)]
         mat = MatrixGF(field.subfield, np.array(rows, dtype=np.int16))
         res = rref(mat)
-        keep = res.matrix.array[: res.rank] if res.rank else res.matrix.array[:0]
-        basis = MatrixGF(field.subfield, keep.reshape(res.rank, degree_bound * field.m))
+        basis = MatrixGF(field.subfield, res.matrix.array[: res.rank])
         return cls(field, degree_bound, basis, tuple(res.pivots))
 
     @property
@@ -118,20 +122,13 @@ def mu_generators(field: Field, t: int) -> list:
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    q = field.q
     gens = []
     for j in range(field.m):
-        zj = field.gen**j
-        zj_q = int(field.frobenius_table[zj.code])
+        zj = (field.gen**j).code
+        zj_q = int(field.frobenius_table[zj])
         for l in range(t):
-            coeffs = {q * l: zj_q}
-            low = coeffs.get(l, 0)
-            coeffs[l] = int(field.add_table[low, field.neg_table[zj.code]])
-            deg = max(coeffs)
-            dense = [0] * (deg + 1)
-            for pos, code in coeffs.items():
-                dense[pos] = code
-            gens.append(Polynomial(field, dense))
+            gens.append(Polynomial.monomial(field, field.q * l, zj_q)
+                        - Polynomial.monomial(field, l, zj))
     return gens
 
 
@@ -183,49 +180,92 @@ def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
     return lam
 
 
-def _ring_abs_trace(ring: QuotientRing, w: Polynomial) -> int:
-    """Absolute trace of w in F[x]/(h) down to the prime-level subfield F_q.
+def _K_plus_gF(field: Field, g: Polynomial) -> tuple[FqSubspace, RrefResult]:
+    """(K, RREF of K stacked on the rows g*z^j*x^l of g*F[x]_{<e t}).
 
-    Sums the q-power orbit of length m*r; the result must be a constant
-    with a subfield code, which is what gets returned.
+    Full row rank (m t - 1) + m e t shows at once that the multiples of g
+    are independent and meet K trivially.  Raises BudgetExceeded before any
+    work when the stack has over K_STACK_CELL_BUDGET cells, and
+    FalsificationError when dim K or the stacked rank is off.
+    """
+    t = int(g.degree)
+    m = field.m
+    e1 = field.norm_exponent
+    D = e1 * t
+    rows = m * t - 1 + m * (e1 - 1) * t
+    if rows * m * D > K_STACK_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"K + g*F would be a {rows} x {m * D} matrix, over the budget "
+            f"of {K_STACK_CELL_BUDGET} cells"
+        )
+    K = build_K(field, t, D)
+    if K.dim != m * t - 1:
+        raise FalsificationError(
+            f"dim K = {K.dim}, expected {m * t - 1} for q={field.q} m={m} t={t}"
+        )
+    g_rows = [flatten_poly(f, D) for f in _multiples_of(g, (e1 - 1) * t)]
+    stack = rref(MatrixGF(field.subfield, np.vstack([K.basis.array, *g_rows])))
+    if stack.rank != rows:
+        raise FalsificationError(
+            f"K + g*F has rank {stack.rank}, expected {K.dim} + {rows - K.dim}"
+        )
+    return K, stack
+
+
+def _trace_form(ring: QuotientRing) -> np.ndarray:
+    """Absolute traces down to F_q of the basis residues z^j x^l of
+    F[x]/(h), in flatten_poly's slot order l*m + j.
+
+    Each is the sum of a q-power orbit of length m*r and must be a constant
+    with a subfield code; by F_q-linearity both then hold for every residue.
     """
     field = ring.field
-    q = field.q
-    steps = field.m * int(ring.modulus.degree)
-    acc = w
-    cur = w
-    for _ in range(steps - 1):
-        cur = ring.pow(cur, q)
-        acc = acc + cur
-    if len(acc.coeffs) > 1:
-        raise FalsificationError(
-            f"absolute trace produced a non-constant residue {acc.coeffs}"
-        )
-    code = acc.coeffs[0] if acc.coeffs else 0
-    if code >= q:
-        raise FalsificationError(
-            f"absolute trace landed outside the subfield: code {code}"
-        )
-    return code
+    q, m = field.q, field.m
+    steps = m * ring.degree
+    form = np.zeros(steps, dtype=np.int16)
+    for l in range(ring.degree):
+        for j in range(m):
+            acc = cur = Polynomial.monomial(field, l, (field.gen**j).code)
+            for _ in range(steps - 1):
+                cur = ring.pow(cur, q)
+                acc = acc + cur
+            code = acc.coeffs[0] if acc.coeffs else 0
+            if len(acc.coeffs) > 1 or code >= q:
+                raise FalsificationError(
+                    f"absolute trace of z^{j} x^{l} is {acc.coeffs}, not in F_q"
+                )
+            form[l * m + j] = code
+    return form
 
 
-def _reduced_trace_kernel_dim(ring: QuotientRing, gens: Sequence[Polynomial]) -> int:
+def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
+    """Absolute traces of flattened residues (slots on the last axis): the
+    F_q dot product of each with the trace form."""
+    prods = sub.mul_table[flat, form]
+    acc = prods[..., 0]
+    for c in range(1, form.size):
+        acc = sub.add_table[acc, prods[..., c]]
+    return acc
+
+
+def _reduced_trace_kernel_dim(ring: QuotientRing, form: np.ndarray,
+                              gens: Sequence[Polynomial]) -> int:
     """Reduce the mu generators mod h and check that they fill the kernel of
     the absolute trace on F[x]/(h): each residue has trace zero and together
     they span m*r - 1 dimensions. Returns that dimension."""
     field = ring.field
-    r = ring.degree
     reduced = [ring.reduce(f) for f in gens]
-    for f in reduced:
-        if _ring_abs_trace(ring, f) != 0:
-            raise FalsificationError(
-                f"K residue {f.coeffs} mod base factor has nonzero trace"
-            )
-    rows = np.array([flatten_poly(f, r) for f in reduced], dtype=np.int16)
-    dim = rank(MatrixGF(field.subfield, rows))
-    if dim != field.m * r - 1:
+    rows = np.array([flatten_poly(f, ring.degree) for f in reduced], dtype=np.int16)
+    traces = _trace(form, field.subfield, rows)
+    if traces.any():
+        bad = reduced[int(np.flatnonzero(traces)[0])]
         raise FalsificationError(
-            f"K mod base factor has dim {dim}, expected {field.m * r - 1}"
+            f"K residue {bad.coeffs} mod base factor has nonzero trace"
+        )
+    dim = rank(MatrixGF(field.subfield, rows))
+    if dim != field.m * ring.degree - 1:
+        raise FalsificationError(
+            f"K mod base factor has dim {dim}, expected {field.m * ring.degree - 1}"
         )
     return dim
 
@@ -251,8 +291,8 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
 
     (I) tau kills every element of K on the full evaluation set, since
         trace(y^q - y) = 0 pointwise.
-    (II) K meets g*F[x]_{<e t} trivially: the stacked rank is the sum of
-        the individual ranks.
+    (II) K + g*F[x]_{<e t} has full row rank (m t - 1) + m e t, so K meets
+        g*F trivially.
     (III) dim K = m t - 1, and reducing K mod h fills the full trace-zero
         hyperplane of F[x]/(h), of dimension m r - 1.
 
@@ -262,51 +302,24 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     """
     g = g.monic()
     h, s = _require_prime_power_factor(g)
+    K, stack = _K_plus_gF(field, g)
     t = int(g.degree)
-    r = int(h.degree)
-    m = field.m
-    e1 = field.norm_exponent
-    D = e1 * t
-    rows = m * t - 1 + m * (e1 - 1) * t
-    if rows * m * D > K_STACK_CELL_BUDGET:
-        raise BudgetExceeded(
-            f"K + g*F would be a {rows} x {m * D} matrix, over the budget "
-            f"of {K_STACK_CELL_BUDGET} cells"
-        )
-    K = build_K(field, t, D)
-    if K.dim != m * t - 1:
-        raise FalsificationError(
-            f"dim K = {K.dim}, expected {m * t - 1} for q={field.q} m={m} t={t}"
-        )
 
     support = full_support(field)
     gens = mu_generators(field, t)
-    tau_ok = all(not tau(field, support, f).any() for f in gens)
-    if not tau_ok:
-        bad = next(f for f in gens if tau(field, support, f).any())
-        raise FalsificationError(
-            f"tau does not vanish on K generator with coeffs {bad.coeffs}"
-        )
+    for f in gens:
+        if tau(field, support, f).any():
+            raise FalsificationError(
+                f"tau does not vanish on K generator with coeffs {f.coeffs}"
+            )
 
-    g_mults = _multiples_of(g, (e1 - 1) * t)
-    g_rows = np.array([flatten_poly(f, D) for f in g_mults], dtype=np.int16)
-    dim_gF = rank(MatrixGF(field.subfield, g_rows))
-    stacked = MatrixGF.vstack([
-        MatrixGF(field.subfield, K.basis.array),
-        MatrixGF(field.subfield, g_rows),
-    ])
-    dim_sum = rank(stacked)
-    if dim_sum != K.dim + dim_gF:
-        raise FalsificationError(
-            f"K intersects g*F: rank {dim_sum} < {K.dim} + {dim_gF}"
-        )
-
-    dim_mod = _reduced_trace_kernel_dim(QuotientRing(h), gens)
+    ring = QuotientRing(h)
+    dim_mod = _reduced_trace_kernel_dim(ring, _trace_form(ring), gens)
 
     return KReport(
-        q=field.q, m=m, t=t, base_degree=r, power=s,
-        dim_K=int(K.dim), dim_gF=int(dim_gF), dim_sum=int(dim_sum),
-        dim_K_mod_base=int(dim_mod), tau_vanishes=bool(tau_ok),
+        q=field.q, m=field.m, t=t, base_degree=ring.degree, power=s,
+        dim_K=K.dim, dim_gF=stack.rank - K.dim, dim_sum=stack.rank,
+        dim_K_mod_base=dim_mod, tau_vanishes=True,
     )
 
 
@@ -331,12 +344,13 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
             "witness search needs degree >= 2; degree 1 cannot succeed"
         )
     ring = QuotientRing(h)
+    form = _trace_form(ring)
     lam_poly = Polynomial.constant(field, lam.code)
     e1 = field.norm_exponent
     for idx in range(ring.size):
         alpha = ring.element_at(idx)
         w = ring.mul(lam_poly, ring.pow(alpha, e1))
-        if _ring_abs_trace(ring, w) != 0:
+        if _trace(form, field.subfield, flatten_poly(w, r)) != 0:
             return alpha
     raise FalsificationError(
         f"no witness in a ring of size {ring.size} for q={field.q} m={field.m} "
@@ -379,66 +393,41 @@ def find_decomposition(field: Field, g: Polynomial, lam):
         raise ValueError(
             "decomposition needs a rootless polynomial; base factor is linear"
         )
+    K, stack = _K_plus_gF(field, g)
     t = int(g.degree)
-    m = field.m
     e1 = field.norm_exponent
     D = e1 * t
-    ambient = m * D
-
-    K = build_K(field, t, D)
-    if K.dim != m * t - 1:
-        raise FalsificationError(
-            f"dim K = {K.dim}, expected {m * t - 1}"
-        )
-    g_rows = np.array(
-        [flatten_poly(f, D) for f in _multiples_of(g, (e1 - 1) * t)],
-        dtype=np.int16,
-    )
-    stacked = MatrixGF.vstack([
-        MatrixGF(field.subfield, K.basis.array),
-        MatrixGF(field.subfield, g_rows),
-    ])
-    res = rref(stacked)
-    dim_gF = m * (e1 - 1) * t
-    if res.rank != K.dim + dim_gF:
-        raise FalsificationError(
-            f"K + g*F has rank {res.rank}, expected {K.dim + dim_gF}"
-        )
-    W = MatrixGF(field.subfield, res.matrix.array[: res.rank])
-    pivots = tuple(res.pivots)
 
     ring = QuotientRing(h)
+    form = _trace_form(ring)
     lam_poly = Polynomial.constant(field, lam.code)
     support = full_support(field)
     total = field.order**t
     for idx in range(total):
         a = Polynomial(field, digits(idx, field.order, t))
         w = lam_poly * a**e1
-        vec = flatten_poly(w, D)
-        resid = reduce_row(W, pivots, vec)
-        if not resid.any():
+        if not reduce_row(stack.matrix, stack.pivots, flatten_poly(w, D)).any():
             continue
-        tr = _ring_abs_trace(ring, ring.reduce(w))
+        tr = int(_trace(form, field.subfield, flatten_poly(ring.reduce(w), r)))
         if tr == 0:
             raise FalsificationError(
                 "independent witness has zero trace mod the base factor; "
                 f"candidate index {idx}"
             )
-        image = tau(field, support, w)
-        if image.any():
+        if tau(field, support, w).any():
             raise FalsificationError(
                 f"tau does not vanish on the witness; candidate index {idx}"
             )
         report = DecompositionReport(
-            q=field.q, m=m, t=t, lam=lam.code,
-            ambient_dim=int(ambient), dim_K=int(K.dim), dim_gF=int(dim_gF),
+            q=field.q, m=field.m, t=t, lam=lam.code,
+            ambient_dim=field.m * D, dim_K=K.dim, dim_gF=stack.rank - K.dim,
             candidate_index=idx, witness_coeffs=tuple(a.coeffs),
-            ring_trace=int(tr), tau_vanishes=True,
+            ring_trace=tr, tau_vanishes=True,
         )
         return a, report
     raise FalsificationError(
         f"no decomposition witness among {total} candidates for "
-        f"q={field.q} m={m} t={t} lambda={lam.code}"
+        f"q={field.q} m={field.m} t={t} lambda={lam.code}"
     )
 
 
@@ -472,24 +461,15 @@ def verify_dual_reformulation(field: Field, support: Sequence[int],
     if roots_on:
         raise ValueError(f"support meets roots of g at codes {roots_on}")
     t = int(g.degree)
-    m = field.m
     e1 = field.norm_exponent
-    D = e1 * t
-    z_codes = [(field.gen**j).code for j in range(m)]
-    full_gens = [
-        Polynomial.monomial(field, l, c) for l in range(D) for c in z_codes
-    ]
-    mult_gens = _multiples_of(g, (e1 - 1) * t)
-    A = MatrixGF(field.subfield,
-                 np.array([tau(field, support, f) for f in full_gens],
-                          dtype=np.int16))
-    B = MatrixGF(field.subfield,
-                 np.array([tau(field, support, f) for f in mult_gens],
-                          dtype=np.int16))
-    dim_full = rank(A)
-    dim_mult = rank(B)
+
+    def tau_rank(gens):
+        return rank(MatrixGF(field.subfield, [tau(field, support, f) for f in gens]))
+
+    dim_full = tau_rank(_multiples_of(Polynomial.one(field), e1 * t))
+    dim_mult = tau_rank(_multiples_of(g, (e1 - 1) * t))
     report = DualSpanReport(
-        q=field.q, m=m, t=t, n=len(support),
+        q=field.q, m=field.m, t=t, n=len(support),
         dim_full=int(dim_full), dim_multiples=int(dim_mult),
         gap=int(dim_full - dim_mult), equal=bool(dim_full == dim_mult),
     )
@@ -534,14 +514,13 @@ def verify_trace_kernel_mod(field: Field, h: Polynomial,
         raise ValueError(f"power must be >= 1, got {power}")
     r = int(h.degree)
     ring = QuotientRing(h)
-    dim_reduced = _reduced_trace_kernel_dim(ring, mu_generators(field, power * r))
-    surjective = any(
-        _ring_abs_trace(ring, ring.element_at(i)) != 0 for i in range(ring.size)
-    )
-    if not surjective:
+    form = _trace_form(ring)
+    dim_reduced = _reduced_trace_kernel_dim(ring, form, mu_generators(field, power * r))
+    # an F_q-linear functional to F_q is onto unless it is zero
+    if not form.any():
         raise FalsificationError("absolute trace vanished on the whole ring")
     return TraceKernelReport(
         q=field.q, m=field.m, r=r, power=power,
-        dim_reduced=int(dim_reduced), expected=field.m * r - 1,
-        trace_surjective=bool(surjective),
+        dim_reduced=dim_reduced, expected=field.m * r - 1,
+        trace_surjective=True,
     )

@@ -7,6 +7,9 @@ built from it, then a second elimination of that basis to make it
 canonical. ``flatten_poly`` and ``unflatten_poly`` are the original
 per-coefficient, per-digit loops of the evidence flattening. ``matmul`` is
 a plain matrix product over the field, for checking kernels (M K^T = 0).
+``abs_trace`` is the absolute trace of one residue as a full q-power orbit
+sum, the oracle for the evidence trace form. ``codewords`` enumerates all
+order^k codewords of a code, with no budget.
 None of these is used by the library.
 """
 
@@ -14,9 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from wildgoppa.codes import LinearCode
 from wildgoppa.gf import Field
 from wildgoppa.linalg import MatrixGF
-from wildgoppa.poly import Polynomial
+from wildgoppa.poly import Polynomial, QuotientRing
 
 _DT = np.int16
 
@@ -111,3 +115,30 @@ def matmul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
             continue
         C = add[C, mul[colk[:, None], B.array[k][None, :]]]
     return MatrixGF(field, C)
+
+
+def abs_trace(ring: QuotientRing, w: Polynomial) -> int:
+    """Absolute trace of w in F[x]/(h) to F_q: the sum of its q-power orbit
+    of length m*deg(h), which must be a constant in F_q."""
+    field = ring.field
+    acc = cur = ring.reduce(w)
+    for _ in range(field.m * ring.degree - 1):
+        cur = ring.pow(cur, field.q)
+        acc = acc + cur
+    assert len(acc.coeffs) <= 1, f"non-constant trace {acc.coeffs}"
+    code = acc.coeffs[0] if acc.coeffs else 0
+    assert code < field.q, f"trace code {code} outside F_q"
+    return code
+
+
+def codewords(code: LinearCode) -> np.ndarray:
+    """All order^k codewords as an array (message enumeration order)."""
+    field = code.field
+    total = field.order**code.k
+    out = np.zeros((total, code.n), dtype=_DT)
+    add, mul = field.add_table, field.mul_table
+    idx = np.arange(total)
+    for j in range(code.k):
+        digit = (idx // field.order**j) % field.order
+        out = add[out, mul[digit[:, None].astype(_DT), code.generator[j][None, :]]]
+    return out

@@ -167,6 +167,28 @@ def test_classes_json_window(capsys):
     assert sum(c["size"] for c in data["classes"]) == data["modulus"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("classes", "--p", "2", "--m", "40"),
+    ("dims", "--p", "2", "--m", "40", "--t", "1"),
+])
+def test_class_modulus_budget_exit_4_fast(capsys, argv):
+    # 2^40 - 1 residues would not fit in memory; refused before allocating
+    t0 = time.monotonic()
+    code, out, err = run_main(capsys, *argv)
+    assert code == 4
+    assert out == "" and "budget" in err
+    assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("t", ["0", "-3"])
+def test_classes_rejects_t_below_one(capsys, t):
+    code, out, err = run_main(
+        capsys, "classes", "--p", "2", "--m", "2", "--t", t,
+    )
+    assert code == 2
+    assert out == "" and "t >= 1" in err
+
+
 def test_evidence_output(capsys):
     code, out, _ = run_main(
         capsys, "evidence", "--p", "2", "--m", "2", "--g", "irreducible:2",

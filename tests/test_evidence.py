@@ -1,16 +1,19 @@
 """Tests for the trace-space decomposition machinery."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from wildgoppa.errors import FalsificationError
+from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
     FqSubspace,
+    _trace,
+    _trace_form,
     build_K,
     find_decomposition,
     flatten_poly,
@@ -24,7 +27,7 @@ from wildgoppa.evidence import (
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import full_support, punctured_support
 from wildgoppa.linalg import MatrixGF, rank
-from wildgoppa.poly import Polynomial, find_irreducible
+from wildgoppa.poly import Polynomial, QuotientRing, find_irreducible, is_irreducible
 
 TOWERS = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (2, 1, 4)]
 
@@ -226,6 +229,16 @@ def test_decomposition_bookkeeping_smallest():
     assert (rep.ambient_dim, rep.dim_K, rep.dim_gF) == (12, 3, 8)
 
 
+def test_decomposition_budget_exceeded_fast():
+    # K + g*F over F_1024 would be 20459 x 20460; refused before any work
+    t0 = time.monotonic()
+    field = build_tower(2, 1, 10)
+    g = find_irreducible(field, 2)
+    with pytest.raises(BudgetExceeded, match="20459 x 20460"):
+        find_decomposition(field, g, trace_zero_units(field)[0])
+    assert time.monotonic() - t0 < 5.0
+
+
 def test_decomposition_rejects_bad_lambda():
     field = build_tower(2, 1, 2)
     g = find_irreducible(field, 2)
@@ -268,23 +281,13 @@ def test_startkey_first_witness_oracle():
     lam = trace_zero_units(field)[0]
     alpha = startkey_search(field, h, lam)
 
-    from wildgoppa.poly import QuotientRing
     ring = QuotientRing(h)
     e1 = field.norm_exponent
     lam_poly = Polynomial.constant(field, lam)
-    q = field.q
-    steps = field.m * 2
-
-    def abs_trace(w):
-        acc, cur = w, w
-        for _ in range(steps - 1):
-            cur = ring.pow(cur, q)
-            acc = acc + cur
-        return acc.coeffs[0] if acc.coeffs else 0
-
     hits = [
         k for k in range(ring.size)
-        if abs_trace(ring.mul(lam_poly, ring.pow(ring.element_at(k), e1))) != 0
+        if reference.abs_trace(
+            ring, ring.mul(lam_poly, ring.pow(ring.element_at(k), e1))) != 0
     ]
     assert hits, "oracle found no witness at all"
     assert ring.element_at(hits[0]) == alpha
@@ -354,21 +357,38 @@ def test_trace_kernel_oracle_by_enumeration():
     # count the trace kernel directly in the residue ring and compare
     field = build_tower(2, 1, 2)
     h = find_irreducible(field, 2)
-    from wildgoppa.poly import QuotientRing
     ring = QuotientRing(h)
-    steps = field.m * 2
-
-    def abs_trace(w):
-        acc, cur = w, w
-        for _ in range(steps - 1):
-            cur = ring.pow(cur, field.q)
-            acc = acc + cur
-        return acc.coeffs[0] if acc.coeffs else 0
-
-    kernel = [k for k in range(ring.size) if abs_trace(ring.element_at(k)) == 0]
+    kernel = [k for k in range(ring.size)
+              if reference.abs_trace(ring, ring.element_at(k)) == 0]
     assert len(kernel) == field.q ** (field.m * 2 - 1)
     rep = verify_trace_kernel_mod(field, h, 1)
     assert field.q**rep.dim_reduced == len(kernel)
+
+
+# F_16/F_4, F_256/F_16, F_9/F_3, F_25/F_5, F_49/F_7, F_64/F_2
+@pytest.mark.parametrize("p,a,m", [
+    (2, 2, 2), (2, 4, 2), (3, 1, 2), (5, 1, 2), (7, 1, 2), (2, 1, 6),
+])
+@pytest.mark.parametrize("r", [2, 3])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_trace_form_against_orbit_sum(p, a, m, r, data):
+    # the form's dot product equals the full orbit sum, one residue at a
+    # time and for a stack of residues traced in one product; h is drawn,
+    # because the minimal irreducibles give forms too sparse to tell slots
+    # apart
+    field = build_tower(p, a, m)
+    residue = st.lists(st.integers(0, field.order - 1), min_size=r, max_size=r)
+    h = Polynomial(field, data.draw(residue) + [1])
+    assume(is_irreducible(h))
+    ring = QuotientRing(h)
+    form = _trace_form(ring)
+    ws = [Polynomial(field, c)
+          for c in data.draw(st.lists(residue, min_size=1, max_size=4))]
+    expected = [reference.abs_trace(ring, w) for w in ws]
+    assert int(_trace(form, field.subfield, flatten_poly(ws[0], r))) == expected[0]
+    rows = np.array([flatten_poly(w, r) for w in ws])
+    assert _trace(form, field.subfield, rows).tolist() == expected
 
 
 # ------------------------------------------------------------- subspace type
