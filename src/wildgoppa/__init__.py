@@ -66,7 +66,6 @@ from .cyclotomic import (
 from .evidence import (
     DecompositionReport,
     DualSpanReport,
-    FqSubspace,
     KReport,
     TraceKernelReport,
     build_K,
@@ -131,7 +130,6 @@ __all__ = [
     "norm_exponent",
     "DecompositionReport",
     "DualSpanReport",
-    "FqSubspace",
     "KReport",
     "TraceKernelReport",
     "build_K",

@@ -75,6 +75,8 @@ def _emit(args, payload: dict, text_lines) -> None:
 
 
 def _field_from(args):
+    if args.m < 2:
+        raise ValueError(f"need a proper tower m >= 2, got m={args.m}")
     return build_tower(args.p, args.a, args.m)
 
 

@@ -1,9 +1,10 @@
 """Constructive checks for the trace-space decomposition behind the wild identity.
 
-Everything here works with explicit F_q-bases of polynomial spaces over the
-top field.  A polynomial of degree < D over F_{q^m} flattens to a vector of
-length m*D over F_q (coefficient-major, coordinate-minor), linear algebra
-happens in linalg, and each verification either returns a report or raises
+A polynomial of degree < D over F_{q^m} flattens to a vector of length m*D
+over F_q (coefficient-major, coordinate-minor), so K = im(a -> a^q - a) is
+a LinearCode over F_q, and K + g*F[x]_{<et} is the kernel of one functional
+phi.  The tau spans are trace codes of goppa.vandermonde_rows codes
+(Delsarte 1975).  Each verification returns a report or raises
 FalsificationError with the offending witness.
 
 The absolute trace of F[x]/(h) to F_q is F_q-linear: each check that needs
@@ -15,13 +16,14 @@ with the residue flattened below deg(h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .codes import LinearCode
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digits
-from .linalg import MatrixGF, RrefResult, rank, reduce_row, rref
+from .linalg import MatrixGF, kernel, rank
 from .poly import (
     Polynomial,
     QuotientRing,
@@ -29,11 +31,10 @@ from .poly import (
     irreducible_power,
     is_irreducible,
 )
-from .goppa import full_support
+from .goppa import full_support, support_codes, vandermonde_rows
 
 __all__ = [
     "flatten_poly",
-    "FqSubspace",
     "tau",
     "mu_generators",
     "build_K",
@@ -48,7 +49,7 @@ __all__ = [
     "verify_trace_kernel_mod",
 ]
 
-# Cells of the stacked K + g*F matrix that _K_plus_gF row-reduces.
+# Cells of the stacked K + g*F matrix whose kernel _K_plus_gF takes.
 # The largest instance in the tests and the benchmark, q = 2, m = 6, t = 2,
 # is 755 x 756; q = 2, m = 10, t = 2 would be about 4.2e8.
 K_STACK_CELL_BUDGET = 4_000_000
@@ -69,40 +70,6 @@ def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
     coeffs[: len(f.coeffs)] = f.coeffs
     digits = coeffs[:, None] // field.q ** np.arange(field.m) % field.q
     return digits.ravel().astype(np.int16)
-
-
-@dataclass(frozen=True)
-class FqSubspace:
-    """An F_q-subspace of F_{q^m}[x]_{<degree_bound}, held as an RREF basis."""
-
-    field: Field
-    degree_bound: int
-    basis: MatrixGF
-    pivots: tuple
-
-    @classmethod
-    def from_polys(cls, field: Field, degree_bound: int,
-                   polys: Iterable[Polynomial]) -> "FqSubspace":
-        rows = [flatten_poly(f, degree_bound) for f in polys]
-        if not rows:
-            rows = [np.zeros(degree_bound * field.m, dtype=np.int16)]
-        mat = MatrixGF(field.subfield, np.array(rows, dtype=np.int16))
-        res = rref(mat)
-        basis = MatrixGF(field.subfield, res.matrix.array[: res.rank])
-        return cls(field, degree_bound, basis, tuple(res.pivots))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.degree_bound * self.field.m
-
-    def contains(self, f: Polynomial) -> bool:
-        vec = flatten_poly(f, self.degree_bound)
-        resid = reduce_row(self.basis, self.pivots, vec)
-        return not resid.any()
 
 
 def tau(field: Field, support: Sequence[int], f: Polynomial) -> np.ndarray:
@@ -132,7 +99,7 @@ def mu_generators(field: Field, t: int) -> list:
     return gens
 
 
-def build_K(field: Field, t: int, degree_bound: Optional[int] = None) -> FqSubspace:
+def build_K(field: Field, t: int, degree_bound: Optional[int] = None) -> LinearCode:
     """Span of mu over F_{q^m}[x]_{<t}, flattened below degree_bound.
 
     Defaults the ambient bound to (e+1)*t, the space the decomposition
@@ -144,7 +111,8 @@ def build_K(field: Field, t: int, degree_bound: Optional[int] = None) -> FqSubsp
         raise ValueError(
             f"degree bound {degree_bound} cannot hold mu images for t={t}"
         )
-    return FqSubspace.from_polys(field, degree_bound, mu_generators(field, t))
+    rows = [flatten_poly(f, degree_bound) for f in mu_generators(field, t)]
+    return LinearCode(field.subfield, field.m * degree_bound, rows)
 
 
 def _multiples_of(g: Polynomial, count: int) -> list:
@@ -180,13 +148,15 @@ def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
     return lam
 
 
-def _K_plus_gF(field: Field, g: Polynomial) -> tuple[FqSubspace, RrefResult]:
-    """(K, RREF of K stacked on the rows g*z^j*x^l of g*F[x]_{<e t}).
+def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
+    """(K, phi), phi spanning the kernel of K stacked on the rows g*z^j*x^l
+    of g*F[x]_{<e t}.
 
-    Full row rank (m t - 1) + m e t shows at once that the multiples of g
-    are independent and meet K trivially.  Raises BudgetExceeded before any
-    work when the stack has over K_STACK_CELL_BUDGET cells, and
-    FalsificationError when dim K or the stacked rank is off.
+    The stack has m (e+1) t - 1 rows, so one kernel row is full row rank:
+    the multiples of g are independent and meet K trivially.  Raises
+    BudgetExceeded before any work when the stack has over
+    K_STACK_CELL_BUDGET cells, and FalsificationError when dim K or the
+    stacked rank is off.
     """
     t = int(g.degree)
     m = field.m
@@ -199,17 +169,17 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[FqSubspace, RrefResult]:
             f"of {K_STACK_CELL_BUDGET} cells"
         )
     K = build_K(field, t, D)
-    if K.dim != m * t - 1:
+    if K.k != m * t - 1:
         raise FalsificationError(
-            f"dim K = {K.dim}, expected {m * t - 1} for q={field.q} m={m} t={t}"
+            f"dim K = {K.k}, expected {m * t - 1} for q={field.q} m={m} t={t}"
         )
     g_rows = [flatten_poly(f, D) for f in _multiples_of(g, (e1 - 1) * t)]
-    stack = rref(MatrixGF(field.subfield, np.vstack([K.basis.array, *g_rows])))
-    if stack.rank != rows:
+    phi = kernel(MatrixGF(field.subfield, np.vstack([K.generator, *g_rows]))).array
+    if phi.shape[0] != 1:
         raise FalsificationError(
-            f"K + g*F has rank {stack.rank}, expected {K.dim} + {rows - K.dim}"
+            f"K + g*F has rank {m * D - phi.shape[0]}, expected {K.k} + {rows - K.k}"
         )
-    return K, stack
+    return K, phi[0]
 
 
 def _trace_form(ring: QuotientRing) -> np.ndarray:
@@ -302,8 +272,9 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     """
     g = g.monic()
     h, s = _require_prime_power_factor(g)
-    K, stack = _K_plus_gF(field, g)
+    K, _ = _K_plus_gF(field, g)
     t = int(g.degree)
+    dim_sum = field.m * field.norm_exponent * t - 1
 
     support = full_support(field)
     gens = mu_generators(field, t)
@@ -318,7 +289,7 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
 
     return KReport(
         q=field.q, m=field.m, t=t, base_degree=ring.degree, power=s,
-        dim_K=K.dim, dim_gF=stack.rank - K.dim, dim_sum=stack.rank,
+        dim_K=K.k, dim_gF=dim_sum - K.k, dim_sum=dim_sum,
         dim_K_mod_base=dim_mod, tau_vanishes=True,
     )
 
@@ -380,7 +351,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
 
     g must be a rootless power of an irreducible; candidates a run over
     F_{q^m}[x]_{<t} in index order and the first one whose flattened
-    lam*a^(e+1) falls outside K + g*F[x]_{<et} wins.  The hit is
+    lam*a^(e+1) falls outside K + g*F[x]_{<et} = ker(phi) wins.  The hit is
     cross-checked two ways: its residue mod the base factor must have
     nonzero absolute trace (the one-functional criterion), and tau must
     kill it on the full evaluation set.  Returns (a, report).
@@ -393,7 +364,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
         raise ValueError(
             "decomposition needs a rootless polynomial; base factor is linear"
         )
-    K, stack = _K_plus_gF(field, g)
+    K, phi = _K_plus_gF(field, g)
     t = int(g.degree)
     e1 = field.norm_exponent
     D = e1 * t
@@ -406,7 +377,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     for idx in range(total):
         a = Polynomial(field, digits(idx, field.order, t))
         w = lam_poly * a**e1
-        if not reduce_row(stack.matrix, stack.pivots, flatten_poly(w, D)).any():
+        if _trace(phi, field.subfield, flatten_poly(w, D)) == 0:
             continue
         tr = int(_trace(form, field.subfield, flatten_poly(ring.reduce(w), r)))
         if tr == 0:
@@ -420,7 +391,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
             )
         report = DecompositionReport(
             q=field.q, m=field.m, t=t, lam=lam.code,
-            ambient_dim=field.m * D, dim_K=K.dim, dim_gF=stack.rank - K.dim,
+            ambient_dim=field.m * D, dim_K=K.k, dim_gF=field.m * D - 1 - K.k,
             candidate_index=idx, witness_coeffs=tuple(a.coeffs),
             ring_trace=tr, tau_vanishes=True,
         )
@@ -449,27 +420,32 @@ def verify_dual_reformulation(field: Field, support: Sequence[int],
                               g: Polynomial) -> DualSpanReport:
     """Compare the tau images whose equality rephrases the wild identity.
 
+    tau(mult * z^j x^l) = Tr(z^j mult(a) a^l), so each span is the trace
+    code of the rows mult(a_i) a_i^l: mult = 1, l < (e+1)t for the full
+    space and mult = g, l < e t for the multiples of g.
+
     For rootless g the spans must coincide and any gap falsifies the
     reformulation.  For a power of a linear factor the gap may be 0 or 1;
     anything larger falsifies.  Other shapes are reported without
     judgement.
     """
     g = g.monic()
-    if not support:
-        raise ValueError("support must be nonempty")
-    roots_on = [p for p in support if g.evaluate_codes(np.array([p]))[0] == 0]
+    L = support_codes(field, support)
+    gv = g.evaluate_codes(np.array(L, dtype=np.int64))
+    roots_on = [c for c, v in zip(L, gv) if v == 0]
     if roots_on:
         raise ValueError(f"support meets roots of g at codes {roots_on}")
     t = int(g.degree)
     e1 = field.norm_exponent
 
-    def tau_rank(gens):
-        return rank(MatrixGF(field.subfield, [tau(field, support, f) for f in gens]))
+    def span_dim(mult, count):
+        rows = vandermonde_rows(field, L, mult, count)
+        return LinearCode(field, len(L), rows).trace_code().k
 
-    dim_full = tau_rank(_multiples_of(Polynomial.one(field), e1 * t))
-    dim_mult = tau_rank(_multiples_of(g, (e1 - 1) * t))
+    dim_full = span_dim(1, e1 * t)
+    dim_mult = span_dim(gv, (e1 - 1) * t)
     report = DualSpanReport(
-        q=field.q, m=field.m, t=t, n=len(support),
+        q=field.q, m=field.m, t=t, n=len(L),
         dim_full=int(dim_full), dim_multiples=int(dim_mult),
         gap=int(dim_full - dim_mult), equal=bool(dim_full == dim_mult),
     )

@@ -100,6 +100,17 @@ class GoppaSpec:
         return len(self.support)
 
 
+def vandermonde_rows(field: Field, points, mult, count: int) -> np.ndarray:
+    """The count x n matrix with rows mult_i * a_i^j for j < count, over the
+    points a_i; mult is one multiplier per point, or a scalar code."""
+    L = np.asarray(points, dtype=np.int64)
+    rows = np.empty((count, L.size), dtype=np.int64)
+    rows[:1] = mult
+    for j in range(1, count):
+        rows[j] = field.mul_table[rows[j - 1], L]
+    return rows
+
+
 def goppa_code(spec: GoppaSpec) -> LinearCode:
     """The Goppa code over F_q via the standard parity check.
 
@@ -114,13 +125,8 @@ def goppa_code(spec: GoppaSpec) -> LinearCode:
     d = int(g.degree)
     if d >= len(L):
         return LinearCode.zero_code(field.subfield, len(L))
-    gv = g.evaluate_codes(L)
-    inv = field.inv_table[gv].astype(np.int64)
-    rows = np.zeros((d, len(L)), dtype=np.int64)
-    rows[0] = inv
-    for j in range(1, d):
-        rows[j] = field.mul_table[rows[j - 1], L]
-    return subfield_kernel(field, rows)
+    inv = field.inv_table[g.evaluate_codes(L)]
+    return subfield_kernel(field, vandermonde_rows(field, L, inv, d))
 
 
 def goppa_via_crt(spec: GoppaSpec) -> LinearCode:
@@ -195,16 +201,8 @@ def grs_pair(
     u = mul[hv, field.inv_table[wprime].astype(np.int64)].astype(np.int64)
     v = field.inv_table[hv].astype(np.int64)
 
-    def vandermonde_rows(mult: np.ndarray, count: int) -> np.ndarray:
-        rows = np.zeros((count, n), dtype=np.int64)
-        if count:
-            rows[0] = mult
-            for j in range(1, count):
-                rows[j] = mul[rows[j - 1], Lv]
-        return rows
-
-    C = LinearCode(field, n, vandermonde_rows(u, n - t))
-    D = LinearCode(field, n, vandermonde_rows(v, t))
+    C = LinearCode(field, n, vandermonde_rows(field, Lv, u, n - t))
+    D = LinearCode(field, n, vandermonde_rows(field, Lv, v, t))
     return C, D
 
 

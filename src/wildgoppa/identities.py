@@ -29,7 +29,7 @@ import numpy as np
 from .codes import LinearCode
 from .errors import FalsificationError
 from .gf import Field
-from .goppa import GoppaSpec, goppa_code, support_codes
+from .goppa import GoppaSpec, goppa_code, support_codes, vandermonde_rows
 from .poly import Polynomial, count_distinct_roots, gcd, is_squarefree
 
 __all__ = [
@@ -240,26 +240,23 @@ def verify_coprime_factor_chain(
         goppa_code(GoppaSpec(field, tuple(support), h * g**j)) for j in exponents
     ]
     _check_inclusions(codes, exponents, "verify_coprime_factor_chain")
-    note = ""
     if codes[1] != codes[2]:
         raise FalsificationError(
             f"cofactor chain failed on the e/e+1 link: q={field.q} "
             f"m={field.m} g={g!r} h={h!r} dims={[c.k for c in codes]}"
         )
+    note = ""
     if codes[0] != codes[1]:
-        note = (
-            "left link (exponent e-1) failed; statement suspected to be a "
-            "typo for squarefree bases"
-            if not is_squarefree(g)
-            else "left link (exponent e-1) failed for a squarefree base"
-        )
         if is_squarefree(g):
             raise FalsificationError(
                 f"cofactor chain failed on the e-1/e link for squarefree g: "
                 f"q={field.q} m={field.m} g={g!r} h={h!r}"
             )
-    rep = _report(field, support, g, exponents, codes, r, t0, note=note)
-    return rep
+        note = (
+            "left link (exponent e-1) failed; statement suspected to be a "
+            "typo for squarefree bases"
+        )
+    return _report(field, support, g, exponents, codes, r, t0, note=note)
 
 
 def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
@@ -294,11 +291,7 @@ def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
 
     # RS_k restricted to F_q on the full support, then shortened to L;
     # positions in the full support are exactly the element codes.
-    full = np.arange(field.order, dtype=np.int64)
-    rows = np.zeros((k, field.order), dtype=np.int64)
-    rows[0] = 1
-    for j in range(1, k):
-        rows[j] = field.mul_table[rows[j - 1], full]
+    rows = vandermonde_rows(field, range(field.order), 1, k)
     rs_sub = LinearCode(field, field.order, rows).subfield_subcode()
     removed = sorted(set(range(field.order)) - set(L))
     if removed:

@@ -18,7 +18,6 @@ canonical RREF of the null space, with no second elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "rank",
     "kernel",
     "intersect_row_spaces",
-    "reduce_row",
 ]
 
 _DT = np.int16
@@ -71,16 +69,6 @@ class MatrixGF:
     @classmethod
     def identity(cls, field: Field, n: int) -> "MatrixGF":
         return cls._wrap(field, np.eye(n, dtype=_DT))
-
-    @classmethod
-    def vstack(cls, matrices: Sequence["MatrixGF"]) -> "MatrixGF":
-        if not matrices:
-            raise ValueError("nothing to stack")
-        field = matrices[0].field
-        for m in matrices:
-            if m.field != field:
-                raise ValueError("mixed fields in vstack")
-        return cls._wrap(field, np.vstack([m.array for m in matrices]))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -194,17 +182,3 @@ def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     stacked = np.vstack([ka.array, kb.array])
     return kernel(MatrixGF._wrap(A.field, stacked.astype(_DT)))
 
-
-def reduce_row(R: MatrixGF, pivots: Sequence[int], row: np.ndarray) -> np.ndarray:
-    """Residual of a single row vector after elimination against RREF rows.
-
-    The result is zero exactly when the row lies in the span of R.
-    """
-    field = R.field
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    v = np.asarray(row, dtype=_DT).copy()
-    for j, p in enumerate(pivots):
-        c = int(v[p])
-        if c:
-            v = add[v, mul[np.int16(neg[c]), R.array[j]]]
-    return v

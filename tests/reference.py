@@ -9,7 +9,11 @@ per-coefficient, per-digit loops of the evidence flattening. ``matmul`` is
 a plain matrix product over the field, for checking kernels (M K^T = 0).
 ``abs_trace`` is the absolute trace of one residue as a full q-power orbit
 sum, the oracle for the evidence trace form. ``codewords`` enumerates all
-order^k codewords of a code, with no budget.
+order^k codewords of a code, with no budget. ``reduce_row`` is the residual
+of one row after elimination against RREF rows, the original membership
+test of the evidence witness scan. ``tau_span_dims`` ranks the tau images of
+the bases z^j x^l of F[x]_{<(e+1)t} and g z^j x^l of g*F[x]_{<et}, each one
+polynomial evaluated by Horner's rule at every support point and traced.
 None of these is used by the library.
 """
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from wildgoppa.codes import LinearCode
 from wildgoppa.gf import Field
-from wildgoppa.linalg import MatrixGF
+from wildgoppa.linalg import MatrixGF, rank
 from wildgoppa.poly import Polynomial, QuotientRing
 
 _DT = np.int16
@@ -142,3 +146,39 @@ def codewords(code: LinearCode) -> np.ndarray:
         digit = (idx // field.order**j) % field.order
         out = add[out, mul[digit[:, None].astype(_DT), code.generator[j][None, :]]]
     return out
+
+
+def reduce_row(R: MatrixGF, pivots, row: np.ndarray) -> np.ndarray:
+    """Residual of a single row vector after elimination against RREF rows.
+
+    The result is zero exactly when the row lies in the span of R.
+    """
+    field = R.field
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    v = np.asarray(row, dtype=_DT).copy()
+    for j, p in enumerate(pivots):
+        c = int(v[p])
+        if c:
+            v = add[v, mul[np.int16(neg[c]), R.array[j]]]
+    return v
+
+
+def tau_span_dims(field: Field, support, g: Polynomial) -> tuple[int, int]:
+    """(dim tau(F[x]_{<(e+1)t}), dim tau(g*F[x]_{<et})) over F_q, where
+    tau(f) = (Tr f(a))_{a in support}, by ranking the tau rows of the
+    F_q-bases z^j x^l and g z^j x^l."""
+    t = int(g.degree)
+    e1 = field.norm_exponent
+    pts = np.asarray(support, dtype=np.int64)
+
+    def tau_rank(mult: Polynomial, count: int) -> int:
+        rows = []
+        for l in range(count):
+            for j in range(field.m):
+                f = mult * Polynomial.monomial(field, l, (field.gen**j).code)
+                rows.append(field.trace_table[f.evaluate_codes(pts)])
+        if not rows:
+            return 0
+        return rank(MatrixGF(field.subfield, np.array(rows, dtype=np.int64)))
+
+    return tau_rank(Polynomial.one(field), e1 * t), tau_rank(g, (e1 - 1) * t)

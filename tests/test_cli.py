@@ -206,6 +206,17 @@ def test_evidence_linear_base_skips_decomposition(capsys):
     assert "skipped" in out
 
 
+@pytest.mark.parametrize("g", ["0,1", "irreducible:2"])
+def test_evidence_rejects_degenerate_tower(capsys, g):
+    # m = 1 has no proper subfield: refused as bad input before any work
+    code, out, err = run_main(
+        capsys, "evidence", "--p", "2", "--a", "2", "--m", "1", "--g", g,
+    )
+    assert code == 2
+    assert out == ""
+    assert "need a proper tower m >= 2, got m=1" in err
+
+
 def test_distance_small(capsys):
     code, out, _ = run_main(
         capsys, "distance", "--p", "5", "--m", "2",

@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
+from wildgoppa.codes import LinearCode
 from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
-    FqSubspace,
+    _K_plus_gF,
+    _multiples_of,
     _trace,
     _trace_form,
     build_K,
@@ -26,14 +28,31 @@ from wildgoppa.evidence import (
 )
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import full_support, punctured_support
-from wildgoppa.linalg import MatrixGF, rank
-from wildgoppa.poly import Polynomial, QuotientRing, find_irreducible, is_irreducible
+from wildgoppa.linalg import MatrixGF, rank, rref
+from wildgoppa.poly import (
+    Polynomial,
+    QuotientRing,
+    count_distinct_roots,
+    find_irreducible,
+    is_irreducible,
+)
 
 TOWERS = [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2), (2, 1, 4)]
 
 
 def trace_zero_units(field):
     return [c for c in range(1, field.order) if int(field.trace_table[c]) == 0]
+
+
+def poly_span(field, degree_bound, polys):
+    """The F_q-span of polynomials flattened below degree_bound, as a code."""
+    rows = [flatten_poly(f, degree_bound) for f in polys]
+    return LinearCode(field.subfield, field.m * degree_bound, rows)
+
+
+def in_span(code, f):
+    field = f.field
+    return code.contains(poly_span(field, code.n // field.m, [f]))
 
 
 # ---------------------------------------------------------------- flattening
@@ -129,7 +148,7 @@ def test_tau_values_against_scalar_trace():
 def test_dim_K_is_mt_minus_one(p, a, m, t):
     field = build_tower(p, a, m)
     K = build_K(field, t)
-    assert K.dim == field.m * t - 1
+    assert K.k == field.m * t - 1
 
 
 def test_K_contains_mu_of_random_polys():
@@ -141,14 +160,14 @@ def test_K_contains_mu_of_random_polys():
     for _ in range(40):
         a = Polynomial(field, [int(c) for c in rng.integers(0, 4, size=t)])
         mu = a**q - a
-        assert K.contains(mu)
+        assert in_span(K, mu)
 
 
 def test_K_membership_is_exact():
     # x has nonzero tau image, so it cannot lie in K
     field = build_tower(2, 1, 2)
     K = build_K(field, 2)
-    assert not K.contains(Polynomial.x(field))
+    assert not in_span(K, Polynomial.x(field))
 
 
 def test_mu_generator_count_and_kernel():
@@ -210,8 +229,7 @@ def test_decomposition_direct_sum(p, a, m, s):
     # explicit full-rank check of the three summands stacked together
     D = e1 * t
     K = build_K(field, t, D)
-    rows = [K.basis.array]
-    from wildgoppa.evidence import _multiples_of
+    rows = [K.generator]
     rows.append(np.array(
         [flatten_poly(f, D) for f in _multiples_of(g, (e1 - 1) * t)],
         dtype=np.int16))
@@ -335,6 +353,105 @@ def test_dual_spans_reject_root_on_support():
         verify_dual_reformulation(field, full_support(field), g)
 
 
+@pytest.mark.parametrize("support", [(0, 1, 99), (0, 0, 1)])
+def test_dual_spans_reject_bad_support(support):
+    # a code outside F_8 and a repeated point are input errors
+    field = build_tower(2, 1, 3)
+    g = find_irreducible(field, 2)
+    with pytest.raises(ValueError):
+        verify_dual_reformulation(field, support, g)
+
+
+def _random_goppa_poly(field, data, rooted, max_power=2):
+    """A monic g of degree <= 2 * max_power: a rootless power h^s of a
+    quadratic, or (x - r) times a random monic cofactor."""
+    codes = st.integers(0, field.order - 1)
+    if rooted:
+        root = data.draw(codes)
+        cofactor = data.draw(st.lists(codes, max_size=2))
+        linear = Polynomial(field, [int(field.neg_table[root]), 1])
+        return linear * Polynomial(field, cofactor + [1])
+    h = Polynomial(field, data.draw(st.lists(codes, min_size=2, max_size=2)) + [1])
+    assume(count_distinct_roots(h) == 0)
+    return h ** data.draw(st.integers(1, max_power))
+
+
+# F_4/F_2, F_8/F_2, F_9/F_3, F_16/F_4, F_16/F_2, F_25/F_5, F_64/F_4, F_256/F_16
+SPAN_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4),
+               (5, 1, 2), (2, 2, 3), (2, 4, 2)]
+
+
+@pytest.mark.parametrize("p,a,m", SPAN_TOWERS)
+@pytest.mark.parametrize("rooted", [False, True])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_dual_span_dims_against_horner_ranks(p, a, m, rooted, data):
+    # the trace-code dims equal the ranks of the Horner tau images, on a
+    # random support that avoids the roots of g
+    field = build_tower(p, a, m)
+    g = _random_goppa_poly(field, data, rooted)
+    values = g.evaluate_codes(np.arange(field.order, dtype=np.int64))
+    points = [c for c in range(field.order) if values[c] != 0]
+    support = data.draw(st.lists(st.sampled_from(points), min_size=1, unique=True))
+    rep = verify_dual_reformulation(field, support, g)
+    assert (rep.dim_full, rep.dim_multiples) == reference.tau_span_dims(
+        field, support, g)
+    assert rep.n == len(support)
+
+
+# ------------------------------------------------------- one-functional scan
+
+
+def _reduce_row_scan(field, g, lam):
+    """The first candidate index whose lam*a^(e+1) leaves K + g*F, by
+    row-reducing each candidate against the RREF of the stacked rows."""
+    t = int(g.degree)
+    e1 = field.norm_exponent
+    D = e1 * t
+    polys = mu_generators(field, t) + _multiples_of(g, (e1 - 1) * t)
+    stack = rref(MatrixGF(field.subfield, np.array(
+        [reference.flatten_poly(f, D) for f in polys], dtype=np.int16)))
+    lam_poly = Polynomial.constant(field, lam)
+    for idx in range(field.order**t):
+        a = Polynomial(field, [idx // field.order**l % field.order
+                               for l in range(t)])
+        w = reference.flatten_poly(lam_poly * a**e1, D)
+        if reference.reduce_row(stack.matrix, stack.pivots, w).any():
+            return idx
+    return None
+
+
+# F_4/F_2, F_8/F_2, F_9/F_3, F_16/F_4, F_16/F_2, F_256/F_16
+@pytest.mark.parametrize("p,a,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2),
+                                   (2, 1, 4), (2, 4, 2)])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_decomposition_index_against_reduce_row_scan(p, a, m, data):
+    field = build_tower(p, a, m)
+    # the reference scan is slow per candidate, so keep q^(m t) small
+    g = _random_goppa_poly(field, data, rooted=False,
+                           max_power=2 if field.order <= 16 else 1)
+    lam = data.draw(st.sampled_from(trace_zero_units(field)))
+    _, rep = find_decomposition(field, g, lam)
+    assert rep.candidate_index == _reduce_row_scan(field, g, lam)
+
+
+@pytest.mark.parametrize("p,a,m,deg", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 2)])
+def test_K_plus_gF_is_kernel_of_phi(p, a, m, deg):
+    # phi kills every row of K and of the multiples of g, and nothing else
+    field = build_tower(p, a, m)
+    g = find_irreducible(field, deg)
+    K, phi = _K_plus_gF(field, g)
+    D = field.norm_exponent * deg
+    sub = field.subfield
+    rows = np.vstack([K.generator] + [
+        flatten_poly(f, D).reshape(1, -1)
+        for f in _multiples_of(g, (field.norm_exponent - 1) * deg)])
+    assert not _trace(phi, sub, rows).any()
+    assert rank(MatrixGF(sub, rows)) == field.m * D - 1
+    assert phi.any()
+
+
 # ------------------------------------------------------------ trace kernel
 
 
@@ -397,17 +514,17 @@ def test_trace_form_against_orbit_sum(p, a, m, r, data):
 def test_subspace_basis_polys_round_trip():
     field = build_tower(2, 1, 2)
     polys = [Polynomial.monomial(field, 1, 2), Polynomial.constant(field, 1)]
-    S = FqSubspace.from_polys(field, 3, polys)
-    assert S.dim == rank(MatrixGF(
+    S = poly_span(field, 3, polys)
+    assert S.k == rank(MatrixGF(
         field.subfield,
         np.array([flatten_poly(f, 3) for f in polys], dtype=np.int16)))
-    for row in S.basis.array:
-        assert S.contains(reference.unflatten_poly(field, row, 3))
+    for row in S.generator:
+        assert in_span(S, reference.unflatten_poly(field, row, 3))
 
 
 def test_subspace_empty_span():
     field = build_tower(2, 1, 2)
-    S = FqSubspace.from_polys(field, 2, [])
-    assert S.dim == 0
-    assert S.contains(Polynomial.zero(field))
-    assert not S.contains(Polynomial.one(field))
+    S = poly_span(field, 2, [])
+    assert S.k == 0
+    assert in_span(S, Polynomial.zero(field))
+    assert not in_span(S, Polynomial.one(field))
