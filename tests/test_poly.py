@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,10 @@ F4 = build_tower(2, 1, 2)
 F8 = build_tower(2, 1, 3)
 F9 = build_tower(3, 1, 2)
 F16 = build_tower(2, 2, 2)
+
+# find_irreducible's answers on every tower of order <= 81 at degrees 1-6,
+# and on F_4 at degree 40, keyed "p,a,m,degree"
+IRREDUCIBLE_GOLDEN_PATH = Path(__file__).parent / "data" / "irreducible_golden.json"
 
 
 def brute_distinct_roots(f: Polynomial) -> int:
@@ -171,6 +178,15 @@ class TestIrreducibility:
         F81 = build_tower(3, 2, 2)
         g = find_irreducible(F81, 7)
         assert g.degree == 7 and is_irreducible(g)
+
+    def test_find_irreducible_golden(self):
+        """The search order is frozen: every recorded search returns the
+        same coefficients."""
+        expected = json.loads(IRREDUCIBLE_GOLDEN_PATH.read_text())
+        assert len(expected) == 277
+        for key, coeffs in expected.items():
+            p, a, m, d = map(int, key.split(","))
+            assert list(find_irreducible(build_tower(p, a, m), d).coeffs) == coeffs, key
 
 
 class TestRootCounting:
