@@ -217,7 +217,7 @@ class Field:
         return (self.p, self.a, self.m)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Field) and self.params == other.params
+        return self is other or (isinstance(other, Field) and self.params == other.params)
 
     def __hash__(self) -> int:
         return hash(("Field", self.params))

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .gf import Field, FieldElement, digits, prime_factors
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
     "gcd",
     "ext_gcd",
     "pow_mod",
+    "batch_mul_mod",
+    "batch_pow_mod",
     "is_irreducible",
     "find_irreducible",
     "count_distinct_roots",
@@ -35,6 +38,20 @@ __all__ = [
 ]
 
 NEG_INF = float("-inf")
+
+# Table lookups one find_irreducible call may spend, as _sieve_cells and
+# _rabin_cells count them. The largest search that the tests, the towers and
+# the benchmark workloads make, F_4 at degree 40, is charged 2.5e7; the
+# largest in the workloads, F_81 at degree 6, 1.5e7.
+IRREDUCIBLE_CELL_BUDGET = 10**8
+
+# The sieve scans candidates in chunks that double from _FIRST_CHUNK while
+# chunk * max(|F|, degree^2) stays within _CHUNK_CELLS, so the working
+# arrays keep a fixed size.
+_FIRST_CHUNK = 16
+_CHUNK_CELLS = 1 << 17
+
+_DT = np.int16
 
 
 def _as_code(field: Field, c) -> int:
@@ -122,9 +139,9 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Polynomial)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.coeffs == self.coeffs
         )
 
@@ -147,7 +164,9 @@ class Polynomial:
         return "Poly(" + " + ".join(parts) + f" over GF({self.field.order}))"
 
     def _check(self, other: "Polynomial") -> None:
-        if not isinstance(other, Polynomial) or other.field != self.field:
+        if not isinstance(other, Polynomial) or (
+            other.field is not self.field and other.field != self.field
+        ):
             raise ValueError(f"cannot combine {self!r} with {other!r}")
 
     # -- arithmetic ----------------------------------------------------------
@@ -347,16 +366,203 @@ def is_irreducible(f: Polynomial) -> bool:
     return True
 
 
+def _lookup(table: np.ndarray):
+    """(x, y) -> table[x, y] for broadcastable code arrays, as one take
+    from the flattened table (about twice as fast as 2-d indexing)."""
+    flat, width = table.ravel(), table.shape[1]
+    return lambda x, y: flat[np.multiply(x, width, dtype=np.intp) + y]
+
+
+def _adder(field: Field):
+    """Elementwise sum of code arrays; XOR of the codes in characteristic 2."""
+    return np.bitwise_xor if field.p == 2 else _lookup(field.add_table)
+
+
+def batch_mul_mod(field: Field, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Row-wise a[i] * b[i] mod f_i, for N residues at once.
+
+    ``moduli`` is an (N, d) array: row i holds the non-leading coefficients
+    of the monic f_i of degree d >= 1, low degree first. ``a`` and ``b`` are
+    (N, d) arrays of residues, coefficient codes low degree first. Returns
+    the (N, d) products in the same form, computed through the field's
+    tables.
+    """
+    add, mul = _adder(field), _lookup(field.mul_table)
+    n, d = moduli.shape
+    prod = np.zeros((n, 2 * d - 1), dtype=_DT)
+    for i in range(d):
+        prod[:, i : i + d] = add(prod[:, i : i + d], mul(a[:, i : i + 1], b))
+    # x^d = -(f_0 + f_1 x + ... + f_(d-1) x^(d-1)): fold the top coefficient down
+    negf = field.neg_table[moduli]
+    for k in range(2 * d - 2, d - 1, -1):
+        prod[:, k - d : k] = add(prod[:, k - d : k], mul(prod[:, k : k + 1], negf))
+    return prod[:, :d]
+
+
+def batch_pow_mod(field: Field, base: np.ndarray, e: int, moduli: np.ndarray) -> np.ndarray:
+    """Row-wise base[i] ** e mod f_i, by square and multiply on
+    :func:`batch_mul_mod`; arrays as there, ``base`` already reduced."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result = np.zeros(moduli.shape, dtype=_DT)
+    result[:, 0] = 1
+    for bit in bin(e)[2:]:
+        result = batch_mul_mod(field, result, result, moduli)
+        if bit == "1":
+            result = batch_mul_mod(field, result, base, moduli)
+    return result
+
+
+def _candidate_block(start: int, count: int, order: int, degree: int) -> np.ndarray:
+    """Non-leading coefficients of the candidates start, start + 1, ...:
+    row i holds the base-``order`` digits of start + i, low digit first.
+
+    Only the low k digits, with order**k < 2**62, vary within a block: the
+    block stops at the next multiple of order**k, so its high digits are
+    shared and come exactly from Python integers. It may hold fewer than
+    ``count`` rows for that reason.
+    """
+    k = min(degree, 62 // order.bit_length())
+    span = order**k
+    high, low = divmod(start, span)
+    idx = np.arange(low, min(low + count, span), dtype=np.int64)
+    out = np.empty((idx.size, degree), dtype=_DT)
+    out[:, :k] = idx[:, None] // order ** np.arange(k, dtype=np.int64) % order
+    out[:, k:] = digits(high, order, degree - k)
+    return out
+
+
+def _root_free(field: Field, cands: np.ndarray) -> np.ndarray:
+    """Which monic candidates (rows of non-leading coefficients) have no
+    root in the field, by Horner evaluation at every element."""
+    add, mul = _adder(field), _lookup(field.mul_table)
+    xs = np.arange(field.order, dtype=_DT)
+    acc = np.broadcast_to(xs, (cands.shape[0], xs.size))
+    for k in range(cands.shape[1] - 1, -1, -1):
+        acc = add(acc, cands[:, k : k + 1])
+        if k:
+            acc = mul(acc, xs)
+    return (acc != 0).all(axis=1)
+
+
+def _batch_rank(field: Field, M: np.ndarray) -> np.ndarray:
+    """Ranks of the N matrices in an (N, r, c) array, by a row echelon
+    elimination of all of them at once; M is overwritten."""
+    add, mul, neg = _adder(field), _lookup(field.mul_table), field.neg_table
+    n, r, c = M.shape
+    rank = np.zeros(n, dtype=np.intp)
+    rows = np.arange(r)
+    for col in range(c):
+        nz = (M[:, :, col] != 0) & (rows >= rank[:, None])
+        has = np.flatnonzero(nz.any(axis=1))
+        if not has.size:
+            continue
+        top, piv = rank[has], nz[has].argmax(axis=1)
+        prow = M[has, piv]
+        M[has, piv] = M[has, top]
+        M[has, top] = prow
+        # clear the column below the pivot: row -= (entry / pivot) * prow
+        below = np.where(rows > top[:, None], M[has, :, col], 0)
+        factors = mul(neg[below], field.inv_table[prow[:, col]][:, None])
+        M[has] = add(M[has], mul(factors[:, :, None], prow[:, None, :]))
+        rank[has] += 1
+    return rank
+
+
+def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
+    """Which monic f (rows of non-leading coefficients, degree d >= 2) have
+    exactly one distinct irreducible factor.
+
+    Berlekamp: the h with h^Q = h mod f form an F_Q-space whose dimension is
+    the number of distinct irreducible factors of f, squarefree or not. That
+    space is the left kernel of B - I, where row j of B is x^(jQ) mod f. Row
+    0 of B - I is zero, so rows 1 .. d-1 have rank d - 1 exactly when the
+    kernel has dimension 1.
+    """
+    n, d = moduli.shape
+    x = np.zeros((n, d), dtype=_DT)
+    x[:, 1] = 1
+    xq = batch_pow_mod(field, x, field.order, moduli)
+    M = np.empty((n, d - 1, d), dtype=_DT)
+    M[:, 0] = xq
+    for j in range(1, d - 1):
+        M[:, j] = batch_mul_mod(field, M[:, j - 1], xq, moduli)
+    diag = np.arange(1, d)
+    M[:, diag - 1, diag] = _adder(field)(M[:, diag - 1, diag], field.neg_table[1])
+    return _batch_rank(field, M) == d - 1
+
+
+def _sieve_cells(order: int, degree: int, count: int, berlekamp: bool) -> int:
+    """Table lookups of the root sieve, and of the Berlekamp sieve when it
+    runs, on ``count`` candidates."""
+    cells = count * order * degree
+    if berlekamp:
+        cells += count * degree * degree * (3 * degree + 4 * order.bit_length())
+    return cells
+
+
+def _rabin_cells(order: int, degree: int) -> int:
+    """Table lookups of one scalar :func:`is_irreducible` call at most:
+    1 + (number of prime factors of the degree) powers x^(Q^k) mod f, each
+    of at most degree * log2(Q) squarings of 2 * degree^2 lookups."""
+    powers = 1 + len(prime_factors(degree))
+    return powers * 2 * degree**3 * order.bit_length()
+
+
 def find_irreducible(field: Field, degree: int) -> Polynomial:
     """Monic irreducible of the given degree, minimal in the deterministic
-    order (non-leading coefficient vector read as a base-|F| integer)."""
+    order (non-leading coefficient vector read as a base-|F| integer).
+
+    Candidates are scanned in that order, in chunks. A chunk drops every
+    candidate with a root (degree >= 2), then, from degree 4 and from the
+    second chunk on, every candidate with two or more distinct irreducible
+    factors (:func:`_one_distinct_factor`). Each drop proves reducibility,
+    so confirming the survivors in order with :func:`is_irreducible` finds
+    the same polynomial as testing every candidate.
+
+    Raises BudgetExceeded before any work when the first chunk and one
+    confirmation would cost over IRREDUCIBLE_CELL_BUDGET table lookups, and
+    as soon as the lookups charged so far pass it.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     order = field.order
-    for idx in range(order**degree):
-        cand = Polynomial._raw(field, digits(idx, order, degree) + [1])
-        if is_irreducible(cand):
-            return cand
+    total = order**degree
+    rabin = _rabin_cells(order, degree)
+    spent = 0
+
+    def charge(cells: int) -> None:
+        nonlocal spent
+        spent += cells
+        if spent > IRREDUCIBLE_CELL_BUDGET:
+            raise BudgetExceeded(
+                f"irreducible search of degree {degree} over F_{order} needs "
+                f"over IRREDUCIBLE_CELL_BUDGET = {IRREDUCIBLE_CELL_BUDGET} "
+                f"table lookups"
+            )
+
+    # No search costs less than its first chunk and one confirmation.
+    least = _sieve_cells(order, degree, min(_FIRST_CHUNK, total), False) + rabin
+    if least > IRREDUCIBLE_CELL_BUDGET:
+        charge(least)
+    cap = max(_FIRST_CHUNK, _CHUNK_CELLS // max(order, degree * degree))
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        cands = _candidate_block(start, size, order, degree)
+        berlekamp = degree >= 4 and start > 0
+        charge(_sieve_cells(order, degree, len(cands), berlekamp))
+        keep = np.arange(len(cands))
+        if degree >= 2:
+            keep = keep[_root_free(field, cands)]
+        if berlekamp and keep.size:
+            keep = keep[_one_distinct_factor(field, cands[keep])]
+        for i in keep.tolist():
+            charge(rabin)
+            cand = Polynomial._raw(field, cands[i].tolist() + [1])
+            if is_irreducible(cand):
+                return cand
+        start += len(cands)
+        size = min(2 * size, cap)
     raise RuntimeError("no irreducible polynomial of requested degree; unreachable")
 
 

@@ -14,6 +14,8 @@ of one row after elimination against RREF rows, the original membership
 test of the evidence witness scan. ``tau_span_dims`` ranks the tau images of
 the bases z^j x^l of F[x]_{<(e+1)t} and g z^j x^l of g*F[x]_{<et}, each one
 polynomial evaluated by Horner's rule at every support point and traced.
+``find_irreducible`` is the original irreducible search: the scalar Rabin
+test on every candidate in index order, with no sieve and no budget.
 None of these is used by the library.
 """
 
@@ -22,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from wildgoppa.codes import LinearCode
-from wildgoppa.gf import Field
+from wildgoppa.gf import Field, digits
 from wildgoppa.linalg import MatrixGF, rank
-from wildgoppa.poly import Polynomial, QuotientRing
+from wildgoppa.poly import Polynomial, QuotientRing, is_irreducible
 
 _DT = np.int16
 
@@ -182,3 +184,16 @@ def tau_span_dims(field: Field, support, g: Polynomial) -> tuple[int, int]:
         return rank(MatrixGF(field.subfield, np.array(rows, dtype=np.int64)))
 
     return tau_rank(Polynomial.one(field), e1 * t), tau_rank(g, (e1 - 1) * t)
+
+
+def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Polynomial | None:
+    """First monic irreducible of the degree in index order (non-leading
+    coefficients as a base-|F| integer, low digit first), by testing every
+    candidate with ``is_irreducible``; None when there is none among the
+    first ``limit`` candidates."""
+    order = field.order
+    for idx in range(order**degree if limit is None else min(limit, order**degree)):
+        cand = Polynomial(field, digits(idx, order, degree) + [1])
+        if is_irreducible(cand):
+            return cand
+    return None

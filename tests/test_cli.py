@@ -95,6 +95,19 @@ def test_evidence_budget_exit_4_fast(capsys):
     assert elapsed < 5.0
 
 
+def test_irreducible_budget_exit_4_fast(capsys):
+    # degree 300 over F_4: one scalar confirmation alone is over the
+    # search budget, so find_irreducible refuses before any work
+    t0 = time.monotonic()
+    code, out, err = run_main(
+        capsys, "verify", "--p", "2", "--m", "2", "--g", "irreducible:300",
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 4
+    assert out == "" and "IRREDUCIBLE_CELL_BUDGET" in err
+    assert elapsed < 5.0
+
+
 def test_strict_distance_exit_4(capsys):
     code, _, err = run_main(
         capsys, "table", "--id", "1", "--strict-distance",

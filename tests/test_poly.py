@@ -10,11 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildgoppa.gf import build_tower
+import reference
+from wildgoppa.errors import BudgetExceeded
+from wildgoppa.gf import ORDER_CAP, build_tower, digits, prime_factors
 from wildgoppa.poly import (
     NEG_INF,
     Polynomial,
     QuotientRing,
+    _candidate_block,
+    _one_distinct_factor,
+    batch_mul_mod,
+    batch_pow_mod,
     count_distinct_roots,
     ext_gcd,
     find_irreducible,
@@ -34,6 +40,15 @@ F16 = build_tower(2, 2, 2)
 # find_irreducible's answers on every tower of order <= 81 at degrees 1-6,
 # and on F_4 at degree 40, keyed "p,a,m,degree"
 IRREDUCIBLE_GOLDEN_PATH = Path(__file__).parent / "data" / "irreducible_golden.json"
+
+# every proper tower within the table cap, and the prime fields up to 7
+TOWERS = sorted(
+    (p, a, m) for p in range(2, ORDER_CAP + 1) if prime_factors(p) == [p]
+    for a in range(1, 11) for m in range(1, 11)
+    if p ** (a * m) <= ORDER_CAP and (a * m > 1 or p <= 7)
+)
+# the scalar reference tests at most this many candidates per search
+REFERENCE_SCAN = 128
 
 
 def brute_distinct_roots(f: Polynomial) -> int:
@@ -179,6 +194,51 @@ class TestIrreducibility:
         g = find_irreducible(F81, 7)
         assert g.degree == 7 and is_irreducible(g)
 
+    @settings(max_examples=30, deadline=None)
+    @given(tower=st.sampled_from(TOWERS), degree=st.integers(1, 7))
+    def test_sieve_matches_scalar_search(self, tower, degree):
+        """The sieve returns the scalar search's polynomial. Past the
+        reference's scan window it must return an irreducible beyond the
+        window, or refuse the search over budget."""
+        field = build_tower(*tower)
+        expected = reference.find_irreducible(field, degree, REFERENCE_SCAN)
+        try:
+            got = find_irreducible(field, degree)
+        except BudgetExceeded:
+            assert expected is None
+            return
+        if expected is not None:
+            assert got == expected
+        else:
+            index = sum(c * field.order**i for i, c in enumerate(got.coeffs[:-1]))
+            assert index >= REFERENCE_SCAN and is_irreducible(got)
+
+    def test_berlekamp_sieve_keeps_exactly_prime_powers(self):
+        """Over all 256 monic quartics over F_4, stage 2 keeps f exactly when
+        f = h^s for one irreducible h (by trial division), so it never
+        drops an irreducible."""
+        irreducible = [
+            Polynomial(F4, digits(idx, 4, d) + [1])
+            for d in (1, 2, 4) for idx in range(4**d)
+        ]
+        irreducible = [h for h in irreducible if brute_is_irreducible(h)]
+        prime_powers = {(h ** (4 // int(h.degree))).coeffs for h in irreducible}
+        cands = np.array([digits(idx, 4, 4) for idx in range(4**4)], dtype=np.int16)
+        kept = _one_distinct_factor(F4, cands)
+        for row, keep in zip(cands.tolist(), kept.tolist()):
+            assert keep == (tuple(row + [1]) in prime_powers), row
+        assert sum(kept) == len(prime_powers) == 4 + 6 + 60
+
+    def test_candidate_block_exact_past_int64(self):
+        """Blocks are exact where order**degree passes 2**63, and stop at
+        the next multiple of order**k so that the high digits are shared."""
+        span = 4**20  # F_4: 20 low digits vary within a block
+        for start in (0, 5 * span - 3, 3**70):
+            block = _candidate_block(start, 16, 4, 40)
+            count = min(16, span - start % span)
+            assert block.shape == (count, 40)
+            assert block.tolist() == [digits(start + i, 4, 40) for i in range(count)]
+
     def test_find_irreducible_golden(self):
         """The search order is frozen: every recorded search returns the
         same coefficients."""
@@ -187,6 +247,46 @@ class TestIrreducibility:
         for key, coeffs in expected.items():
             p, a, m, d = map(int, key.split(","))
             assert list(find_irreducible(build_tower(p, a, m), d).coeffs) == coeffs, key
+
+
+BATCH_FIELDS = [build_tower(2, 1, 1), F4, F9, build_tower(5, 1, 2), build_tower(3, 1, 3)]
+
+
+@st.composite
+def batch_operands(draw):
+    """A field, N monic moduli of one degree d >= 1 as (N, d) non-leading
+    coefficients, and two (N, d) arrays of residues."""
+    field = draw(st.sampled_from(BATCH_FIELDS))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    codes = st.integers(0, field.order - 1)
+    arrays = [
+        np.array(draw(st.lists(st.lists(codes, min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=np.int16)
+        for _ in range(3)
+    ]
+    return field, *arrays
+
+
+class TestBatchedArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=batch_operands())
+    def test_mul_mod_matches_scalar(self, ops):
+        field, moduli, a, b = ops
+        got = batch_mul_mod(field, a, b, moduli)
+        for i in range(len(moduli)):
+            f = Polynomial(field, moduli[i].tolist() + [1])
+            want = (Polynomial(field, a[i].tolist()) * Polynomial(field, b[i].tolist())) % f
+            assert got[i].tolist() == list(want.coeffs) + [0] * (f.degree - len(want.coeffs))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=batch_operands(), e=st.integers(0, 3000))
+    def test_pow_mod_matches_scalar(self, ops, e):
+        field, moduli, base, _ = ops
+        got = batch_pow_mod(field, base, e, moduli)
+        for i in range(len(moduli)):
+            f = Polynomial(field, moduli[i].tolist() + [1])
+            want = pow_mod(Polynomial(field, base[i].tolist()), e, f)
+            assert got[i].tolist() == list(want.coeffs) + [0] * (f.degree - len(want.coeffs))
 
 
 class TestRootCounting:
