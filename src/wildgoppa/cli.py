@@ -80,6 +80,11 @@ def _field_from(args):
     return build_tower(args.p, args.a, args.m)
 
 
+def _check_budget(args) -> None:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
+
+
 def _report_dict(rep) -> dict:
     """The one path from a report dataclass to JSON: its fields, without the
     wall time (which would break byte-for-byte reproducibility) and with
@@ -140,6 +145,7 @@ def _table2_row(q, tower):
 
 
 def cmd_table(args) -> int:
+    _check_budget(args)
     if args.id == 1:
         rows = [_table1_row(q, tower, t, args.budget)
                 for q, tower, ts in TABLE1_CELLS for t in ts]
@@ -349,6 +355,7 @@ def cmd_evidence(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    _check_budget(args)
     field = _field_from(args)
     g = parse_goppa_poly_spec(field, args.g)
     support = parse_support_spec(field, args.support)

@@ -6,9 +6,13 @@ are equal exactly when their canonical generators are identical arrays over
 equal fields. All constructions (duals, shortenings, subfield subcodes,
 trace codes, intersections) therefore compose without bookkeeping.
 
-The minimum distance routine is exhaustive and budgeted: it either returns
-the exact value or None when the enumeration would exceed the budget, never
-an estimate.
+The minimum distance routine is exact and budgeted: it returns the exact
+value, or None when the q^k - 1 nonzero codewords exceed the budget, never
+an estimate. Since wt(c*x) = wt(x), it visits only the (q^k - 1)/(q - 1)
+projective codewords, those whose message has last nonzero digit 1: the
+span of the low rows is built once as a block of at most 2^14 rows, and
+each word led by a higher row is that block plus one offset, one table
+pass per offset.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_DISTANCE_BUDGET = 10**7
+# min_distance keeps the span of its low rows as a block of at most 2^14 rows
+_BLOCK_ROWS = 1 << 14
 
 
 class LinearCode:
@@ -168,30 +174,50 @@ class LinearCode:
         return linalg.rank(MatrixGF._wrap(self.field, stacked)) == self.k
 
     def min_distance(self, budget: int = DEFAULT_DISTANCE_BUDGET) -> int | None:
-        """Exact minimum distance by full enumeration, or None if the number
-        of codewords exceeds the budget. Never an estimate."""
+        """Exact minimum distance, or None if the q^k - 1 nonzero codewords
+        exceed the budget. Never an estimate.
+
+        Only the projective codewords are visited, those whose message has
+        last nonzero digit 1 (wt(c*x) = wt(x)). The span of the low rows is
+        built once as a block; the words led by a low row are found while it
+        is built, and those led by a high row j are the block plus each
+        offset G[j] + span(G[s..j-1]), one table pass per offset.
+        """
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
         field = self.field
-        total = field.order**self.k
-        if total - 1 > budget:
+        order = field.order
+        if order**self.k - 1 > budget:
             return None
-        add, mul = field.add_table, field.mul_table
+        # indexing the 2-d table casts the int16 codes in buffered chunks, so
+        # no intp copy of the block is ever held; characteristic 2 XORs
+        table, mul = field.add_table, field.mul_table
+        add = np.bitwise_xor if field.p == 2 else lambda x, y: table[x, y]
         G = self.generator
-        best = self.n + 1
-        batch = max(1, min(total, 1 << 16))
-        for start in range(0, total, batch):
-            idx = np.arange(start, min(start + batch, total))
-            cw = np.zeros((idx.size, self.n), dtype=np.int16)
-            for j in range(self.k):
-                digit = ((idx // field.order**j) % field.order).astype(np.int16)
-                cw = add[cw, mul[digit[:, None], G[j][None, :]]]
-            w = (cw != 0).sum(axis=1)
-            if start == 0:
-                w = w[1:]  # drop the zero codeword
-            if w.size:
-                best = min(best, int(w.min()))
+        scaled = mul[np.arange(order)[:, None, None], G[None]]  # (order, k, n)
+        s = 1
+        while s < self.k and order ** (s + 1) <= _BLOCK_ROWS:
+            s += 1
+        best = self.n
+        block = np.zeros((1, self.n), dtype=np.int16)
+        for j in range(s):
+            levels = add(block[None], scaled[:, j, None])  # block + c*G[j]
+            best = min(best, int(np.count_nonzero(levels[1], axis=1).min()))
+            block = levels.reshape(-1, self.n)
+        for j in range(s, self.k):
+            for offset in _span_offsets(add, G[j], scaled[:, s:j]):
+                best = min(best, int(np.count_nonzero(add(block, offset), axis=1).min()))
         return best
+
+
+def _span_offsets(add, base: np.ndarray, scaled: np.ndarray):
+    """Yield base + span of the rows, given all their multiples as
+    ``scaled[c, i]``; one vector add per yielded offset or inner node."""
+    if scaled.shape[1] == 0:
+        yield base
+        return
+    for multiple in scaled[:, -1]:
+        yield from _span_offsets(add, add(base, multiple), scaled[:, :-1])
 
 
 def expand_over_subfield(field: Field, H: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .linalg import MatrixGF, kernel, rank
 from .poly import (
     Polynomial,
     QuotientRing,
+    _adder,
     count_distinct_roots,
     irreducible_power,
     is_irreducible,
@@ -211,11 +212,14 @@ def _trace_form(ring: QuotientRing) -> np.ndarray:
 def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
     """Absolute traces of flattened residues (slots on the last axis): the
     F_q dot product of each with the trace form."""
-    prods = sub.mul_table[flat, form]
-    acc = prods[..., 0]
-    for c in range(1, form.size):
-        acc = sub.add_table[acc, prods[..., c]]
-    return acc
+    add = _adder(sub)
+    acc = sub.mul_table[flat, form]
+    while acc.shape[-1] > 1:  # fold the slots pairwise, an odd one carried
+        h = acc.shape[-1] // 2
+        acc = np.concatenate(
+            [add(acc[..., :h], acc[..., h : 2 * h]), acc[..., 2 * h :]], axis=-1
+        )
+    return acc[..., 0]
 
 
 def _reduced_trace_kernel_dim(ring: QuotientRing, form: np.ndarray,

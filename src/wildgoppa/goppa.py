@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codes import LinearCode, subfield_kernel
+from .errors import BudgetExceeded
 from .gf import Field, FieldElement
 from .poly import NEG_INF, Polynomial, parse_poly_spec
 
@@ -37,6 +38,9 @@ __all__ = [
     "parse_support_spec",
     "parse_goppa_poly_spec",
 ]
+
+# largest degree d*s that an "irreducible:d^s" spec may ask for
+SPEC_POWER_DEGREE_BUDGET = 10**5
 
 
 def support_codes(field: Field, support: Sequence) -> tuple[int, ...]:
@@ -238,7 +242,8 @@ def parse_goppa_poly_spec(field: Field, text: str) -> Polynomial:
 
     Same formats as :func:`wildgoppa.poly.parse_poly_spec`, plus
     "irreducible:d^s" for the s-th power of the deterministic minimal monic
-    irreducible of degree d.
+    irreducible of degree d. Raises BudgetExceeded, before the power is
+    taken, when d*s is over SPEC_POWER_DEGREE_BUDGET.
     """
     text = text.strip()
     if text.startswith("irreducible:") and "^" in text:
@@ -249,5 +254,11 @@ def parse_goppa_poly_spec(field: Field, text: str) -> Polynomial:
             raise ValueError(f"bad power in {text!r}") from None
         if s < 1:
             raise ValueError(f"power must be >= 1 in {text!r}")
-        return parse_poly_spec(field, head) ** s
+        base = parse_poly_spec(field, head)
+        if base.degree * s > SPEC_POWER_DEGREE_BUDGET:
+            raise BudgetExceeded(
+                f"{text!r} has degree {base.degree * s}, over "
+                f"SPEC_POWER_DEGREE_BUDGET = {SPEC_POWER_DEGREE_BUDGET}"
+            )
+        return base**s
     return parse_poly_spec(field, text)

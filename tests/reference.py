@@ -8,8 +8,12 @@ canonical. ``flatten_poly`` and ``unflatten_poly`` are the original
 per-coefficient, per-digit loops of the evidence flattening. ``matmul`` is
 a plain matrix product over the field, for checking kernels (M K^T = 0).
 ``abs_trace`` is the absolute trace of one residue as a full q-power orbit
-sum, the oracle for the evidence trace form. ``codewords`` enumerates all
-order^k codewords of a code, with no budget. ``reduce_row`` is the residual
+sum, the oracle for the evidence trace form, and ``trace_slots`` is the
+original dot product with that form, summed one slot at a time. ``codewords`` enumerates all
+order^k codewords of a code, with no budget. ``min_distance`` is the
+original exhaustive distance: every one of the order^k messages, batched
+2^16 at a time, with k multiply and k add passes each, behind the same
+budget gate as the library. ``reduce_row`` is the residual
 of one row after elimination against RREF rows, the original membership
 test of the evidence witness scan. ``tau_span_dims`` ranks the tau images of
 the bases z^j x^l of F[x]_{<(e+1)t} and g z^j x^l of g*F[x]_{<et}, each one
@@ -137,6 +141,16 @@ def abs_trace(ring: QuotientRing, w: Polynomial) -> int:
     return code
 
 
+def trace_slots(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
+    """F_q dot product of each flattened residue (slots on the last axis)
+    with the form, adding the slot products one slot at a time."""
+    prods = sub.mul_table[flat, form]
+    acc = prods[..., 0]
+    for c in range(1, form.size):
+        acc = sub.add_table[acc, prods[..., c]]
+    return acc
+
+
 def codewords(code: LinearCode) -> np.ndarray:
     """All order^k codewords as an array (message enumeration order)."""
     field = code.field
@@ -148,6 +162,33 @@ def codewords(code: LinearCode) -> np.ndarray:
         digit = (idx // field.order**j) % field.order
         out = add[out, mul[digit[:, None].astype(_DT), code.generator[j][None, :]]]
     return out
+
+
+def min_distance(code: LinearCode, budget: int) -> int | None:
+    """Minimum nonzero weight over all order^k codewords, or None when
+    order^k - 1 exceeds the budget."""
+    if code.k == 0:
+        raise ValueError("minimum distance of the zero code is undefined")
+    field = code.field
+    total = field.order**code.k
+    if total - 1 > budget:
+        return None
+    add, mul = field.add_table, field.mul_table
+    G = code.generator
+    best = code.n + 1
+    batch = max(1, min(total, 1 << 16))
+    for start in range(0, total, batch):
+        idx = np.arange(start, min(start + batch, total))
+        cw = np.zeros((idx.size, code.n), dtype=_DT)
+        for j in range(code.k):
+            digit = ((idx // field.order**j) % field.order).astype(_DT)
+            cw = add[cw, mul[digit[:, None], G[j][None, :]]]
+        w = (cw != 0).sum(axis=1)
+        if start == 0:
+            w = w[1:]  # drop the zero codeword
+        if w.size:
+            best = min(best, int(w.min()))
+    return best
 
 
 def reduce_row(R: MatrixGF, pivots, row: np.ndarray) -> np.ndarray:

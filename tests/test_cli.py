@@ -116,6 +116,31 @@ def test_strict_distance_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "--id", "1", "--budget", "-3", "--strict-distance"),
+    ("distance", "--p", "2", "--m", "3", "--g", "irreducible:2", "--budget", "-1"),
+])
+def test_negative_budget_exit_2(capsys, argv):
+    # refused as bad input before any table row or code is built
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error: --budget must be >= 0" in err
+
+
+def test_spec_power_budget_exit_4_fast(capsys):
+    # degree 2 * 200000 is over SPEC_POWER_DEGREE_BUDGET: refused before
+    # the power is taken
+    t0 = time.monotonic()
+    code, out, err = run_main(
+        capsys, "distance", "--p", "2", "--a", "2", "--m", "2",
+        "--g", "irreducible:2^200000",
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 4
+    assert out == "" and "SPEC_POWER_DEGREE_BUDGET" in err
+    assert elapsed < 5.0
+
+
 def test_falsification_exit_3(capsys, monkeypatch):
     # force a wrong closed form value through the dims path
     import wildgoppa.cli as cli_mod
@@ -237,6 +262,19 @@ def test_distance_small(capsys):
     )
     assert code == 0
     assert "n 25  k 4  d 19" in out
+
+
+def test_distance_large_enumeration_fast(capsys):
+    # k = 11 over F_4: 4^11 - 1 nonzero codewords under the default budget
+    t0 = time.monotonic()
+    code, out, _ = run_main(
+        capsys, "distance", "--p", "2", "--a", "2", "--m", "2",
+        "--g", "irreducible:2", "--support", "full-minus:0",
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert out == "n 15  k 11  d 3\n"
+    assert elapsed < 5.0
 
 
 def test_sugiyama_check(capsys):

@@ -6,9 +6,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference
-from wildgoppa.codes import LinearCode, expand_over_subfield, subfield_kernel
+from wildgoppa.codes import _BLOCK_ROWS, LinearCode, expand_over_subfield, subfield_kernel
 from wildgoppa.gf import build_tower
 
 F2 = build_tower(2, 1, 1)
@@ -207,3 +209,98 @@ class TestMinDistance:
     def test_repetition(self):
         R = LinearCode.from_span(F9, [[1] * 7])
         assert R.min_distance() == 7
+
+
+# fields of the differential test; the last is the F_4 level of F_16
+DISTANCE_FIELDS = [
+    F2, F3, F4, build_tower(5, 1, 1), build_tower(7, 1, 1),
+    build_tower(2, 1, 3), F9, build_tower(2, 2, 2).subfield,
+]
+
+
+def _shaped_code(field, n, k, seed) -> LinearCode:
+    """A random k-row code of length n with a zero column and a repeated
+    column when n allows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, field.order, size=(k, n))
+    if n > k + 1:
+        rows[:, -1] = 0
+        rows[:, -2] = rows[:, 0]
+    return LinearCode.from_span(field, rows)
+
+
+@pytest.mark.parametrize("field", DISTANCE_FIELDS, ids=lambda f: str(f.params))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_min_distance_against_full_enumeration(field, data):
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, n))
+    assume(field.order**k <= 10**5)
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, field.order - 1), min_size=n, max_size=n),
+        min_size=k, max_size=k)))
+    zero = data.draw(st.lists(st.integers(0, n - 1), max_size=2))
+    rows[:, zero] = 0
+    for dst, src in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                 st.integers(0, n - 1)), max_size=2)):
+        rows[:, dst] = rows[:, src]
+    C = LinearCode.from_span(field, rows)
+    assume(C.k > 0)
+    assert C.min_distance() == reference.min_distance(C, 10**7)
+
+
+# (field, s): s low rows fill min_distance's block of at most 2^14 rows
+BLOCK_SPLITS = [
+    (F2, 14), (F3, 8), (F4, 7), (F9, 4), (build_tower(2, 2, 2).subfield, 7),
+]
+
+
+@pytest.mark.parametrize("field,s", BLOCK_SPLITS,
+                         ids=lambda v: str(v.params) if hasattr(v, "params") else str(v))
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_min_distance_at_the_block_split(field, s, extra):
+    # s low rows fill min_distance's block; k = s puts every row in the
+    # block, k = s + 1 leaves one leading row for the offsets, and k = s + 2
+    # a leading row whose offsets span the row below it
+    assert field.order**s <= _BLOCK_ROWS < field.order ** (s + 1)
+    k = s + extra
+    C = _shaped_code(field, k + 6, k, seed=k)
+    assert C.k == k
+    assert C.min_distance() == reference.min_distance(C, 10**7)
+
+
+@pytest.mark.parametrize("field,s", BLOCK_SPLITS,
+                         ids=lambda v: str(v.params) if hasattr(v, "params") else str(v))
+def test_min_distance_finds_each_planted_word(field, s):
+    # systematic [I | P] with k = s + 2 and 24 random parity columns; P[j] is
+    # set so that the message e_j + c*e_i (or e_j alone) has no parity part,
+    # a word of weight 2 (or 1) among heavy ones, led by a low or a high row
+    k = s + 2
+    c = field.order - 1
+    for j, i in [(k - 1, None), (k - 1, k - 2), (k - 1, 0), (k - 2, None),
+                 (k - 2, 0), (s - 1, 0), (0, None)]:
+        rng = np.random.default_rng(j)
+        P = rng.integers(0, field.order, size=(k, 24))
+        P[j] = 0 if i is None else field.neg_table[field.mul_table[c, P[i]]]
+        C = LinearCode.from_span(field, np.hstack([np.eye(k, dtype=np.int64), P]))
+        assert C.min_distance() == (1 if i is None else 2), (j, i)
+
+
+@pytest.mark.parametrize("field", DISTANCE_FIELDS, ids=lambda f: str(f.params))
+def test_min_distance_k1_and_full_code(field):
+    C = _shaped_code(field, 9, 1, seed=field.order)
+    weight = int(np.count_nonzero(C.generator[0]))
+    assert C.min_distance() == reference.min_distance(C, 10**7) == weight
+    k = 2 if field.order < 8 else 1
+    E = LinearCode.full_code(field, k)
+    assert E.min_distance() == reference.min_distance(E, 10**7) == 1
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda f: str(f.params))
+def test_min_distance_budget_boundary(field):
+    C = _shaped_code(field, 10, 5, seed=7)
+    total = field.order**C.k
+    d = reference.min_distance(C, total - 1)
+    assert d is not None and C.min_distance(budget=total - 1) == d
+    assert C.min_distance(budget=total - 2) is None
+    assert reference.min_distance(C, total - 2) is None

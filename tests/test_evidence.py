@@ -508,6 +508,23 @@ def test_trace_form_against_orbit_sum(p, a, m, r, data):
     assert _trace(form, field.subfield, rows).tolist() == expected
 
 
+@pytest.mark.parametrize("p,a,m", [(2, 2, 2), (2, 2, 3), (3, 1, 2), (7, 1, 2)])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_trace_fold_against_slot_loop(p, a, m, data):
+    # the pairwise fold sums the same slot products as the per-slot loop,
+    # for one residue and a stack, at odd and even slot counts (189 is
+    # F_64/F_4 with a cubic base factor)
+    sub = build_tower(p, a, m).subfield
+    slots = data.draw(st.sampled_from([1, 2, 3, 7, 8, 189]) | st.integers(1, 64))
+    vec = st.lists(st.integers(0, sub.order - 1), min_size=slots, max_size=slots)
+    form = np.array(data.draw(vec), dtype=np.int16)
+    one = np.array(data.draw(vec), dtype=np.int16)
+    assert int(_trace(form, sub, one)) == int(reference.trace_slots(form, sub, one))
+    stack = np.array(data.draw(st.lists(vec, min_size=1, max_size=5)), dtype=np.int16)
+    assert _trace(form, sub, stack).tolist() == reference.trace_slots(form, sub, stack).tolist()
+
+
 # ------------------------------------------------------------- subspace type
 
 

@@ -211,3 +211,14 @@ class TestParsers:
             parse_goppa_poly_spec(F4, "irreducible:2^0")
         with pytest.raises(ValueError):
             parse_goppa_poly_spec(F4, "irreducible:2^x")
+
+    def test_goppa_poly_spec_power_budget(self, monkeypatch):
+        # d*s at the budget is computed, one past it is refused
+        import wildgoppa.goppa as goppa_mod
+        from wildgoppa.errors import BudgetExceeded
+
+        monkeypatch.setattr(goppa_mod, "SPEC_POWER_DEGREE_BUDGET", 6)
+        g2 = find_irreducible(F4, 2)
+        assert parse_goppa_poly_spec(F4, "irreducible:2^3") == g2**3
+        with pytest.raises(BudgetExceeded, match="degree 8"):
+            parse_goppa_poly_spec(F4, "irreducible:2^4")
