@@ -175,13 +175,9 @@ class LinearCode:
 
     def min_distance(self, budget: int = DEFAULT_DISTANCE_BUDGET) -> int | None:
         """Exact minimum distance, or None if the q^k - 1 nonzero codewords
-        exceed the budget. Never an estimate.
-
-        Only the projective codewords are visited, those whose message has
-        last nonzero digit 1 (wt(c*x) = wt(x)). The span of the low rows is
-        built once as a block; the words led by a low row are found while it
-        is built, and those led by a high row j are the block plus each
-        offset G[j] + span(G[s..j-1]), one table pass per offset.
+        exceed the budget (see the module docstring). The words led by a low
+        row j < s are weighed while the block is built; those led by a high
+        row j are the block plus each offset G[j] + span(G[s..j-1]).
         """
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
