@@ -26,6 +26,7 @@ from .cyclotomic import (
     norm_exponent,
 )
 from .evidence import (
+    _require_trace_zero_unit,
     find_decomposition,
     startkey_search,
     verify_dual_reformulation,
@@ -299,6 +300,13 @@ def cmd_classes(args) -> int:
 
 def cmd_evidence(args) -> int:
     field = _field_from(args)
+    # checked before any work, also when a linear base factor skips the scans
+    lam = args.lam
+    if lam is None:
+        lam = next(
+            c for c in range(1, field.order) if int(field.trace_table[c]) == 0
+        )
+    lam = _require_trace_zero_unit(field, lam)
     g = parse_goppa_poly_spec(field, args.g).monic()
     decomp = irreducible_power(g)
     if decomp is None:
@@ -329,12 +337,6 @@ def cmd_evidence(args) -> int:
     )
 
     if int(h.degree) >= 2:
-        lam = args.lam
-        if lam is None:
-            lam = next(
-                c for c in range(1, field.order)
-                if int(field.trace_table[c]) == 0
-            )
         alpha = startkey_search(field, h, lam)
         witness, wrep = find_decomposition(field, g, lam)
         payload["startkey"] = list(alpha.coeffs)

@@ -11,6 +11,17 @@ The absolute trace of F[x]/(h) to F_q is F_q-linear: each check that needs
 it sums q-power orbits only for the m*deg(h) basis residues z^j x^l, once,
 and the trace of any residue is the F_q dot product of that trace form
 with the residue flattened below deg(h).
+
+Both witness scans need the norm power a^N, N = 1 + q + ... + q^(m-1), of
+every candidate a. In characteristic p, a^(q^i) is a with each coefficient
+raised to q^i (the field's Frobenius table) and x sent to x^(q^i), so a^N
+is the product of the m Frobenius images, formed for a whole chunk of
+candidates at once: unreduced as shifted multiply-adds in
+find_decomposition, and mod h in startkey_search through one table of
+x^(l q) mod h, the same q-power map that sums the trace form's orbits.
+Chunks come in index order and each is tested by one F_q dot product per
+candidate, so the first hit is the one a candidate-by-candidate scan finds.
+A scan gives up after WITNESS_SCAN_BUDGET candidates.
 """
 
 from __future__ import annotations
@@ -28,6 +39,9 @@ from .poly import (
     Polynomial,
     QuotientRing,
     _adder,
+    _candidate_chunks,
+    _lookup,
+    batch_mul_mod,
     count_distinct_roots,
     irreducible_power,
     is_irreducible,
@@ -55,6 +69,19 @@ __all__ = [
 # is 755 x 756; q = 2, m = 10, t = 2 would be about 4.2e8.
 K_STACK_CELL_BUDGET = 4_000_000
 
+# Candidates one witness scan may test before it raises BudgetExceeded. The
+# largest first hit that the tests, the benchmark workloads and the README
+# examples reach is index 117,649 (q = 7, m = 3, g of degree 3).
+WITNESS_SCAN_BUDGET = 2**18
+
+
+def _flatten_codes(field: Field, codes: np.ndarray) -> np.ndarray:
+    """Tower coordinates of the codes on the last axis: (..., D) codes to
+    (..., m*D) F_q digits, slot l*m + j holding coordinate j of codes[..., l]."""
+    powers = (field.q ** np.arange(field.m)).astype(np.int16)
+    coords = codes[..., None] // powers % np.int16(field.q)
+    return coords.reshape(*codes.shape[:-1], -1)
+
 
 def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
     """Flatten f (degree < degree_bound) to a vector over the base subfield.
@@ -67,10 +94,9 @@ def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
         raise ValueError(
             f"degree {f.degree} does not fit below bound {degree_bound}"
         )
-    coeffs = np.zeros(degree_bound, dtype=np.int64)
+    coeffs = np.zeros(degree_bound, dtype=np.int16)
     coeffs[: len(f.coeffs)] = f.coeffs
-    digits = coeffs[:, None] // field.q ** np.arange(field.m) % field.q
-    return digits.ravel().astype(np.int16)
+    return _flatten_codes(field, coeffs)
 
 
 def tau(field: Field, support: Sequence[int], f: Polynomial) -> np.ndarray:
@@ -139,6 +165,8 @@ def _require_prime_power_factor(g: Polynomial):
 
 def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
     if isinstance(lam, int):
+        if not 0 <= lam < field.order:
+            raise ValueError(f"lambda code {lam} out of range for F_{field.order}")
         lam = field.element(lam)
     if lam.field != field:
         raise ValueError("lambda must live in the top field")
@@ -183,30 +211,57 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
     return K, phi[0]
 
 
+def _ring_frobenius(ring: QuotientRing) -> np.ndarray:
+    """(r, r) codes whose row l is x^(l q) mod h, for the q-power map of
+    F[x]/(h): (sum_l c_l x^l)^q = sum_l c_l^q (x^(l q) mod h)."""
+    field = ring.field
+    xq = ring.pow(Polynomial.x(field), field.q)
+    table = np.zeros((ring.degree, ring.degree), dtype=np.int16)
+    cur = Polynomial.one(field)
+    for l in range(ring.degree):
+        table[l, : len(cur.coeffs)] = cur.coeffs
+        cur = ring.mul(cur, xq)
+    return table
+
+
+def _frobenius(field: Field, table: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Row-wise res^q mod h for an (N, r) array of residues, with table
+    from _ring_frobenius."""
+    add, mul = _adder(field), _lookup(field.mul_table)
+    coeffs = field.frobenius_table[res]
+    out = mul(coeffs[:, :1], table[0])
+    for l in range(1, table.shape[0]):
+        out = add(out, mul(coeffs[:, l : l + 1], table[l]))
+    return out
+
+
 def _trace_form(ring: QuotientRing) -> np.ndarray:
     """Absolute traces down to F_q of the basis residues z^j x^l of
     F[x]/(h), in flatten_poly's slot order l*m + j.
 
     Each is the sum of a q-power orbit of length m*r and must be a constant
     with a subfield code; by F_q-linearity both then hold for every residue.
+    The m*r orbits advance together, one _frobenius step at a time.
     """
     field = ring.field
-    q, m = field.q, field.m
-    steps = m * ring.degree
-    form = np.zeros(steps, dtype=np.int16)
-    for l in range(ring.degree):
-        for j in range(m):
-            acc = cur = Polynomial.monomial(field, l, (field.gen**j).code)
-            for _ in range(steps - 1):
-                cur = ring.pow(cur, q)
-                acc = acc + cur
-            code = acc.coeffs[0] if acc.coeffs else 0
-            if len(acc.coeffs) > 1 or code >= q:
-                raise FalsificationError(
-                    f"absolute trace of z^{j} x^{l} is {acc.coeffs}, not in F_q"
-                )
-            form[l * m + j] = code
-    return form
+    m, r = field.m, ring.degree
+    basis = np.zeros((m * r, r), dtype=np.int16)
+    for l in range(r):
+        basis[l * m : (l + 1) * m, l] = [(field.gen**j).code for j in range(m)]
+    table = _ring_frobenius(ring)
+    add = _adder(field)
+    acc = cur = basis
+    for _ in range(m * r - 1):
+        cur = _frobenius(field, table, cur)
+        acc = add(acc, cur)
+    bad = np.flatnonzero(acc[:, 1:].any(axis=1) | (acc[:, 0] >= field.q))
+    if bad.size:
+        l, j = divmod(int(bad[0]), m)
+        coeffs = Polynomial(field, acc[bad[0]].tolist()).coeffs
+        raise FalsificationError(
+            f"absolute trace of z^{j} x^{l} is {coeffs}, not in F_q"
+        )
+    return acc[:, 0]
 
 
 def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
@@ -220,6 +275,56 @@ def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
             [add(acc[..., :h], acc[..., h : 2 * h]), acc[..., 2 * h :]], axis=-1
         )
     return acc[..., 0]
+
+
+def _first_witness(field: Field, degree: int, width: int, hits,
+                   what: str) -> Optional[int]:
+    """Index of the first candidate, in index order over the coefficient
+    vectors of length ``degree``, that ``hits`` marks; None when there is
+    none.
+
+    ``hits`` maps a chunk of candidate rows to one bool per row; ``width``
+    is its working cells per candidate. Raises BudgetExceeded when
+    WITNESS_SCAN_BUDGET candidates, fewer than all, give no hit.
+    """
+    total = field.order**degree
+    limit = min(total, WITNESS_SCAN_BUDGET)
+    for start, block in _candidate_chunks(field.order, degree, limit, width):
+        found = np.flatnonzero(hits(block))
+        if found.size:
+            return start + int(found[0])
+    if limit < total:
+        raise BudgetExceeded(
+            f"{what}: no witness among the first WITNESS_SCAN_BUDGET = "
+            f"{WITNESS_SCAN_BUDGET} of {total} candidates"
+        )
+    return None
+
+
+def _twisted_norms(field: Field, lam: int, block: np.ndarray,
+                   degree_bound: int) -> np.ndarray:
+    """lam * a^N, N the norm exponent, for each candidate row a of block
+    (coefficient codes, low degree first), flattened below degree_bound.
+
+    a^N is the product of the Frobenius images a^(q^i), i < m; each has the
+    t coefficients of a at degrees l*q^i, so each product is t shifted
+    multiply-adds. degree_bound must exceed N*(t-1).
+    """
+    add, mul = _adder(field), _lookup(field.mul_table)
+    n, t = block.shape
+    prod = np.zeros((n, degree_bound), dtype=np.int16)
+    prod[:, :t] = mul(lam, block)
+    top, coeffs = t, block
+    for i in range(1, field.m):
+        coeffs = field.frobenius_table[coeffs]
+        step = field.q**i
+        out = np.zeros_like(prod)
+        for l in range(t):
+            span = slice(l * step, l * step + top)
+            out[:, span] = add(out[:, span], mul(coeffs[:, l : l + 1], prod[:, :top]))
+        prod = out
+        top += (t - 1) * step
+    return _flatten_codes(field, prod)
 
 
 def _reduced_trace_kernel_dim(ring: QuotientRing, form: np.ndarray,
@@ -303,8 +408,10 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
 
     h must be irreducible of degree r >= 2 over the top field and lam a
     nonzero trace-zero element.  Scans F[x]/(h) in code order for alpha
-    with absolute trace of lam * alpha^(e+1) nonzero; exhausting the ring
-    without a hit falsifies the existence claim, so that raises.
+    with absolute trace of lam * alpha^(e+1) nonzero, a chunk of residues
+    at a time; exhausting the ring without a hit falsifies the existence
+    claim, so that raises, and WITNESS_SCAN_BUDGET residues without a hit
+    raise BudgetExceeded.
 
     Degree 1 is rejected: there alpha^(e+1) is a subfield norm and the
     trace factors through trace(lam) = 0, so no witness can exist.
@@ -320,17 +427,26 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
         )
     ring = QuotientRing(h)
     form = _trace_form(ring)
-    lam_poly = Polynomial.constant(field, lam.code)
-    e1 = field.norm_exponent
-    for idx in range(ring.size):
-        alpha = ring.element_at(idx)
-        w = ring.mul(lam_poly, ring.pow(alpha, e1))
-        if _trace(form, field.subfield, flatten_poly(w, r)) != 0:
-            return alpha
-    raise FalsificationError(
-        f"no witness in a ring of size {ring.size} for q={field.q} m={field.m} "
-        f"r={r} lambda={lam.code}"
-    )
+    table = _ring_frobenius(ring)
+    modulus = np.array(h.coeffs[:-1], dtype=np.int16)
+    mul = _lookup(field.mul_table)
+
+    def hits(block):
+        moduli = np.broadcast_to(modulus, block.shape)
+        norm = cur = block
+        for _ in range(field.m - 1):
+            cur = _frobenius(field, table, cur)
+            norm = batch_mul_mod(field, norm, cur, moduli)
+        w = mul(lam.code, norm)
+        return _trace(form, field.subfield, _flatten_codes(field, w)) != 0
+
+    idx = _first_witness(field, r, field.m * r, hits, "startkey search")
+    if idx is None:
+        raise FalsificationError(
+            f"no witness in a ring of size {ring.size} for q={field.q} m={field.m} "
+            f"r={r} lambda={lam.code}"
+        )
+    return ring.element_at(idx)
 
 
 @dataclass(frozen=True)
@@ -359,6 +475,9 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     cross-checked two ways: its residue mod the base factor must have
     nonzero absolute trace (the one-functional criterion), and tau must
     kill it on the full evaluation set.  Returns (a, report).
+
+    The candidates are tested a chunk at a time, and WITNESS_SCAN_BUDGET of
+    them without a hit raise BudgetExceeded.
     """
     g = g.monic()
     lam = _require_trace_zero_unit(field, lam)
@@ -378,32 +497,36 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     lam_poly = Polynomial.constant(field, lam.code)
     support = full_support(field)
     total = field.order**t
-    for idx in range(total):
-        a = Polynomial(field, digits(idx, field.order, t))
-        w = lam_poly * a**e1
-        if _trace(phi, field.subfield, flatten_poly(w, D)) == 0:
-            continue
-        tr = int(_trace(form, field.subfield, flatten_poly(ring.reduce(w), r)))
-        if tr == 0:
-            raise FalsificationError(
-                "independent witness has zero trace mod the base factor; "
-                f"candidate index {idx}"
-            )
-        if tau(field, support, w).any():
-            raise FalsificationError(
-                f"tau does not vanish on the witness; candidate index {idx}"
-            )
-        report = DecompositionReport(
-            q=field.q, m=field.m, t=t, lam=lam.code,
-            ambient_dim=field.m * D, dim_K=K.k, dim_gF=field.m * D - 1 - K.k,
-            candidate_index=idx, witness_coeffs=tuple(a.coeffs),
-            ring_trace=tr, tau_vanishes=True,
+
+    def hits(block):
+        w = _twisted_norms(field, lam.code, block, D)
+        return _trace(phi, field.subfield, w) != 0
+
+    idx = _first_witness(field, t, field.m * D, hits, "decomposition search")
+    if idx is None:
+        raise FalsificationError(
+            f"no decomposition witness among {total} candidates for "
+            f"q={field.q} m={field.m} t={t} lambda={lam.code}"
         )
-        return a, report
-    raise FalsificationError(
-        f"no decomposition witness among {total} candidates for "
-        f"q={field.q} m={field.m} t={t} lambda={lam.code}"
+    a = Polynomial(field, digits(idx, field.order, t))
+    w = lam_poly * a**e1
+    tr = int(_trace(form, field.subfield, flatten_poly(ring.reduce(w), r)))
+    if tr == 0:
+        raise FalsificationError(
+            "independent witness has zero trace mod the base factor; "
+            f"candidate index {idx}"
+        )
+    if tau(field, support, w).any():
+        raise FalsificationError(
+            f"tau does not vanish on the witness; candidate index {idx}"
+        )
+    report = DecompositionReport(
+        q=field.q, m=field.m, t=t, lam=lam.code,
+        ambient_dim=field.m * D, dim_K=K.k, dim_gF=field.m * D - 1 - K.k,
+        candidate_index=idx, witness_coeffs=tuple(a.coeffs),
+        ring_trace=tr, tau_vanishes=True,
     )
+    return a, report
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,9 @@ NEG_INF = float("-inf")
 # largest in the workloads, F_81 at degree 6, 1.5e7.
 IRREDUCIBLE_CELL_BUDGET = 10**8
 
-# The sieve scans candidates in chunks that double from _FIRST_CHUNK while
-# chunk * max(|F|, degree^2) stays within _CHUNK_CELLS, so the working
-# arrays keep a fixed size.
+# Candidate scans (the sieve here, the witness scans of evidence) run in
+# chunks that double from _FIRST_CHUNK while chunk * (cells per candidate)
+# stays within _CHUNK_CELLS, so the working arrays keep a fixed size.
 _FIRST_CHUNK = 16
 _CHUNK_CELLS = 1 << 17
 
@@ -432,6 +432,22 @@ def _candidate_block(start: int, count: int, order: int, degree: int) -> np.ndar
     return out
 
 
+def _candidate_chunks(order: int, degree: int, total: int,
+                      width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, block) for the candidates 0 .. total - 1 in index order, each
+    block from :func:`_candidate_block`. Blocks hold _FIRST_CHUNK rows, then
+    double while rows * width stays within _CHUNK_CELLS, so a caller whose
+    working arrays hold ``width`` cells per candidate keeps them at a fixed
+    size."""
+    cap = max(_FIRST_CHUNK, _CHUNK_CELLS // width)
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        block = _candidate_block(start, min(size, total - start), order, degree)
+        yield start, block
+        start += len(block)
+        size = min(2 * size, cap)
+
+
 def _root_free(field: Field, cands: np.ndarray) -> np.ndarray:
     """Which monic candidates (rows of non-leading coefficients) have no
     root in the field, by Horner evaluation at every element."""
@@ -545,10 +561,7 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
     least = _sieve_cells(order, degree, min(_FIRST_CHUNK, total), False) + rabin
     if least > IRREDUCIBLE_CELL_BUDGET:
         charge(least)
-    cap = max(_FIRST_CHUNK, _CHUNK_CELLS // max(order, degree * degree))
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        cands = _candidate_block(start, size, order, degree)
+    for start, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
         berlekamp = degree >= 4 and start > 0
         charge(_sieve_cells(order, degree, len(cands), berlekamp))
         keep = np.arange(len(cands))
@@ -561,8 +574,6 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
             cand = Polynomial._raw(field, cands[i].tolist() + [1])
             if is_irreducible(cand):
                 return cand
-        start += len(cands)
-        size = min(2 * size, cap)
     raise RuntimeError("no irreducible polynomial of requested degree; unreachable")
 
 

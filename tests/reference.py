@@ -20,6 +20,10 @@ the bases z^j x^l of F[x]_{<(e+1)t} and g z^j x^l of g*F[x]_{<et}, each one
 polynomial evaluated by Horner's rule at every support point and traced.
 ``find_irreducible`` is the original irreducible search: the scalar Rabin
 test on every candidate in index order, with no sieve and no budget.
+``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
+original evidence scans: the trace form from one scalar q-power orbit per
+basis residue, and the witness searches that form lam*a^N for one
+candidate at a time by Python powers, with no budget.
 None of these is used by the library.
 """
 
@@ -28,9 +32,11 @@ from __future__ import annotations
 import numpy as np
 
 from wildgoppa.codes import LinearCode
+from wildgoppa.evidence import DecompositionReport, _K_plus_gF, tau
 from wildgoppa.gf import Field, digits
+from wildgoppa.goppa import full_support
 from wildgoppa.linalg import MatrixGF, rank
-from wildgoppa.poly import Polynomial, QuotientRing, is_irreducible
+from wildgoppa.poly import Polynomial, QuotientRing, irreducible_power, is_irreducible
 
 _DT = np.int16
 
@@ -237,4 +243,71 @@ def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Pol
         cand = Polynomial(field, digits(idx, order, degree) + [1])
         if is_irreducible(cand):
             return cand
+    return None
+
+
+def trace_form(ring: QuotientRing) -> np.ndarray:
+    """Absolute traces of the basis residues z^j x^l, in slot order
+    l*m + j, each the sum of its q-power orbit taken one ``ring.pow`` at a
+    time."""
+    field = ring.field
+    q, m = field.q, field.m
+    steps = m * ring.degree
+    form = np.zeros(steps, dtype=_DT)
+    for l in range(ring.degree):
+        for j in range(m):
+            acc = cur = Polynomial.monomial(field, l, (field.gen**j).code)
+            for _ in range(steps - 1):
+                cur = ring.pow(cur, q)
+                acc = acc + cur
+            assert len(acc.coeffs) <= 1, f"non-constant trace {acc.coeffs}"
+            code = acc.coeffs[0] if acc.coeffs else 0
+            assert code < q, f"trace code {code} outside F_q"
+            form[l * m + j] = code
+    return form
+
+
+def startkey_search(field: Field, h: Polynomial, lam: int) -> Polynomial | None:
+    """First residue alpha mod h, in index order, whose lam * alpha^N mod h
+    has nonzero absolute trace; None when the ring has none."""
+    ring = QuotientRing(h.monic())
+    form = trace_form(ring)
+    lam_poly = Polynomial.constant(field, lam)
+    for idx in range(ring.size):
+        alpha = ring.element_at(idx)
+        w = ring.mul(lam_poly, ring.pow(alpha, field.norm_exponent))
+        if trace_slots(form, field.subfield, flatten_poly(w, ring.degree)) != 0:
+            return alpha
+    return None
+
+
+def find_decomposition(field: Field, g: Polynomial, lam: int):
+    """(a, report) for the first candidate a of degree < deg g, in index
+    order, whose lam * a^N is outside K + g*F = ker(phi), with the ring
+    trace and tau cross-checks of the library; None when there is none."""
+    g = g.monic()
+    h, _ = irreducible_power(g)
+    K, phi = _K_plus_gF(field, g)
+    t = int(g.degree)
+    e1 = field.norm_exponent
+    D = e1 * t
+    ring = QuotientRing(h)
+    form = trace_form(ring)
+    sub = field.subfield
+    lam_poly = Polynomial.constant(field, lam)
+    for idx in range(field.order**t):
+        a = Polynomial(field, digits(idx, field.order, t))
+        w = lam_poly * a**e1
+        if trace_slots(phi, sub, flatten_poly(w, D)) == 0:
+            continue
+        tr = int(trace_slots(form, sub, flatten_poly(ring.reduce(w), ring.degree)))
+        assert tr != 0, f"witness {idx} has zero trace mod the base factor"
+        assert not tau(field, full_support(field), w).any(), f"tau on witness {idx}"
+        report = DecompositionReport(
+            q=field.q, m=field.m, t=t, lam=lam,
+            ambient_dim=field.m * D, dim_K=K.k, dim_gF=field.m * D - 1 - K.k,
+            candidate_index=idx, witness_coeffs=tuple(a.coeffs),
+            ring_trace=tr, tau_vanishes=True,
+        )
+        return a, report
     return None

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wildgoppa import evidence
 from wildgoppa.cli import main
 
 
@@ -242,6 +243,46 @@ def test_evidence_linear_base_skips_decomposition(capsys):
     )
     assert code == 0
     assert "skipped" in out
+
+
+@pytest.mark.parametrize("g,lam,msg", [
+    ("irreducible:1", "99", "out of range"),
+    ("irreducible:1^2", "-5", "out of range"),
+    ("irreducible:2", "0", "nonzero"),
+    ("irreducible:2", "2", "trace zero"),
+])
+def test_evidence_rejects_bad_lam(capsys, g, lam, msg):
+    # --lam is checked before any work, also when a linear base factor
+    # skips the witness scans
+    code, out, err = run_main(
+        capsys, "evidence", "--p", "2", "--m", "2", "--g", g, "--lam", lam,
+    )
+    assert code == 2
+    assert out == "" and msg in err
+
+
+def test_evidence_scan_budget_exit_4(capsys, monkeypatch):
+    # over F_16/F_4 the first witness of irreducible:2 is candidate 16
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 16)
+    code, out, err = run_main(
+        capsys, "evidence", "--p", "2", "--a", "2", "--m", "2",
+        "--g", "irreducible:2",
+    )
+    assert code == 4
+    assert out == "" and "WITNESS_SCAN_BUDGET = 16" in err
+
+
+def test_evidence_far_witness_fast(capsys):
+    # the first witness over F_256/F_16 is candidate 69,632 of 256^3
+    t0 = time.monotonic()
+    code, out, _ = run_main(
+        capsys, "evidence", "--p", "2", "--a", "4", "--m", "2",
+        "--g", "irreducible:3",
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    assert "decomposition witness coeffs [0, 16, 1]" in out
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("g", ["0,1", "irreducible:2"])

@@ -9,13 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
+from wildgoppa import evidence, poly
 from wildgoppa.codes import LinearCode
 from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
     _K_plus_gF,
+    _first_witness,
     _multiples_of,
     _trace,
     _trace_form,
+    _twisted_norms,
     build_K,
     find_decomposition,
     flatten_poly,
@@ -32,6 +35,7 @@ from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     Polynomial,
     QuotientRing,
+    _candidate_block,
     count_distinct_roots,
     find_irreducible,
     is_irreducible,
@@ -436,6 +440,127 @@ def test_decomposition_index_against_reduce_row_scan(p, a, m, data):
     assert rep.candidate_index == _reduce_row_scan(field, g, lam)
 
 
+# ------------------------------------------------------------ batched scans
+
+
+# F_4/F_2, F_8/F_2, F_9/F_3, F_16/F_4, F_16/F_2, F_25/F_5, F_49/F_7,
+# F_64/F_4, F_256/F_16
+SCAN_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4),
+               (5, 1, 2), (7, 1, 2), (2, 2, 3), (2, 4, 2)]
+
+
+@pytest.mark.parametrize("p,a,m", SCAN_TOWERS)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_scans_against_reference(p, a, m, data):
+    # the batched scans return the reference's witness and report, with
+    # the first chunk drawn so that chunk boundaries fall before, on and
+    # after the hit (the hits here sit at |F| and beyond: 4 to 650)
+    field = build_tower(p, a, m)
+    r = data.draw(st.sampled_from([2, 3]))
+    s = data.draw(st.sampled_from([1, 2]))
+    codes = st.lists(st.integers(0, field.order - 1), min_size=r, max_size=r)
+    h = Polynomial(field, data.draw(codes) + [1])
+    assume(is_irreducible(h))
+    lam = data.draw(st.sampled_from(trace_zero_units(field)))
+    first = data.draw(st.sampled_from([poly._FIRST_CHUNK, 1, 2, 3, 5, 15, 17]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_FIRST_CHUNK", first)
+        alpha = startkey_search(field, h, lam)
+        witness, rep = find_decomposition(field, h**s, lam)
+    # the scalar scans are slow per candidate; rare far hits are skipped
+    assume(rep.candidate_index < 4096)
+    assert alpha == reference.startkey_search(field, h, lam)
+    assert (witness, rep) == reference.find_decomposition(field, h**s, lam)
+
+
+# (tower, h, s, lam, first hit): a hit on the first row of the second chunk
+# (16), one row into it (17), and hits past the first doubling
+@pytest.mark.parametrize("tower,h,s,lam,index", [
+    ((2, 2, 2), (8, 1, 1), 1, 1, 16),
+    ((2, 2, 2), (8, 1, 1), 2, 3, 16),
+    ((2, 1, 4), (2, 2, 1), 1, 2, 17),
+    ((2, 1, 4), (2, 2, 1), 2, 3, 17),
+    ((3, 1, 2), (3, 1, 0, 1), 2, 3, 90),
+    ((2, 2, 2), (4, 0, 0, 1), 1, 1, 272),
+])
+def test_scans_hit_at_chunk_boundaries(tower, h, s, lam, index):
+    field = build_tower(*tower)
+    h = Polynomial(field, h)
+    alpha = startkey_search(field, h, lam)
+    witness, rep = find_decomposition(field, h**s, lam)
+    assert rep.candidate_index == index
+    assert alpha == reference.startkey_search(field, h, lam)
+    assert (witness, rep) == reference.find_decomposition(field, h**s, lam)
+
+
+@pytest.mark.parametrize("target", [0, 15, 16, 17, 47, 48, 49, 1023, None])
+def test_first_witness_chunk_boundaries(target):
+    # a predicate that marks one index: the driver finds it wherever it
+    # falls among the chunks (16, 32, 64, ...), and never tests past it
+    field = build_tower(2, 1, 2)
+    seen = []
+
+    def hits(block):
+        idx = (block.astype(np.int64) * field.order ** np.arange(5)).sum(axis=1)
+        seen.extend(idx.tolist())
+        return idx == target
+
+    assert _first_witness(field, 5, 1, hits, "test") == target
+    # each candidate once, in index order, up to the end of the hit's chunk
+    # (chunk k starts at 16 * (2^k - 1), so it ends before 2 * start + 16)
+    last = 1023 if target is None else target
+    assert seen == list(range(len(seen)))
+    assert last < len(seen) <= 2 * last + 16
+
+
+@pytest.mark.parametrize("p,a,m", SCAN_TOWERS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_twisted_norms_rows_against_powers(p, a, m, data):
+    # each row of a drawn block's batched lam * a^N is flatten_poly(lam * a**N)
+    field = build_tower(p, a, m)
+    e1 = field.norm_exponent
+    t = data.draw(st.integers(1, 3))
+    lam = data.draw(st.sampled_from(trace_zero_units(field)))
+    start = data.draw(st.integers(0, field.order**t - 1))
+    block = _candidate_block(start, data.draw(st.integers(1, 40)), field.order, t)
+    rows = _twisted_norms(field, lam, block, e1 * t)
+    for row, coeffs in zip(rows, block.tolist()):
+        w = Polynomial.constant(field, lam) * Polynomial(field, coeffs)**e1
+        assert row.tolist() == flatten_poly(w, e1 * t).tolist()
+
+
+def test_scans_raise_budget_exceeded_at_the_cap(monkeypatch):
+    # F_16/F_4 with its minimal quadratic: both scans first hit index 16,
+    # so a cap of 16 candidates stops them and a cap of 17 does not
+    field = build_tower(2, 2, 2)
+    h = find_irreducible(field, 2)
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 16)
+    with pytest.raises(BudgetExceeded, match="WITNESS_SCAN_BUDGET = 16 of 256"):
+        startkey_search(field, h, 1)
+    with pytest.raises(BudgetExceeded, match="WITNESS_SCAN_BUDGET = 16 of 256"):
+        find_decomposition(field, h, 1)
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 17)
+    assert startkey_search(field, h, 1) == Polynomial.x(field)
+    assert find_decomposition(field, h, 1)[1].candidate_index == 16
+
+
+@pytest.mark.parametrize("cap,error", [(2**18, FalsificationError), (15, BudgetExceeded)])
+def test_scans_exhausted_without_hit(monkeypatch, cap, error):
+    # with every trace forced to zero no candidate hits: a space within
+    # the cap (16 candidates over F_4) falsifies, a larger one runs out
+    field = build_tower(2, 1, 2)
+    h = find_irreducible(field, 2)
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", cap)
+    monkeypatch.setattr(evidence, "_trace",
+                        lambda form, sub, flat: np.zeros(flat.shape[:-1], dtype=np.int16))
+    with pytest.raises(error):
+        startkey_search(field, h, 1)
+    with pytest.raises(error):
+        find_decomposition(field, h, 1)
+
+
 @pytest.mark.parametrize("p,a,m,deg", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 2)])
 def test_K_plus_gF_is_kernel_of_phi(p, a, m, deg):
     # phi kills every row of K and of the multiples of g, and nothing else
@@ -502,6 +627,7 @@ def test_trace_form_against_orbit_sum(p, a, m, r, data):
     form = _trace_form(ring)
     ws = [Polynomial(field, c)
           for c in data.draw(st.lists(residue, min_size=1, max_size=4))]
+    assert form.tolist() == reference.trace_form(ring).tolist()
     expected = [reference.abs_trace(ring, w) for w in ws]
     assert int(_trace(form, field.subfield, flatten_poly(ws[0], r))) == expected[0]
     rows = np.array([flatten_poly(w, r) for w in ws])
