@@ -455,7 +455,7 @@ SCAN_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4),
 def test_scans_against_reference(p, a, m, data):
     # the batched scans return the reference's witness and report, with
     # the first chunk drawn so that chunk boundaries fall before, on and
-    # after the hit (the hits here sit at |F| and beyond: 4 to 650)
+    # after the hit (no scan hits below index |F|)
     field = build_tower(p, a, m)
     r = data.draw(st.sampled_from([2, 3]))
     s = data.draw(st.sampled_from([1, 2]))
@@ -496,8 +496,8 @@ def test_scans_hit_at_chunk_boundaries(tower, h, s, lam, index):
 
 @pytest.mark.parametrize("target", [0, 15, 16, 17, 47, 48, 49, 1023, None])
 def test_first_witness_chunk_boundaries(target):
-    # a predicate that marks one index: the driver finds it wherever it
-    # falls among the chunks (16, 32, 64, ...), and never tests past it
+    # a predicate that marks one index: _first_witness finds it wherever it
+    # falls among the chunks of 16, 32, 64, ... candidates
     field = build_tower(2, 1, 2)
     seen = []
 
