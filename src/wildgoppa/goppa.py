@@ -9,15 +9,22 @@ vanishes modulo G. Two independent constructions are provided:
   for j < deg G and takes the F_q kernel;
 * ``goppa_via_crt`` evaluates the defining membership map directly, sending
   c to sum of c_i * (prod_L / (x - a_i) mod G) and taking the kernel of its
-  coefficient matrix.
+  coefficient matrix. The columns come from array passes over all support
+  points at once: prod_L by n multiply-by-(x - a) steps, every quotient
+  prod_L / (x - a_i) by one synthetic division vectorised over the points,
+  and the reduction mod G by the row-wise fold of ``poly.batch_mul_mod``.
 
 They must agree on every input; the test suite enforces this on hundreds of
-random instances, and the identity verifiers lean on it.
+random instances, the benchmark's sweep cross-checks them on every rooted
+instance, and the identity verifiers lean on it. That check only means
+something while the two stay independent, so ``goppa_via_crt`` never uses
+the values G(a_i) or their inverses, the power table ``vandermonde_rows``,
+or the deg G >= n zero-code shortcut of ``goppa_code``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +32,7 @@ import numpy as np
 from .codes import LinearCode, subfield_kernel
 from .errors import BudgetExceeded
 from .gf import Field, FieldElement
-from .poly import NEG_INF, Polynomial, parse_poly_spec
+from .poly import _DT, NEG_INF, Polynomial, _adder, _fold_mod, _lookup, parse_poly_spec
 
 __all__ = [
     "GoppaSpec",
@@ -79,11 +86,16 @@ def punctured_support(field: Field, removed: Iterable) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GoppaSpec:
-    """A validated (support, Goppa polynomial) pair over a tower."""
+    """A validated (support, Goppa polynomial) pair over a tower.
+
+    ``goppa_values`` holds G(a_i) for each support point, the evaluation
+    that rejects roots on the support, kept for ``goppa_code``.
+    """
 
     field: Field
     support: tuple[int, ...]
     goppa_poly: Polynomial
+    goppa_values: np.ndarray = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.field.m < 2:
@@ -98,6 +110,8 @@ class GoppaSpec:
         if (vals == 0).any():
             bad = [int(s) for s, v in zip(self.support, vals) if v == 0]
             raise ValueError(f"Goppa polynomial vanishes on support points {bad}")
+        vals.setflags(write=False)
+        object.__setattr__(self, "goppa_values", vals)
 
     @property
     def n(self) -> int:
@@ -125,12 +139,41 @@ def goppa_code(spec: GoppaSpec) -> LinearCode:
     """
     field = spec.field
     L = np.array(spec.support, dtype=np.int64)
-    g = spec.goppa_poly
-    d = int(g.degree)
+    d = int(spec.goppa_poly.degree)
     if d >= len(L):
         return LinearCode.zero_code(field.subfield, len(L))
-    inv = field.inv_table[g.evaluate_codes(L)]
+    inv = field.inv_table[spec.goppa_values]
     return subfield_kernel(field, vandermonde_rows(field, L, inv, d))
+
+
+def _crt_matrix(spec: GoppaSpec) -> np.ndarray:
+    """The deg G x n constraint matrix of ``goppa_via_crt`` over the top
+    field: column i holds the coefficients of prod_L/(x - a_i) mod G, low
+    degree first."""
+    field = spec.field
+    add, mul = _adder(field), _lookup(field.mul_table)
+    L = np.array(spec.support, dtype=_DT)
+    n = L.size
+    g = spec.goppa_poly.monic()
+    d = int(g.degree)
+    # prod_L, low degree first, one multiplication by (x - a) per point
+    pi = np.zeros(n + 1, dtype=_DT)
+    pi[0] = 1
+    for c in field.neg_table[L].tolist():
+        nxt = mul(c, pi)
+        nxt[1:] = add(nxt[1:], pi[:-1])
+        pi = nxt
+    # synthetic division by every x - a_i at once: the quotient coefficients
+    # run b_(n-1) = pi_n = 1 and b_(j-1) = pi_j + a_i * b_j, and the
+    # remainder pi_0 + a_i * b_0 is zero because every a_i is a root
+    quot = np.zeros((max(n, d), n), dtype=_DT)
+    quot[n - 1] = 1
+    for j in range(n - 1, 0, -1):
+        quot[j - 1] = add(pi[j], mul(L, quot[j]))
+    if add(pi[0], mul(L, quot[0])).any():
+        raise RuntimeError("support product must split; unreachable")
+    moduli = np.array([g.coeffs[:-1]], dtype=_DT)
+    return _fold_mod(field, np.ascontiguousarray(quot.T), moduli).T
 
 
 def goppa_via_crt(spec: GoppaSpec) -> LinearCode:
@@ -138,26 +181,10 @@ def goppa_via_crt(spec: GoppaSpec) -> LinearCode:
 
     c belongs to the code iff sum of c_i * prod_L/(x - a_i) is divisible by
     G, since prod_L is invertible mod G. Each column of the constraint
-    matrix is the coefficient expansion of prod_L/(x - a_i) mod G over F_q.
+    matrix is the coefficient expansion of prod_L/(x - a_i) mod G over F_q
+    (:func:`_crt_matrix`).
     """
-    field = spec.field
-    g = spec.goppa_poly.monic()
-    d = int(g.degree)
-    pi = Polynomial.one(field)
-    x = Polynomial.x(field)
-    for c in spec.support:
-        pi = pi * (x - Polynomial.constant(field, c))
-    cols = []
-    for c in spec.support:
-        qi, rem = divmod(pi, x - Polynomial.constant(field, c))
-        if not rem.is_zero:
-            raise RuntimeError("support product must split; unreachable")
-        ri = qi % g
-        coeffs = list(ri.coeffs) + [0] * (d - len(ri.coeffs))
-        cols.append(coeffs)
-    # constraint matrix: one row per residue coefficient, expanded over F_q
-    H = np.array(cols, dtype=np.int64).T
-    return subfield_kernel(field, H)
+    return subfield_kernel(spec.field, _crt_matrix(spec))
 
 
 def grs_pair(

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import LinearCode
-from .errors import FalsificationError
+from .errors import BudgetExceeded, FalsificationError
 from .gf import Field
 from .goppa import GoppaSpec, goppa_code, support_codes, vandermonde_rows
 from .poly import Polynomial, count_distinct_roots, gcd, is_squarefree
@@ -42,6 +42,17 @@ __all__ = [
     "verify_coprime_factor_chain",
     "rs_equivalence",
 ]
+
+
+# Cells one verifier may spend on the Goppa polynomials g^j it builds. Each
+# g^j is evaluated at the n support points, deg(g^j) * n table lookups, and
+# taking the power of a g of small degree costs about as much as 32 more
+# lookups per unit of degree, so g^j is charged deg(g^j) * (n + 32). One
+# cell took 20-25 ns on a 2-core host over F_4, F_81 and F_1024, so the
+# budget is 2-3 s; a chain or a Sugiyama check with a large s reaches it
+# first. (For a g of large degree the products inside the power grow with
+# deg(g) too, and are not charged.)
+GOPPA_POWER_CELL_BUDGET = 10**8
 
 
 def wild_exponent(field: Field) -> int:
@@ -76,9 +87,17 @@ class IdentityReport:
 def _codes_for_exponents(
     field: Field, support: Sequence, g: Polynomial, exponents: Sequence[int]
 ) -> list[LinearCode]:
-    return [
-        goppa_code(GoppaSpec(field, tuple(support), g**j)) for j in exponents
-    ]
+    """The Goppa codes for g^j, j in exponents; raises BudgetExceeded before
+    any power is taken when they would cost over GOPPA_POWER_CELL_BUDGET."""
+    support = tuple(support)
+    cells = int(g.degree) * sum(exponents) * (len(support) + 32)
+    if cells > GOPPA_POWER_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"Goppa polynomials g^j for j = {exponents[0]}..{exponents[-1]} on "
+            f"{len(support)} points need {cells} cells, over "
+            f"GOPPA_POWER_CELL_BUDGET = {GOPPA_POWER_CELL_BUDGET}"
+        )
+    return [goppa_code(GoppaSpec(field, support, g**j)) for j in exponents]
 
 
 def _check_inclusions(codes: list[LinearCode], exponents: Sequence[int], ctx: str) -> None:

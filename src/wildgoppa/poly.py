@@ -13,6 +13,7 @@ irreducible of degree r this realises the extension field of order
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -214,8 +215,19 @@ class Polynomial:
         return Polynomial._raw(self.field, [mrow[ci] for ci in self.coeffs])
 
     def __pow__(self, e: int) -> "Polynomial":
+        """self**e: square and multiply below the field's q, and from q on
+        self**e = (self**(e // q))**q * self**(e % q), where the q-th power
+        is the coefficient-wise Frobenius (sum c_i x^i)^q = sum c_i^q x^(iq)
+        of characteristic p, so only products by powers below q remain."""
         if e < 0:
             raise ValueError("negative polynomial power")
+        q = self.field.q
+        if e >= q:
+            high, low = divmod(e, q)
+            top = (self**high).coeffs
+            spread = [0] * (q * (len(top) - 1) + 1) if top else []
+            spread[::q] = self.field.frobenius_table[list(top)].tolist()
+            return Polynomial._raw(self.field, spread) * self**low
         result = Polynomial.one(self.field)
         base = self
         while e:
@@ -286,13 +298,34 @@ class Polynomial:
         return f.element(acc)
 
     def evaluate_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Vectorised Horner evaluation at an array of element codes."""
+        """Vectorised evaluation at an array of element codes.
+
+        The coefficients are cut into k blocks of b, with b about the square
+        root of their number. Horner's rule runs on all blocks at once (b
+        array steps), then on the k block values in x^b (k steps): about
+        2*sqrt(deg) steps instead of deg.
+        """
         f = self.field
+        add, mul = f.add_table, f.mul_table
         xs = np.asarray(codes, dtype=np.int64)
-        acc = np.zeros_like(xs)
-        for c in reversed(self.coeffs):
-            acc = f.add_table[f.mul_table[acc, xs], np.int64(c)].astype(np.int64)
-        return acc
+        n = len(self.coeffs)
+        if not n:
+            return np.zeros(xs.shape, dtype=np.int64)
+        b = math.isqrt(n - 1) + 1
+        k = -(-n // b)
+        blocks = np.zeros(k * b, dtype=np.int64)
+        blocks[:n] = self.coeffs
+        blocks = blocks.reshape((k, b) + (1,) * xs.ndim)
+        acc = np.zeros((k,) + xs.shape, dtype=np.int64)
+        for j in range(b - 1, -1, -1):
+            acc = add[mul[acc, xs], blocks[:, j]]
+        xb = xs
+        for _ in range(b - 1):
+            xb = mul[xb, xs]
+        out = acc[k - 1]
+        for i in range(k - 2, -1, -1):
+            out = add[mul[out, xb], acc[i]]
+        return out.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +425,24 @@ def batch_mul_mod(field: Field, a: np.ndarray, b: np.ndarray, moduli: np.ndarray
     prod = np.zeros((n, 2 * d - 1), dtype=_DT)
     for i in range(d):
         prod[:, i : i + d] = add(prod[:, i : i + d], mul(a[:, i : i + 1], b))
+    return _fold_mod(field, prod, moduli)
+
+
+def _fold_mod(field: Field, rows: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """Row-wise rows[i] mod f_i, overwriting ``rows``.
+
+    ``rows`` is an (N, w) array of coefficient codes, low degree first, with
+    w >= d. ``moduli`` holds the non-leading coefficients of the monic f_i of
+    degree d >= 1: an (N, d) array with one modulus per row, or (1, d) with
+    one for all rows. Returns the (N, d) residues, a view of ``rows``.
+    """
+    add, mul = _adder(field), _lookup(field.mul_table)
+    d = moduli.shape[1]
     # x^d = -(f_0 + f_1 x + ... + f_(d-1) x^(d-1)): fold the top coefficient down
     negf = field.neg_table[moduli]
-    for k in range(2 * d - 2, d - 1, -1):
-        prod[:, k - d : k] = add(prod[:, k - d : k], mul(prod[:, k : k + 1], negf))
-    return prod[:, :d]
+    for k in range(rows.shape[1] - 1, d - 1, -1):
+        rows[:, k - d : k] = add(rows[:, k - d : k], mul(rows[:, k : k + 1], negf))
+    return rows[:, :d]
 
 
 def batch_pow_mod(field: Field, base: np.ndarray, e: int, moduli: np.ndarray) -> np.ndarray:

@@ -23,7 +23,13 @@ test on every candidate in index order, with no sieve and no budget.
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
 basis residue, and the witness searches that form lam*a^N for one
-candidate at a time by Python powers, with no budget.
+candidate at a time by Python powers, with no budget. ``crt_matrix`` and
+``goppa_via_crt`` are the original CRT construction of a Goppa code: the
+support product built one ``Polynomial`` product at a time, then one scalar
+division by x - a_i and one reduction mod G per support point.
+``poly_pow`` is the original ``Polynomial`` power, square and multiply on
+the whole exponent, and ``evaluate_codes`` the original evaluation, one
+Horner step per coefficient.
 None of these is used by the library.
 """
 
@@ -31,10 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from wildgoppa.codes import LinearCode
+from wildgoppa.codes import LinearCode, subfield_kernel
 from wildgoppa.evidence import DecompositionReport, _K_plus_gF, tau
 from wildgoppa.gf import Field, digits
-from wildgoppa.goppa import full_support
+from wildgoppa.goppa import GoppaSpec, full_support
 from wildgoppa.linalg import MatrixGF, rank
 from wildgoppa.poly import Polynomial, QuotientRing, irreducible_power, is_irreducible
 
@@ -311,3 +317,48 @@ def find_decomposition(field: Field, g: Polynomial, lam: int):
         )
         return a, report
     return None
+
+
+def crt_matrix(spec: GoppaSpec) -> np.ndarray:
+    """deg G x n matrix whose column i holds the coefficients of
+    prod_L/(x - a_i) mod G, low degree first."""
+    field = spec.field
+    g = spec.goppa_poly.monic()
+    d = int(g.degree)
+    pi = Polynomial.one(field)
+    x = Polynomial.x(field)
+    for c in spec.support:
+        pi = pi * (x - Polynomial.constant(field, c))
+    cols = []
+    for c in spec.support:
+        qi, rem = divmod(pi, x - Polynomial.constant(field, c))
+        assert rem.is_zero, "support product must split"
+        ri = qi % g
+        cols.append(list(ri.coeffs) + [0] * (d - len(ri.coeffs)))
+    return np.array(cols, dtype=np.int64).T
+
+
+def goppa_via_crt(spec: GoppaSpec) -> LinearCode:
+    """The Goppa code as the F_q kernel of :func:`crt_matrix`."""
+    return subfield_kernel(spec.field, crt_matrix(spec))
+
+
+def poly_pow(base: Polynomial, e: int) -> Polynomial:
+    """base**e by square and multiply on the bits of e."""
+    result = Polynomial.one(base.field)
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
+
+
+def evaluate_codes(f: Polynomial, codes: np.ndarray) -> np.ndarray:
+    """f at each element code, by Horner's rule on the whole array."""
+    field = f.field
+    xs = np.asarray(codes, dtype=np.int64)
+    acc = np.zeros_like(xs)
+    for c in reversed(f.coeffs):
+        acc = field.add_table[field.mul_table[acc, xs], np.int64(c)].astype(np.int64)
+    return acc

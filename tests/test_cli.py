@@ -1,5 +1,7 @@
 """Command line behaviour: exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildgoppa import evidence
 from wildgoppa.cli import main
@@ -162,6 +166,116 @@ def test_table_has_no_jobs_option():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--id", "2", "--jobs", "3"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------------- fuzzing
+
+FUZZ_PRIMES = (0, 1, 2, 3, 4, 5, 7)
+# every (p, a, m) from the fuzz ranges except valid towers of order over 729
+FUZZ_TOWERS = [
+    (p, a, m) for p in FUZZ_PRIMES for a in (0, 1, 2) for m in (0, 1, 2, 3)
+    if p in (0, 1, 4) or a == 0 or m == 0 or p ** (a * m) <= 729
+]
+FUZZ_PROPER = [t for t in FUZZ_TOWERS if t[0] in (2, 3, 5, 7) and t[1] >= 1 and t[2] >= 2]
+FUZZ_G = (
+    "irreducible:1", "irreducible:2", "irreducible:3", "irreducible:0",
+    "irreducible:-1", "irreducible:2^0", "irreducible:1^0", "irreducible:1^2",
+    "irreducible:2^2", "0", "1", "0,1", "1,1", "1,0,1", "1,1,1", "5,1",
+    "1,2,3", "999,1", "-1,1", "x", "",
+)
+FUZZ_SUPPORT = (
+    "full", "full-minus:0", "full-minus:0,1", "full-minus:0,0",
+    "full-minus:999", "0", "2,1", "0,1,2", "1,2,3,4,5", "1,1", "999", "-1", "", "a",
+)
+FUZZ_INTS = (-1, 0, 1, 2, 3, 5, 999)
+# The heaviest valid draws are exact eliminations on F_729, such as a chain
+# with s = 3 (about 15 s); a hang runs past any such limit.
+FUZZ_WALL_LIMIT_S = 30.0
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand, half the time on a proper tower, with each
+    option drawn from a small alphabet of valid and invalid values."""
+    cmd = draw(st.sampled_from(("verify", "evidence", "distance", "dims", "classes")))
+    p, a, m = draw(st.sampled_from(FUZZ_PROPER) | st.sampled_from(FUZZ_TOWERS))
+    argv = [cmd, "--p", str(p), "--a", str(a), "--m", str(m)]
+
+    def option(flag, values, required=False):
+        if required or draw(st.booleans()):
+            argv.extend([flag, str(draw(st.sampled_from(values)))])
+
+    if cmd in ("verify", "evidence", "distance"):
+        option("--g", FUZZ_G, required=True)
+    if cmd in ("verify", "distance"):
+        option("--support", FUZZ_SUPPORT)
+    if cmd == "verify":
+        option("--s", FUZZ_INTS)
+        option("--check", ("auto", "theorem1", "gap", "chain", "sugiyama", "rs"))
+    if cmd == "evidence":
+        option("--lam", FUZZ_INTS)
+    if cmd == "distance":
+        option("--budget", (-1, 0, 1, 100))
+    if cmd in ("dims", "classes"):
+        option("--t", FUZZ_INTS, required=cmd == "dims")
+    if cmd == "dims":
+        option("--n", FUZZ_INTS)
+    option("--format", ("text", "json"))
+    return argv
+
+
+def run_cli_bounded(argv):
+    """Exit code, stderr and wall time of main(argv), argparse exits
+    included; any exception escaping main fails the calling test."""
+    err = io.StringIO()
+    t0 = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback at the console
+            pytest.fail(f"{' '.join(argv)!r} raised {exc!r}")
+    return code, err.getvalue(), time.monotonic() - t0
+
+
+# derandomized, so that Tier-1 runs the same examples, in the same time
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+def test_cli_fuzz_defined_exit(argv):
+    code, err, elapsed = run_cli_bounded(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert elapsed < FUZZ_WALL_LIMIT_S, (argv, elapsed)
+
+
+@pytest.mark.parametrize("argv,want", [
+    ("verify --p 4 --m 2 --g irreducible:2", 2),
+    ("verify --p 1 --m 2 --g irreducible:2", 2),
+    ("verify --p 2 --m 1 --g irreducible:2", 2),
+    ("evidence --p 2 --m 1 --g irreducible:2", 2),
+    ("verify --p 2 --m 2 --g 0", 2),
+    ("verify --p 2 --m 2 --g 1", 2),
+    ("verify --p 2 --m 2 --g irreducible:2^0", 2),
+    ("verify --p 2 --m 2 --g irreducible:2 --support 1,1", 2),
+    ("verify --p 2 --m 2 --g irreducible:2 --check chain --s 0", 2),
+    ("evidence --p 2 --m 2 --g irreducible:2 --lam 4", 2),
+    ("evidence --p 2 --m 2 --g irreducible:2 --lam 0", 2),
+    ("evidence --p 2 --m 2 --g irreducible:2 --lam 2", 2),
+    ("verify --p 2 --m 10 --g irreducible:2", 0),
+    ("evidence --p 2 --m 10 --g irreducible:2", 4),
+    ("verify --p 2 --a 5 --m 2 --g irreducible:3", 0),
+    ("verify --p 2 --m 2 --g irreducible:300", 4),
+    ("verify --p 2 --m 2 --g irreducible:2 --s 999", 4),
+])
+def test_probe_defined_exit_fast(argv, want):
+    # bad p, m = 1, g = 0 or 1, ^0, duplicate support, s = 0, a bad lambda,
+    # the m = 10 cases, the F_1024 case, irreducible:300 over F_4, and a
+    # chain of 1,001 powers of degree up to 5,994 (GOPPA_POWER_CELL_BUDGET)
+    code, err, elapsed = run_cli_bounded(argv.split())
+    assert code == want, err
+    assert "Traceback" not in err
+    assert elapsed < 5.0
 
 
 # -------------------------------------------------------------------- output

@@ -6,11 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import reference
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import (
     GoppaSpec,
+    _crt_matrix,
     full_support,
     goppa_code,
     goppa_via_crt,
@@ -113,10 +116,118 @@ class TestAgainstDefinition:
             assert goppa_code(spec).k == 0
 
 
+# every tower of order 4 to 81 with m >= 2, odd p included
+CRT_TOWERS = [
+    (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2),
+    (3, 1, 3), (2, 1, 5), (7, 1, 2), (2, 2, 3), (2, 3, 2), (2, 1, 6),
+    (3, 2, 2), (3, 1, 4),
+]
+
+
+def crt_spec(field, order_of_points, n, g):
+    """The spec on the first n points, in the given order, where g does not
+    vanish; None when there are fewer than n of them."""
+    vals = g.evaluate_codes(np.array(order_of_points, dtype=np.int64))
+    support = [c for c, v in zip(order_of_points, vals) if v][:n]
+    return GoppaSpec(field, tuple(support), g) if len(support) == n else None
+
+
+@st.composite
+def crt_specs(draw):
+    """Specs on punctured, unsorted supports, with G either arbitrary (monic
+    or not, of degree up to n + 1) or a power h^s with s >= 2."""
+    field = build_tower(*draw(st.sampled_from(CRT_TOWERS)))
+    order = field.order
+    points = draw(st.permutations(range(order)))
+    n = draw(st.integers(1, order - 1))
+    codes, units = st.integers(0, order - 1), st.integers(1, order - 1)
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(sorted({1, 2, 3, max(n - 1, 1), n, n + 1})))
+        g = Polynomial(field, draw(st.lists(codes, min_size=d, max_size=d)) + [draw(units)])
+    else:
+        h = Polynomial(field, draw(st.lists(codes, min_size=1, max_size=2)) + [draw(units)])
+        g = h ** draw(st.integers(2, 4))
+    spec = crt_spec(field, points, n, g)
+    assume(spec is not None)
+    return spec
+
+
+def assert_crt_matches_reference(spec):
+    got, want = _crt_matrix(spec), reference.crt_matrix(spec)
+    assert got.shape == want.shape == (int(spec.goppa_poly.degree), spec.n)
+    assert (got == want).all()
+    assert goppa_via_crt(spec) == reference.goppa_via_crt(spec)
+
+
+class TestBatchedCrt:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=crt_specs())
+    def test_matches_scalar_reference(self, spec):
+        assert_crt_matches_reference(spec)
+
+    @pytest.mark.parametrize("tower", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 4)])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_degree_near_length_odd_p(self, tower, shift):
+        # d = n - 1, n, n + 1 with non-monic G on a shuffled punctured support
+        field = build_tower(*tower)
+        rng = np.random.default_rng(field.order + shift)
+        points = [int(c) for c in rng.permutation(field.order)]
+        n = field.order // 2
+        d = n + shift
+        coeffs = [int(c) for c in rng.integers(0, field.order, size=d)]
+        g = Polynomial(field, coeffs + [int(rng.integers(2, field.order))])
+        spec = crt_spec(field, points, n, g)
+        assert spec is not None and not spec.goppa_poly.is_monic
+        assert_crt_matches_reference(spec)
+        if shift >= 0:
+            assert goppa_via_crt(spec).k == 0
+
+    @pytest.mark.parametrize("tower,s", [((2, 1, 4), 3), ((3, 2, 2), 2), ((7, 1, 2), 4)])
+    def test_repeated_factors(self, tower, s):
+        field = build_tower(*tower)
+        h = find_irreducible(field, 2).scale(field.element(2))
+        points = list(range(field.order - 1, 0, -2))
+        spec = crt_spec(field, points, len(points), h**s)
+        assert_crt_matches_reference(spec)
+        assert goppa_via_crt(spec) == goppa_code(spec)
+
+    def test_independent_of_parity_path(self, monkeypatch):
+        # the CRT columns use neither G(a_i) nor the Vandermonde power table
+        import wildgoppa.goppa as goppa_mod
+
+        spec = crt_spec(F16, [9, 3, 14, 5, 7, 2, 11, 0, 6], 6, Polynomial(F16, [3, 1, 1]))
+        want = reference.goppa_via_crt(spec)
+
+        def forbidden(*args):
+            raise AssertionError("goppa_via_crt used the parity-check path")
+
+        monkeypatch.setattr(goppa_mod, "vandermonde_rows", forbidden)
+        monkeypatch.setattr(Polynomial, "evaluate_codes", forbidden)
+        object.__setattr__(spec, "goppa_values", None)
+        assert goppa_via_crt(spec) == want
+
+
 class TestSpecValidation:
     def test_rejects_root_on_support(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"vanishes on support points \[0\]"):
             GoppaSpec(F4, full_support(F4), Polynomial.x(F4))
+
+    def test_goppa_values_kept_for_goppa_code(self, monkeypatch):
+        g = Polynomial(F9, [2, 1, 1])
+        spec = crt_spec(F9, [7, 3, 1, 8, 5, 0, 2, 4, 6], 5, g)
+        support = spec.support
+        assert spec.goppa_values.tolist() == [g(c).code for c in support]
+        assert not spec.goppa_values.flags.writeable
+        assert "goppa_values" not in repr(spec)
+        same = GoppaSpec(F9, support, g)
+        assert spec == same and hash(spec) == hash(same)
+        want = goppa_code(spec)
+
+        def forbidden(*args):
+            raise AssertionError("goppa_code evaluated G again")
+
+        monkeypatch.setattr(Polynomial, "evaluate_codes", forbidden)
+        assert goppa_code(spec) == want
 
     def test_rejects_duplicate_support(self):
         with pytest.raises(ValueError):

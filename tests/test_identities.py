@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wildgoppa.errors import FalsificationError
+from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import full_support, punctured_support
 from wildgoppa.identities import (
@@ -139,6 +139,22 @@ class TestChain:
         g = find_irreducible(F4t, 2)
         with pytest.raises(ValueError):
             verify_chain(F4t, full_support(F4t), g, 0)
+
+    def test_power_budget(self, monkeypatch):
+        # s = 2 builds g^3 .. g^6, total degree 2 * 18 = 36, on 4 points:
+        # 36 * (4 + 32) = 1296 cells. At the budget it runs, one below it is
+        # refused before any power is taken.
+        import wildgoppa.identities as identities_mod
+
+        g = find_irreducible(F4t, 2)
+        monkeypatch.setattr(identities_mod, "GOPPA_POWER_CELL_BUDGET", 1296)
+        assert verify_chain(F4t, full_support(F4t), g, 2).exponents == (3, 4, 5, 6)
+        monkeypatch.setattr(identities_mod, "GOPPA_POWER_CELL_BUDGET", 1295)
+        with pytest.raises(BudgetExceeded, match="need 1296 cells"):
+            verify_chain(F4t, full_support(F4t), g, 2)
+        monkeypatch.undo()
+        with pytest.raises(BudgetExceeded, match="j = 1997..2997 on 4 points"):
+            verify_chain(F4t, full_support(F4t), g, 999)
 
 
 class TestSugiyama:

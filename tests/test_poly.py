@@ -18,6 +18,7 @@ from wildgoppa.poly import (
     Polynomial,
     QuotientRing,
     _candidate_block,
+    _fold_mod,
     _one_distinct_factor,
     batch_mul_mod,
     batch_pow_mod,
@@ -108,6 +109,21 @@ class TestBasics:
         codes = np.arange(9)
         vals = f.evaluate_codes(codes)
         assert [int(v) for v in vals] == [f(x).code for x in F9.elements()]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_codes_matches_horner(self, data):
+        # block lengths 1 .. 15, points of any shape
+        field = data.draw(st.sampled_from(POW_FIELDS))
+        f = Polynomial(field, data.draw(st.lists(
+            st.integers(0, field.order - 1), max_size=200)))
+        shape = data.draw(st.sampled_from([(), (0,), (7,), (2, 3)]))
+        codes = np.array(data.draw(st.lists(st.integers(0, field.order - 1),
+                                            min_size=int(np.prod(shape)),
+                                            max_size=int(np.prod(shape))))).reshape(shape)
+        got, want = f.evaluate_codes(codes), reference.evaluate_codes(f, codes)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert (got == want).all()
 
     def test_monic_and_scale(self):
         f = Polynomial(F9, [1, 2])  # 2x + 1
@@ -287,6 +303,67 @@ class TestBatchedArithmetic:
             f = Polynomial(field, moduli[i].tolist() + [1])
             want = pow_mod(Polynomial(field, base[i].tolist()), e, f)
             assert got[i].tolist() == list(want.coeffs) + [0] * (f.degree - len(want.coeffs))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fold_mod_matches_scalar(self, data):
+        # one modulus for all rows of any width >= d (goppa_via_crt's shape),
+        # or one modulus per row (batch_mul_mod's shape)
+        field = data.draw(st.sampled_from(BATCH_FIELDS))
+        n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+        width = data.draw(st.integers(d, 3 * d + 8))
+        count = 1 if data.draw(st.booleans()) else n
+        codes = st.integers(0, field.order - 1)
+        rows, moduli = (
+            np.array(data.draw(st.lists(st.lists(codes, min_size=w, max_size=w),
+                                        min_size=k, max_size=k)), dtype=np.int16)
+            for k, w in ((n, width), (count, d))
+        )
+        got = _fold_mod(field, rows.copy(), moduli)
+        assert got.shape == (n, d)
+        for i in range(n):
+            f = Polynomial(field, moduli[i % count].tolist() + [1])
+            want = Polynomial(field, rows[i].tolist()) % f
+            assert got[i].tolist() == list(want.coeffs) + [0] * (d - len(want.coeffs))
+
+    @pytest.mark.parametrize("field,d,width,count", [
+        (F9, 2, 30, 1), (build_tower(7, 1, 2), 3, 60, 1), (F16, 1, 5, 1),
+        (build_tower(5, 1, 2), 4, 7, 3), (F8, 5, 9, 3),
+    ])
+    def test_fold_mod_fixed_shapes(self, field, d, width, count):
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, field.order, size=(3, width)).astype(np.int16)
+        moduli = rng.integers(0, field.order, size=(count, d)).astype(np.int16)
+        got = _fold_mod(field, rows.copy(), moduli)
+        for i in range(3):
+            f = Polynomial(field, moduli[i % count].tolist() + [1])
+            want = Polynomial(field, rows[i].tolist()) % f
+            assert got[i].tolist() == list(want.coeffs) + [0] * (d - len(want.coeffs))
+
+
+POW_FIELDS = [build_tower(2, 1, 1), build_tower(3, 1, 1), F4, F9, F16,
+              build_tower(5, 1, 2), build_tower(2, 2, 3), build_tower(3, 2, 2)]
+
+
+class TestPower:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_square_and_multiply(self, data):
+        field = data.draw(st.sampled_from(POW_FIELDS))
+        base = Polynomial(field, data.draw(st.lists(
+            st.integers(0, field.order - 1), max_size=5)))
+        e = data.draw(st.integers(0, 300))
+        assert base**e == reference.poly_pow(base, e)
+
+    def test_norm_exponent_and_edges(self):
+        F81 = build_tower(3, 2, 2)
+        g = Polynomial(F81, [5, 0, 7, 1])
+        assert g ** F81.norm_exponent == reference.poly_pow(g, F81.norm_exponent)
+        assert Polynomial.zero(F4) ** 0 == Polynomial.one(F4)
+        assert Polynomial.zero(F4) ** 9 == Polynomial.zero(F4)
+        with pytest.raises(ValueError):
+            Polynomial.x(F4) ** -1
 
 
 class TestRootCounting:
