@@ -37,6 +37,7 @@ from .goppa import (
     GoppaSpec,
     full_support,
     goppa_code,
+    goppa_power_codes,
     goppa_via_crt,
     grs_pair,
     parse_goppa_poly_spec,
@@ -107,6 +108,7 @@ __all__ = [
     "GoppaSpec",
     "full_support",
     "goppa_code",
+    "goppa_power_codes",
     "goppa_via_crt",
     "grs_pair",
     "parse_goppa_poly_spec",

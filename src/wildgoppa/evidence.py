@@ -26,6 +26,7 @@ A scan gives up after WITNESS_SCAN_BUDGET candidates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -177,15 +178,16 @@ def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
     return lam
 
 
+@functools.lru_cache(maxsize=16)
 def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
     """(K, phi), phi spanning the kernel of K stacked on the rows g*z^j*x^l
-    of g*F[x]_{<e t}.
+    of g*F[x]_{<e t}, for a monic g.
 
     The stack has m (e+1) t - 1 rows, so one kernel row is full row rank:
     the multiples of g are independent and meet K trivially.  Raises
     BudgetExceeded before any work when the stack has over
     K_STACK_CELL_BUDGET cells, and FalsificationError when dim K or the
-    stacked rank is off.
+    stacked rank is off.  Cached: the checks of one run share one kernel.
     """
     t = int(g.degree)
     m = field.m

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 # Tables are order x order; 1024 keeps the worst case (int16 entries) at 2 MB
-# per table while covering every field the verifiers need (largest is 512).
+# per table and admits F_1024, the largest field the benchmark and tests build.
 ORDER_CAP = 1024
 
 _TABLE_DTYPE = np.int16

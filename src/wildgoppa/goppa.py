@@ -5,8 +5,9 @@ field F_(q^m) and a Goppa polynomial G with no roots on the support; the
 code consists of the vectors c over F_q whose syndrome sum of c_i/(x - a_i)
 vanishes modulo G. Two independent constructions are provided:
 
-* ``goppa_code`` builds the standard parity check with rows a_i^j / G(a_i)
-  for j < deg G and takes the F_q kernel;
+* ``goppa_power_codes`` builds the standard parity check, rows a_i^l / G(a_i)
+  for l < deg G, of G = h * g^j from deg G and the values h(a_i) g(a_i)^j
+  alone and takes its F_q kernel; ``goppa_code`` is its j = 1 case;
 * ``goppa_via_crt`` evaluates the defining membership map directly, sending
   c to sum of c_i * (prod_L / (x - a_i) mod G) and taking the kernel of its
   coefficient matrix. The columns come from array passes over all support
@@ -40,14 +41,24 @@ __all__ = [
     "punctured_support",
     "support_codes",
     "goppa_code",
+    "goppa_power_codes",
     "goppa_via_crt",
     "grs_pair",
     "parse_support_spec",
     "parse_goppa_poly_spec",
 ]
 
-# largest degree d*s that an "irreducible:d^s" spec may ask for
+# largest degree d*s that an "irreducible:d^s" spec may ask for, and t*j
+# for the top power g^j of a chain or Sugiyama check
 SPEC_POWER_DEGREE_BUDGET = 10**5
+
+
+def require_power_degree(name: str, degree: int) -> None:
+    """Raise BudgetExceeded when the named power's degree is over
+    SPEC_POWER_DEGREE_BUDGET."""
+    if degree > SPEC_POWER_DEGREE_BUDGET:
+        raise BudgetExceeded(f"{name} has degree {degree}, over "
+                             f"SPEC_POWER_DEGREE_BUDGET = {SPEC_POWER_DEGREE_BUDGET}")
 
 
 def support_codes(field: Field, support: Sequence) -> tuple[int, ...]:
@@ -84,12 +95,21 @@ def punctured_support(field: Field, removed: Iterable) -> tuple[int, ...]:
     return tuple(c for c in range(field.order) if c not in gone)
 
 
+def _values_off_roots(g: Polynomial, support: tuple[int, ...]) -> np.ndarray:
+    """g(a_i) for each support point, refusing a root on the support."""
+    vals = g.evaluate_codes(np.array(support, dtype=np.int64))
+    if (vals == 0).any():
+        bad = [int(s) for s, v in zip(support, vals) if v == 0]
+        raise ValueError(f"Goppa polynomial vanishes on support points {bad}")
+    return vals
+
+
 @dataclass(frozen=True)
 class GoppaSpec:
     """A validated (support, Goppa polynomial) pair over a tower.
 
     ``goppa_values`` holds G(a_i) for each support point, the evaluation
-    that rejects roots on the support, kept for ``goppa_code``.
+    that rejects roots on the support, kept for ``goppa_power_codes``.
     """
 
     field: Field
@@ -106,10 +126,7 @@ class GoppaSpec:
             raise ValueError("Goppa polynomial must live over the top field")
         if g.degree is NEG_INF or g.degree < 1:
             raise ValueError("Goppa polynomial must have degree >= 1")
-        vals = g.evaluate_codes(np.array(self.support, dtype=np.int64))
-        if (vals == 0).any():
-            bad = [int(s) for s, v in zip(self.support, vals) if v == 0]
-            raise ValueError(f"Goppa polynomial vanishes on support points {bad}")
+        vals = _values_off_roots(g, self.support)
         vals.setflags(write=False)
         object.__setattr__(self, "goppa_values", vals)
 
@@ -129,21 +146,46 @@ def vandermonde_rows(field: Field, points, mult, count: int) -> np.ndarray:
     return rows
 
 
-def goppa_code(spec: GoppaSpec) -> LinearCode:
-    """The Goppa code over F_q via the standard parity check.
+def value_powers(field: Field, values: np.ndarray, j: int) -> np.ndarray:
+    """values**j for nonzero codes, any int j: one exp/log table step."""
+    n1 = field.order - 1
+    return field._exp[field._log[values] * (j % n1) % n1]
 
-    Rows of the parity matrix over the top field are a_i^j / G(a_i) for
-    0 <= j < deg G; the code is the F_q kernel of the coordinate expansion.
-    When deg G >= n the first n rows are a scaled Vandermonde matrix on
-    distinct points, of rank n, so the code is zero without any elimination.
+
+def goppa_power_codes(
+    spec: GoppaSpec, exponents: Sequence[int], cofactor: Polynomial | None = None
+) -> list[LinearCode]:
+    """The Goppa codes for G = h * g^j, j >= 1 in exponents, g the spec's
+    polynomial and h the cofactor (default 1), from deg G = deg h + j deg g
+    and the values G(a_i) = h(a_i) g(a_i)^j alone: g^j is never formed.
+
+    The parity rows a_i^l / G(a_i), l < deg G, have the code as the F_q
+    kernel of their expansion. When deg G >= n the first n rows are a scaled
+    Vandermonde matrix on distinct points, of rank n: the code is zero.
     """
-    field = spec.field
-    L = np.array(spec.support, dtype=np.int64)
-    d = int(spec.goppa_poly.degree)
-    if d >= len(L):
-        return LinearCode.zero_code(field.subfield, len(L))
-    inv = field.inv_table[spec.goppa_values]
-    return subfield_kernel(field, vandermonde_rows(field, L, inv, d))
+    field, n = spec.field, spec.n
+    h_deg, h_inv = 0, 1
+    if cofactor is not None:
+        if cofactor.field != field:
+            raise ValueError("cofactor must live over the top field")
+        h_inv = field.inv_table[_values_off_roots(cofactor, spec.support)]
+        h_deg = int(cofactor.degree)
+    codes = []
+    for j in exponents:
+        if j < 1:
+            raise ValueError(f"exponents must be >= 1, got {j}")
+        d = h_deg + j * int(spec.goppa_poly.degree)
+        if d >= n:
+            codes.append(LinearCode.zero_code(field.subfield, n))
+            continue
+        inv = field.mul_table[h_inv, value_powers(field, spec.goppa_values, -j)]
+        codes.append(subfield_kernel(field, vandermonde_rows(field, spec.support, inv, d)))
+    return codes
+
+
+def goppa_code(spec: GoppaSpec) -> LinearCode:
+    """The Goppa code of the spec's polynomial: goppa_power_codes at j = 1."""
+    return goppa_power_codes(spec, (1,))[0]
 
 
 def _crt_matrix(spec: GoppaSpec) -> np.ndarray:
@@ -282,10 +324,6 @@ def parse_goppa_poly_spec(field: Field, text: str) -> Polynomial:
         if s < 1:
             raise ValueError(f"power must be >= 1 in {text!r}")
         base = parse_poly_spec(field, head)
-        if base.degree * s > SPEC_POWER_DEGREE_BUDGET:
-            raise BudgetExceeded(
-                f"{text!r} has degree {base.degree * s}, over "
-                f"SPEC_POWER_DEGREE_BUDGET = {SPEC_POWER_DEGREE_BUDGET}"
-            )
+        require_power_degree(repr(text), base.degree * s)
         return base**s
     return parse_poly_spec(field, text)

@@ -13,23 +13,25 @@ coincide, where e + 1 = (q^m - 1)/(q - 1) is the norm exponent of the tower
   g with no roots on the support,
 * an equivalence with a Reed-Solomon subfield subcode via a norm diagonal.
 
-Every verifier recomputes the codes from scratch and raises
+Every verifier builds its codes from deg g^j and the values g(a_i)^j
+(``goppa.goppa_power_codes``), never from g^j itself, and raises
 :class:`FalsificationError` when an identity that should hold does not; bad
-inputs raise ValueError instead.
+inputs raise ValueError instead. A chain or Sugiyama check whose top power
+has degree over ``goppa.SPEC_POWER_DEGREE_BUDGET`` raises BudgetExceeded
+before any code is built.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .codes import LinearCode
-from .errors import BudgetExceeded, FalsificationError
+from .errors import FalsificationError
 from .gf import Field
-from .goppa import GoppaSpec, goppa_code, support_codes, vandermonde_rows
+from .goppa import GoppaSpec, goppa_power_codes, require_power_degree
+from .goppa import support_codes, vandermonde_rows
 from .poly import Polynomial, count_distinct_roots, gcd, is_squarefree
 
 __all__ = [
@@ -42,17 +44,6 @@ __all__ = [
     "verify_coprime_factor_chain",
     "rs_equivalence",
 ]
-
-
-# Cells one verifier may spend on the Goppa polynomials g^j it builds. Each
-# g^j is evaluated at the n support points, deg(g^j) * n table lookups, and
-# taking the power of a g of small degree costs about as much as 32 more
-# lookups per unit of degree, so g^j is charged deg(g^j) * (n + 32). One
-# cell took 20-25 ns on a 2-core host over F_4, F_81 and F_1024, so the
-# budget is 2-3 s; a chain or a Sugiyama check with a large s reaches it
-# first. (For a g of large degree the products inside the power grow with
-# deg(g) too, and are not charged.)
-GOPPA_POWER_CELL_BUDGET = 10**8
 
 
 def wild_exponent(field: Field) -> int:
@@ -78,26 +69,10 @@ class IdentityReport:
     exponents: tuple[int, ...]
     dims: tuple[int, ...]
     equal: tuple[bool, ...]
-    gap: int | None
-    distinct_roots: int | None
+    gap: int
+    distinct_roots: int
     elapsed: float
     note: str = ""
-
-
-def _codes_for_exponents(
-    field: Field, support: Sequence, g: Polynomial, exponents: Sequence[int]
-) -> list[LinearCode]:
-    """The Goppa codes for g^j, j in exponents; raises BudgetExceeded before
-    any power is taken when they would cost over GOPPA_POWER_CELL_BUDGET."""
-    support = tuple(support)
-    cells = int(g.degree) * sum(exponents) * (len(support) + 32)
-    if cells > GOPPA_POWER_CELL_BUDGET:
-        raise BudgetExceeded(
-            f"Goppa polynomials g^j for j = {exponents[0]}..{exponents[-1]} on "
-            f"{len(support)} points need {cells} cells, over "
-            f"GOPPA_POWER_CELL_BUDGET = {GOPPA_POWER_CELL_BUDGET}"
-        )
-    return [goppa_code(GoppaSpec(field, support, g**j)) for j in exponents]
 
 
 def _check_inclusions(codes: list[LinearCode], exponents: Sequence[int], ctx: str) -> None:
@@ -116,24 +91,28 @@ def _report(
     support: Sequence,
     g: Polynomial,
     exponents: Sequence[int],
-    codes: list[LinearCode],
-    r: int | None,
+    r: int,
     t0: float,
-    note: str = "",
+    ctx: str,
+    cofactor: Polynomial | None = None,
 ) -> IdentityReport:
+    """Build the codes for h * g^j, j in exponents (h the cofactor, default
+    1), check their inclusions and report on them."""
+    spec = GoppaSpec(field, support, g)
+    codes = goppa_power_codes(spec, exponents, cofactor)
+    _check_inclusions(codes, exponents, ctx)
     dims = tuple(c.k for c in codes)
     return IdentityReport(
         q=field.q,
         m=field.m,
         t=int(g.degree),
-        n=len(tuple(support)),
+        n=spec.n,
         exponents=tuple(int(j) for j in exponents),
         dims=dims,
         equal=tuple(codes[i] == codes[i + 1] for i in range(len(codes) - 1)),
         gap=dims[0] - dims[-1],
         distinct_roots=r,
         elapsed=time.monotonic() - t0,
-        note=note,
     )
 
 
@@ -151,10 +130,7 @@ def verify_theorem1(field: Field, support: Sequence, g: Polynomial) -> IdentityR
             "the equality only holds for rootless g (see dimension_gap)"
         )
     e = wild_exponent(field)
-    exponents = (e, e + 1)
-    codes = _codes_for_exponents(field, support, g, exponents)
-    _check_inclusions(codes, exponents, "verify_theorem1")
-    rep = _report(field, support, g, exponents, codes, r, t0)
+    rep = _report(field, support, g, (e, e + 1), r, t0, "verify_theorem1")
     if not all(rep.equal):
         raise FalsificationError(
             f"wild equality failed: q={field.q} m={field.m} "
@@ -173,11 +149,7 @@ def dimension_gap(field: Field, support: Sequence, g: Polynomial) -> IdentityRep
     t0 = time.monotonic()
     r = count_distinct_roots(g)
     e = wild_exponent(field)
-    exponents = (e, e + 1)
-    codes = _codes_for_exponents(field, support, g, exponents)
-    _check_inclusions(codes, exponents, "dimension_gap")
-    rep = _report(field, support, g, exponents, codes, r, t0)
-    assert rep.gap is not None
+    rep = _report(field, support, g, (e, e + 1), r, t0, "dimension_gap")
     if rep.gap > r:
         raise FalsificationError(
             f"dimension gap {rep.gap} exceeds distinct-root count {r}: "
@@ -200,9 +172,8 @@ def verify_chain(
     e = wild_exponent(field)
     lo = s * e - 1 if is_squarefree(h) else s * e
     exponents = tuple(range(lo, s * (e + 1) + 1))
-    codes = _codes_for_exponents(field, support, h, exponents)
-    _check_inclusions(codes, exponents, "verify_chain")
-    rep = _report(field, support, h, exponents, codes, r, t0)
+    require_power_degree(f"g^{exponents[-1]}", int(h.degree) * exponents[-1])
+    rep = _report(field, support, h, exponents, r, t0, "verify_chain")
     if not all(rep.equal):
         first_bad = rep.equal.index(False)
         raise FalsificationError(
@@ -224,7 +195,8 @@ def verify_sugiyama(
         raise ValueError("identity needs a squarefree base polynomial")
     q = field.q
     exponents = (s * q - 1, s * q)
-    codes = _codes_for_exponents(field, support, g, exponents)
+    require_power_degree(f"g^{s * q}", int(g.degree) * s * q)
+    codes = goppa_power_codes(GoppaSpec(field, support, g), exponents)
     _check_inclusions(codes, exponents, "verify_sugiyama")
     if codes[0] != codes[1]:
         raise FalsificationError(
@@ -254,28 +226,24 @@ def verify_coprime_factor_chain(
     if gcd(g, h).degree != 0:
         raise ValueError("cofactor must be coprime to the base polynomial")
     e = wild_exponent(field)
-    exponents = (e - 1, e, e + 1)
-    codes = [
-        goppa_code(GoppaSpec(field, tuple(support), h * g**j)) for j in exponents
-    ]
-    _check_inclusions(codes, exponents, "verify_coprime_factor_chain")
-    if codes[1] != codes[2]:
+    rep = _report(field, support, g, (e - 1, e, e + 1), r, t0,
+                  "verify_coprime_factor_chain", cofactor=h)
+    if not rep.equal[1]:
         raise FalsificationError(
             f"cofactor chain failed on the e/e+1 link: q={field.q} "
-            f"m={field.m} g={g!r} h={h!r} dims={[c.k for c in codes]}"
+            f"m={field.m} g={g!r} h={h!r} dims={list(rep.dims)}"
         )
-    note = ""
-    if codes[0] != codes[1]:
-        if is_squarefree(g):
-            raise FalsificationError(
-                f"cofactor chain failed on the e-1/e link for squarefree g: "
-                f"q={field.q} m={field.m} g={g!r} h={h!r}"
-            )
-        note = (
-            "left link (exponent e-1) failed; statement suspected to be a "
-            "typo for squarefree bases"
+    if rep.equal[0]:
+        return rep
+    if is_squarefree(g):
+        raise FalsificationError(
+            f"cofactor chain failed on the e-1/e link for squarefree g: "
+            f"q={field.q} m={field.m} g={g!r} h={h!r}"
         )
-    return _report(field, support, g, exponents, codes, r, t0, note=note)
+    return replace(rep, note=(
+        "left link (exponent e-1) failed; statement suspected to be a "
+        "typo for squarefree bases"
+    ))
 
 
 def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
@@ -306,7 +274,8 @@ def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
             f"Reed-Solomon dimension q^m - t*(e+1) = {k} is not positive"
         )
 
-    gamma = goppa_code(GoppaSpec(field, L, g**e1))
+    spec = GoppaSpec(field, L, g)
+    (gamma,) = goppa_power_codes(spec, (e1,))
 
     # RS_k restricted to F_q on the full support, then shortened to L;
     # positions in the full support are exactly the element codes.
@@ -316,17 +285,10 @@ def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
     if removed:
         rs_sub = rs_sub.shorten(removed)
 
-    # apply the norm diagonal to the RS side
+    # apply the norm diagonal N(g(a_i)) to the RS side
     sub = field.subfield
-    Lv = np.array(L, dtype=np.int64)
-    Nv = field.norm_table[g.evaluate_codes(Lv)].astype(np.int64)
-    if (Nv == 0).any():
-        raise RuntimeError("norm multiplier vanished; unreachable for rootless g")
-    mapped = LinearCode(
-        sub,
-        len(L),
-        sub.mul_table[rs_sub.generator.astype(np.int64), Nv[None, :]],
-    )
+    norms = field.norm_table[spec.goppa_values]
+    mapped = LinearCode(sub, len(L), sub.mul_table[rs_sub.generator, norms])
     if mapped != gamma:
         raise FalsificationError(
             f"norm-diagonal equivalence failed: q={field.q} m={field.m} "

@@ -29,7 +29,10 @@ support product built one ``Polynomial`` product at a time, then one scalar
 division by x - a_i and one reduction mod G per support point.
 ``poly_pow`` is the original ``Polynomial`` power, square and multiply on
 the whole exponent, and ``evaluate_codes`` the original evaluation, one
-Horner step per coefficient.
+Horner step per coefficient. ``goppa_code`` is the original parity-check
+construction from the values G(a_i) of one spec, and ``goppa_power_codes``
+the original codes of the powers h * g^j: each polynomial formed, evaluated
+on the support and passed to ``goppa_code``.
 None of these is used by the library.
 """
 
@@ -40,7 +43,7 @@ import numpy as np
 from wildgoppa.codes import LinearCode, subfield_kernel
 from wildgoppa.evidence import DecompositionReport, _K_plus_gF, tau
 from wildgoppa.gf import Field, digits
-from wildgoppa.goppa import GoppaSpec, full_support
+from wildgoppa.goppa import GoppaSpec, full_support, vandermonde_rows
 from wildgoppa.linalg import MatrixGF, rank
 from wildgoppa.poly import Polynomial, QuotientRing, irreducible_power, is_irreducible
 
@@ -362,3 +365,23 @@ def evaluate_codes(f: Polynomial, codes: np.ndarray) -> np.ndarray:
     for c in reversed(f.coeffs):
         acc = field.add_table[field.mul_table[acc, xs], np.int64(c)].astype(np.int64)
     return acc
+
+
+def goppa_code(spec: GoppaSpec) -> LinearCode:
+    """The F_q kernel of the rows a_i^l / G(a_i), l < deg G; the zero code
+    when deg G >= n."""
+    field = spec.field
+    L = np.array(spec.support, dtype=np.int64)
+    d = int(spec.goppa_poly.degree)
+    if d >= len(L):
+        return LinearCode.zero_code(field.subfield, len(L))
+    inv = field.inv_table[spec.goppa_values]
+    return subfield_kernel(field, vandermonde_rows(field, L, inv, d))
+
+
+def goppa_power_codes(spec: GoppaSpec, exponents, cofactor: Polynomial | None = None):
+    """[goppa_code(GoppaSpec(F, L, h * g**j)) for j in exponents], g the
+    spec's polynomial and h the cofactor (default 1)."""
+    h = Polynomial.one(spec.field) if cofactor is None else cofactor
+    return [goppa_code(GoppaSpec(spec.field, spec.support, h * spec.goppa_poly**j))
+            for j in exponents]

@@ -8,12 +8,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildgoppa import evidence
 from wildgoppa.cli import main
+from wildgoppa.gf import build_tower
+from wildgoppa.poly import Polynomial
 
 
 def run_main(capsys, *argv):
@@ -225,25 +228,25 @@ def cli_argv(draw):
 
 
 def run_cli_bounded(argv):
-    """Exit code, stderr and wall time of main(argv), argparse exits
+    """Exit code, stdout, stderr and wall time of main(argv), argparse exits
     included; any exception escaping main fails the calling test."""
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     t0 = time.monotonic()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a traceback at the console
             pytest.fail(f"{' '.join(argv)!r} raised {exc!r}")
-    return code, err.getvalue(), time.monotonic() - t0
+    return code, out.getvalue(), err.getvalue(), time.monotonic() - t0
 
 
 # derandomized, so that Tier-1 runs the same examples, in the same time
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(argv=cli_argv())
 def test_cli_fuzz_defined_exit(argv):
-    code, err, elapsed = run_cli_bounded(argv)
+    code, _, err, elapsed = run_cli_bounded(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     assert elapsed < FUZZ_WALL_LIMIT_S, (argv, elapsed)
@@ -266,15 +269,31 @@ def test_cli_fuzz_defined_exit(argv):
     ("evidence --p 2 --m 10 --g irreducible:2", 4),
     ("verify --p 2 --a 5 --m 2 --g irreducible:3", 0),
     ("verify --p 2 --m 2 --g irreducible:300", 4),
-    ("verify --p 2 --m 2 --g irreducible:2 --s 999", 4),
+    ("verify --p 2 --m 2 --g irreducible:2 --s 999", 0),
+    ("verify --p 2 --m 2 --g irreducible:2 --s 16667", 4),
 ])
 def test_probe_defined_exit_fast(argv, want):
     # bad p, m = 1, g = 0 or 1, ^0, duplicate support, s = 0, a bad lambda,
-    # the m = 10 cases, the F_1024 case, irreducible:300 over F_4, and a
-    # chain of 1,001 powers of degree up to 5,994 (GOPPA_POWER_CELL_BUDGET)
-    code, err, elapsed = run_cli_bounded(argv.split())
+    # the m = 10 cases, the F_1024 case, irreducible:300 over F_4, a chain
+    # of 1,001 zero codes (g^j of degree up to 5,994 >= n = 4), and one whose
+    # top power g^50001 has degree 100,002, over SPEC_POWER_DEGREE_BUDGET
+    code, _, err, elapsed = run_cli_bounded(argv.split())
     assert code == want, err
     assert "Traceback" not in err
+    assert elapsed < 5.0
+
+
+def test_probe_dense_g_fast():
+    # a dense rootless g of degree 30,000 over F_4: deg g^j >= n = 4, so both
+    # codes are zero, and no power of g is formed
+    field = build_tower(2, 1, 2)
+    coeffs = [1 + i % 3 for i in range(30_000)] + [1]
+    coeffs[0] = next(c for c in (1, 2, 3)
+                     if Polynomial(field, [c] + coeffs[1:]).evaluate_codes(np.arange(4)).all())
+    argv = ["verify", "--p", "2", "--m", "2", "--g", ",".join(map(str, coeffs))]
+    code, out, err, elapsed = run_cli_bounded(argv)
+    assert code == 0, err
+    assert out.splitlines() == ["exponents (2, 3) dims (0, 0)", "equal: yes"]
     assert elapsed < 5.0
 
 
@@ -349,6 +368,20 @@ def test_evidence_output(capsys):
     assert code == 0
     assert "dim K = 3" in out
     assert "12 = 3 + 1 + 8" in out
+
+
+def test_evidence_builds_one_stack(capsys, monkeypatch):
+    # verify_K_properties and find_decomposition share one K + g*F
+    # elimination: one stack kernel per run
+    evidence._K_plus_gF.cache_clear()
+    shapes = []
+    real = evidence.kernel
+    monkeypatch.setattr(evidence, "kernel", lambda M: shapes.append(M.shape) or real(M))
+    code, out, _ = run_main(
+        capsys, "evidence", "--p", "2", "--a", "2", "--m", "2", "--g", "irreducible:2",
+    )
+    assert code == 0 and "decomposition witness" in out
+    assert shapes == [(19, 20)]
 
 
 def test_evidence_linear_base_skips_decomposition(capsys):

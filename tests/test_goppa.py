@@ -16,14 +16,16 @@ from wildgoppa.goppa import (
     _crt_matrix,
     full_support,
     goppa_code,
+    goppa_power_codes,
     goppa_via_crt,
     grs_pair,
     parse_goppa_poly_spec,
     parse_support_spec,
     punctured_support,
     support_codes,
+    value_powers,
 )
-from wildgoppa.poly import Polynomial, find_irreducible, gcd
+from wildgoppa.poly import Polynomial, count_distinct_roots, find_irreducible, gcd
 
 F4 = build_tower(2, 1, 2)
 F8 = build_tower(2, 1, 3)
@@ -114,6 +116,68 @@ class TestAgainstDefinition:
             spec = GoppaSpec(F16, support, g)
             assert goppa_code(spec) == goppa_via_crt(spec)
             assert goppa_code(spec).k == 0
+
+
+# towers of order 4 to 49 with m >= 2, odd p included
+POWER_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2),
+                (3, 1, 3), (7, 1, 2)]
+
+
+@st.composite
+def power_cases(draw, tower, rootless):
+    """(spec of g, exponents 1..e+2, cofactor or None): g of degree 1-3,
+    monic or not, on the full support when it is rootless and on the
+    support minus its roots otherwise, in a drawn order; a cofactor h of
+    degree 0-2 also drops its roots from the support."""
+    field = build_tower(*tower)
+    order = field.order
+    codes, units = st.integers(0, order - 1), st.integers(1, order - 1)
+    d = draw(st.integers(2 if rootless else 1, 3))
+    g = Polynomial(field, draw(st.lists(codes, min_size=d, max_size=d)) + [draw(units)])
+    assume((count_distinct_roots(g) == 0) == rootless)
+    h = None
+    if draw(st.booleans()):
+        dh = draw(st.integers(0, 2))
+        h = Polynomial(field, draw(st.lists(codes, min_size=dh, max_size=dh)) + [draw(units)])
+    points = np.array(draw(st.permutations(range(order))), dtype=np.int64)
+    keep = g.evaluate_codes(points) != 0
+    if h is not None:
+        keep &= h.evaluate_codes(points) != 0
+    assume(keep.any())
+    spec = GoppaSpec(field, tuple(points[keep].tolist()), g)
+    e = field.norm_exponent - 1
+    return spec, tuple(range(1, e + 3)), h
+
+
+class TestPowerCodes:
+    @pytest.mark.parametrize("tower", POWER_TOWERS)
+    @pytest.mark.parametrize("rootless", [True, False])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_matches_polynomial_powers(self, tower, rootless, data):
+        spec, exponents, h = data.draw(power_cases(tower, rootless))
+        got = goppa_power_codes(spec, exponents, cofactor=h)
+        assert got == reference.goppa_power_codes(spec, exponents, cofactor=h)
+
+    @pytest.mark.parametrize("tower", [(2, 1, 2), (3, 1, 2), (2, 5, 2), (3, 2, 3)])
+    def test_value_powers_past_int64(self, tower):
+        # j is reduced mod q^m - 1 before it meets the int64 log table
+        field = build_tower(*tower)
+        values = np.arange(1, field.order, dtype=np.int64)
+        for j in (2**63, 2**63 + 1, 2**64 + 5, 3**50, -(2**63) - 3):
+            want = [(field.element(int(c)) ** j).code for c in values]
+            assert value_powers(field, values, j).tolist() == want
+
+    def test_rejects_bad_cofactor_and_exponent(self):
+        spec = GoppaSpec(F4, full_support(F4), find_irreducible(F4, 2))
+        with pytest.raises(ValueError, match=r"vanishes on support points \[0\]"):
+            goppa_power_codes(spec, (1,), cofactor=Polynomial.x(F4))
+        with pytest.raises(ValueError, match=r"vanishes on support points \[0, 1, 2, 3\]"):
+            goppa_power_codes(spec, (1,), cofactor=Polynomial.zero(F4))
+        with pytest.raises(ValueError, match="cofactor must live over the top field"):
+            goppa_power_codes(spec, (1,), cofactor=Polynomial.one(F8))
+        with pytest.raises(ValueError, match="exponents must be >= 1"):
+            goppa_power_codes(spec, (0,))
 
 
 # every tower of order 4 to 81 with m >= 2, odd p included

@@ -141,20 +141,31 @@ class TestChain:
             verify_chain(F4t, full_support(F4t), g, 0)
 
     def test_power_budget(self, monkeypatch):
-        # s = 2 builds g^3 .. g^6, total degree 2 * 18 = 36, on 4 points:
-        # 36 * (4 + 32) = 1296 cells. At the budget it runs, one below it is
-        # refused before any power is taken.
+        # s = 2 builds the codes of g^3 .. g^6; the top power has degree
+        # 2 * 6 = 12. At SPEC_POWER_DEGREE_BUDGET = 12 it runs, at 11 it is
+        # refused before any code is built.
+        import wildgoppa.goppa as goppa_mod
         import wildgoppa.identities as identities_mod
 
         g = find_irreducible(F4t, 2)
-        monkeypatch.setattr(identities_mod, "GOPPA_POWER_CELL_BUDGET", 1296)
+        monkeypatch.setattr(goppa_mod, "SPEC_POWER_DEGREE_BUDGET", 12)
         assert verify_chain(F4t, full_support(F4t), g, 2).exponents == (3, 4, 5, 6)
-        monkeypatch.setattr(identities_mod, "GOPPA_POWER_CELL_BUDGET", 1295)
-        with pytest.raises(BudgetExceeded, match="need 1296 cells"):
+        monkeypatch.setattr(goppa_mod, "SPEC_POWER_DEGREE_BUDGET", 11)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a code was built past the budget")
+
+        monkeypatch.setattr(identities_mod, "goppa_power_codes", forbidden)
+        with pytest.raises(BudgetExceeded, match="g\\^6 has degree 12, over "
+                           "SPEC_POWER_DEGREE_BUDGET = 11"):
             verify_chain(F4t, full_support(F4t), g, 2)
         monkeypatch.undo()
-        with pytest.raises(BudgetExceeded, match="j = 1997..2997 on 4 points"):
-            verify_chain(F4t, full_support(F4t), g, 999)
+        # at the real bound of 10^5: s = 16666 ends at g^49998, degree
+        # 99,996, and answers with zero codes; s = 16667 ends at degree 100,002
+        rep = verify_chain(F4t, full_support(F4t), g, 16666)
+        assert rep.exponents[-1] == 49998 and set(rep.dims) == {0}
+        with pytest.raises(BudgetExceeded, match="g\\^50001 has degree 100002"):
+            verify_chain(F4t, full_support(F4t), g, 16667)
 
 
 class TestSugiyama:
@@ -175,6 +186,14 @@ class TestSugiyama:
         x = Polynomial.x(F4t)
         with pytest.raises(ValueError):
             verify_sugiyama(F4t, punctured_support(F4t, [0]), x * x)
+
+    def test_power_budget(self):
+        # g = x over F_4: s = 50000 ends at x^100000, at the bound of 10^5
+        x = Polynomial.x(F4t)
+        support = punctured_support(F4t, [0])
+        assert verify_sugiyama(F4t, support, x, 50000)
+        with pytest.raises(BudgetExceeded, match="g\\^100002 has degree 100002"):
+            verify_sugiyama(F4t, support, x, 50001)
 
     def test_randomised_squarefree_sweep(self):
         rng = np.random.default_rng(31)
@@ -250,6 +269,30 @@ class TestRsEquivalence:
         x = Polynomial.x(F16t)
         with pytest.raises(ValueError):
             rs_equivalence(F16t, punctured_support(F16t, [0]), x)
+
+
+class TestNoPolynomialPowers:
+    def test_verifiers_and_tables_take_no_power(self, monkeypatch, capsys):
+        # every code comes from deg g^j and the values g(a_i)^j
+        from wildgoppa.cli import main
+
+        g4, g9, g16 = (find_irreducible(F, 2) for F in (F4t, F9t, F16t))
+        x4, x8 = Polynomial.x(F4t), Polynomial.x(F8t)
+
+        def forbidden(self, e):
+            raise AssertionError(f"Polynomial power ** {e}")
+
+        monkeypatch.setattr(Polynomial, "__pow__", forbidden)
+        assert all(verify_theorem1(F9t, full_support(F9t), g9).equal)
+        assert dimension_gap(F8t, punctured_support(F8t, [0]), x8).gap == 1
+        assert all(verify_chain(F4t, full_support(F4t), g4, 2).equal)
+        assert verify_sugiyama(F9t, punctured_support(F9t, [0]), Polynomial.x(F9t), 2)
+        rep = verify_coprime_factor_chain(F4t, punctured_support(F4t, [0]), g4, x4)
+        assert all(rep.equal)
+        assert rs_equivalence(F16t, full_support(F16t), g16)
+        assert main(["table", "--id", "2"]) == 0
+        assert main(["table", "--id", "1", "--budget", "0"]) == 0
+        capsys.readouterr()
 
 
 class TestFalsificationPath:
