@@ -2,26 +2,28 @@
 
 A polynomial of degree < D over F_{q^m} flattens to a vector of length m*D
 over F_q (coefficient-major, coordinate-minor), so K = im(a -> a^q - a) is
-a LinearCode over F_q, and K + g*F[x]_{<et} is the kernel of one functional
-phi.  The tau spans are trace codes of goppa.vandermonde_rows codes
-(Delsarte 1975).  Each verification returns a report or raises
-FalsificationError with the offending witness.
+a LinearCode over F_q.  Since F[x]_{<(e+1)t} = F[x]_{<t} + g*F[x]_{<et},
+the functional whose kernel is K + g*F[x]_{<et} only sees residues mod g:
+it is psi, the one functional on F[x]/(g) that kills K mod g, found from
+the m*t generators of K alone.  The tau spans are trace codes of
+goppa.vandermonde_rows codes (Delsarte 1975).  Each verification returns a
+report or raises FalsificationError with the offending witness.
 
 The absolute trace of F[x]/(h) to F_q is F_q-linear: each check that needs
 it sums q-power orbits only for the m*deg(h) basis residues z^j x^l, once,
 and the trace of any residue is the F_q dot product of that trace form
 with the residue flattened below deg(h).
 
-Both witness scans need the norm power a^N, N = 1 + q + ... + q^(m-1), of
-every candidate a. In characteristic p, a^(q^i) is a with each coefficient
+Both witness scans test a form on lam * a^N mod a modulus, N = 1 + q + ...
++ q^(m-1): psi mod g in find_decomposition, the trace form mod h in
+startkey_search.  In characteristic p, a^(q^i) is a with each coefficient
 raised to q^i (the field's Frobenius table) and x sent to x^(q^i), so a^N
 is the product of the m Frobenius images, formed for a whole chunk of
-candidates at once: unreduced as shifted multiply-adds in
-find_decomposition, and mod h in startkey_search through one table of
-x^(l q) mod h, the same q-power map that sums the trace form's orbits.
-Chunks come in index order and each is tested by one F_q dot product per
-candidate, so the first hit is the one a candidate-by-candidate scan finds.
-A scan gives up after WITNESS_SCAN_BUDGET candidates.
+candidates at once through one table of x^(l q) mod the modulus, the same
+q-power map that sums the trace form's orbits.  Chunks come in index order
+and each is tested by one F_q dot product per candidate, so the first hit
+is the one a candidate-by-candidate scan finds.  A scan gives up after
+WITNESS_SCAN_BUDGET candidates.
 """
 
 from __future__ import annotations
@@ -65,9 +67,13 @@ __all__ = [
     "verify_trace_kernel_mod",
 ]
 
-# Cells of the stacked K + g*F matrix whose kernel _K_plus_gF takes.
-# The largest instance in the tests and the benchmark, q = 2, m = 6, t = 2,
-# is 755 x 756; q = 2, m = 10, t = 2 would be about 4.2e8.
+# Budget of one evidence run, charged in _K_plus_gF before any work as the
+# cells of K + g*F[x]_{<et} written out, an (m (e+1) t - 1) x m (e+1) t
+# matrix.  That matrix is not built (its kernel comes from m t x m t), but
+# the size tracks the run's widest eliminations, the two trace codes of
+# verify_dual_reformulation: q = 2, m = 10, t = 2 (about 4.2e8 cells)
+# spends 12 s there on a 2-core x86-64 host.  The largest instance in the
+# tests and the benchmark, q = 2, m = 6, t = 2, is 755 x 756.
 K_STACK_CELL_BUDGET = 4_000_000
 
 # Candidates one witness scan may test before it raises BudgetExceeded. The
@@ -143,18 +149,6 @@ def build_K(field: Field, t: int, degree_bound: Optional[int] = None) -> LinearC
     return LinearCode(field.subfield, field.m * degree_bound, rows)
 
 
-def _multiples_of(g: Polynomial, count: int) -> list:
-    """g * z^j x^l for j < m, l < count: an F_q-basis of g*F[x]_{<count}."""
-    field = g.field
-    out = []
-    for l in range(count):
-        shifted = g * Polynomial.monomial(field, l)
-        for j in range(field.m):
-            zj = field.gen**j
-            out.append(shifted.scale(zj.code))
-    return out
-
-
 def _require_prime_power_factor(g: Polynomial):
     decomp = irreducible_power(g.monic())
     if decomp is None:
@@ -180,14 +174,20 @@ def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
 
 @functools.lru_cache(maxsize=16)
 def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
-    """(K, phi), phi spanning the kernel of K stacked on the rows g*z^j*x^l
-    of g*F[x]_{<e t}, for a monic g.
+    """(K, psi) for a monic g of degree t: K = build_K(field, t, (e+1) t)
+    and psi spanning the kernel of the m t generators of K reduced mod g
+    and flattened below t, an m t x m t matrix.
 
-    The stack has m (e+1) t - 1 rows, so one kernel row is full row rank:
-    the multiples of g are independent and meet K trivially.  Raises
-    BudgetExceeded before any work when the stack has over
-    K_STACK_CELL_BUDGET cells, and FalsificationError when dim K or the
-    stacked rank is off.  Cached: the checks of one run share one kernel.
+    K + g*F[x]_{<et} has rank m (e+1) t minus the number of kernel rows,
+    because it is (K mod g) + g*F; one kernel row is full rank, so K meets
+    g*F trivially.  Let phi be the functional on F[x]_{<(e+1)t} whose
+    kernel is K + g*F.  It kills g*F, so phi(w) = phi|_{<t}(w mod g); it
+    kills K, so phi|_{<t} kills K mod g and phi|_{<t} = c*psi, c in F_q*.
+
+    Raises BudgetExceeded before any work when the m (e+1) t - 1 rows of K
+    and g*F would span over K_STACK_CELL_BUDGET cells, and
+    FalsificationError when dim K or the rank is off.  Cached: the checks
+    of one run share one kernel.
     """
     t = int(g.degree)
     m = field.m
@@ -204,13 +204,14 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
         raise FalsificationError(
             f"dim K = {K.k}, expected {m * t - 1} for q={field.q} m={m} t={t}"
         )
-    g_rows = [flatten_poly(f, D) for f in _multiples_of(g, (e1 - 1) * t)]
-    phi = kernel(MatrixGF(field.subfield, np.vstack([K.generator, *g_rows]))).array
-    if phi.shape[0] != 1:
+    ring = QuotientRing(g)
+    reduced = [flatten_poly(ring.reduce(f), t) for f in mu_generators(field, t)]
+    psi = kernel(MatrixGF(field.subfield, np.array(reduced))).array
+    if psi.shape[0] != 1:
         raise FalsificationError(
-            f"K + g*F has rank {m * D - phi.shape[0]}, expected {K.k} + {rows - K.k}"
+            f"K + g*F has rank {m * D - psi.shape[0]}, expected {K.k} + {rows - K.k}"
         )
-    return K, phi[0]
+    return K, psi[0]
 
 
 def _ring_frobenius(ring: QuotientRing) -> np.ndarray:
@@ -303,30 +304,42 @@ def _first_witness(field: Field, degree: int, width: int, hits,
     return None
 
 
-def _twisted_norms(field: Field, lam: int, block: np.ndarray,
-                   degree_bound: int) -> np.ndarray:
-    """lam * a^N, N the norm exponent, for each candidate row a of block
-    (coefficient codes, low degree first), flattened below degree_bound.
+def _norm_map(ring: QuotientRing, lam: int):
+    """The map from an (N, r) block of residues a mod the ring's modulus
+    (coefficient codes, low degree first) to the residues lam * a^N, N the
+    norm exponent, in the same form.
 
-    a^N is the product of the Frobenius images a^(q^i), i < m; each has the
-    t coefficients of a at degrees l*q^i, so each product is t shifted
-    multiply-adds. degree_bound must exceed N*(t-1).
+    a^N is the product of the Frobenius images a^(q^i), i < m, each one
+    _frobenius step from the last; the modulus need not be irreducible.
     """
-    add, mul = _adder(field), _lookup(field.mul_table)
-    n, t = block.shape
-    prod = np.zeros((n, degree_bound), dtype=np.int16)
-    prod[:, :t] = mul(lam, block)
-    top, coeffs = t, block
-    for i in range(1, field.m):
-        coeffs = field.frobenius_table[coeffs]
-        step = field.q**i
-        out = np.zeros_like(prod)
-        for l in range(t):
-            span = slice(l * step, l * step + top)
-            out[:, span] = add(out[:, span], mul(coeffs[:, l : l + 1], prod[:, :top]))
-        prod = out
-        top += (t - 1) * step
-    return _flatten_codes(field, prod)
+    field = ring.field
+    table = _ring_frobenius(ring)
+    modulus = np.array(ring.modulus.coeffs[:-1], dtype=np.int16)
+    mul = _lookup(field.mul_table)
+
+    def norms(block):
+        moduli = np.broadcast_to(modulus, block.shape)
+        norm = cur = block
+        for _ in range(field.m - 1):
+            cur = _frobenius(field, table, cur)
+            norm = batch_mul_mod(field, norm, cur, moduli)
+        return mul(lam, norm)
+
+    return norms
+
+
+def _norm_scan(ring: QuotientRing, lam: int, form: np.ndarray,
+               what: str) -> Optional[int]:
+    """Index of the first residue a of the ring, in code order, whose
+    lam * a^N flattened has a nonzero F_q dot product with form; None when
+    there is none.  Raises BudgetExceeded as _first_witness does."""
+    field = ring.field
+    norms = _norm_map(ring, lam)
+
+    def hits(block):
+        return _trace(form, field.subfield, _flatten_codes(field, norms(block))) != 0
+
+    return _first_witness(field, ring.degree, field.m * ring.degree, hits, what)
 
 
 def _reduced_trace_kernel_dim(ring: QuotientRing, form: np.ndarray,
@@ -373,13 +386,14 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     (I) tau kills every element of K on the full evaluation set, since
         trace(y^q - y) = 0 pointwise.
     (II) K + g*F[x]_{<e t} has full row rank (m t - 1) + m e t, so K meets
-        g*F trivially.
+        g*F trivially: the m t generators of K reduced mod g have exactly
+        one kernel row, so K mod g keeps dim m t - 1 (see _K_plus_gF).
     (III) dim K = m t - 1, and reducing K mod h fills the full trace-zero
         hyperplane of F[x]/(h), of dimension m r - 1.
 
     Raises FalsificationError when any pillar fails, and BudgetExceeded
-    before any work when the stacked K + g*F matrix, (m t - 1 + m e t) rows
-    by m (e+1) t columns, has more than K_STACK_CELL_BUDGET cells.
+    before any work when K + g*F, (m t - 1 + m e t) rows by m (e+1) t
+    columns, would have more than K_STACK_CELL_BUDGET cells.
     """
     g = g.monic()
     h, s = _require_prime_power_factor(g)
@@ -428,21 +442,7 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
             "witness search needs degree >= 2; degree 1 cannot succeed"
         )
     ring = QuotientRing(h)
-    form = _trace_form(ring)
-    table = _ring_frobenius(ring)
-    modulus = np.array(h.coeffs[:-1], dtype=np.int16)
-    mul = _lookup(field.mul_table)
-
-    def hits(block):
-        moduli = np.broadcast_to(modulus, block.shape)
-        norm = cur = block
-        for _ in range(field.m - 1):
-            cur = _frobenius(field, table, cur)
-            norm = batch_mul_mod(field, norm, cur, moduli)
-        w = mul(lam.code, norm)
-        return _trace(form, field.subfield, _flatten_codes(field, w)) != 0
-
-    idx = _first_witness(field, r, field.m * r, hits, "startkey search")
+    idx = _norm_scan(ring, lam.code, _trace_form(ring), "startkey search")
     if idx is None:
         raise FalsificationError(
             f"no witness in a ring of size {ring.size} for q={field.q} m={field.m} "
@@ -472,11 +472,13 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     """Search the witness a making K, lam*a^(e+1), g*F[x]_{<et} a direct sum.
 
     g must be a rootless power of an irreducible; candidates a run over
-    F_{q^m}[x]_{<t} in index order and the first one whose flattened
-    lam*a^(e+1) falls outside K + g*F[x]_{<et} = ker(phi) wins.  The hit is
-    cross-checked two ways: its residue mod the base factor must have
-    nonzero absolute trace (the one-functional criterion), and tau must
-    kill it on the full evaluation set.  Returns (a, report).
+    F_{q^m}[x]_{<t} in index order and the first one whose lam*a^(e+1)
+    falls outside K + g*F[x]_{<et} wins.  That is the first a with
+    psi(lam*a^(e+1) mod g) nonzero, psi from _K_plus_gF, so the scan forms
+    a^(e+1) mod g as startkey_search does mod h.  The hit is cross-checked
+    two ways: its residue mod the base factor must have nonzero absolute
+    trace (the one-functional criterion), and tau must kill it on the full
+    evaluation set.  Returns (a, report).
 
     The candidates are tested a chunk at a time, and WITNESS_SCAN_BUDGET of
     them without a hit raise BudgetExceeded.
@@ -489,36 +491,26 @@ def find_decomposition(field: Field, g: Polynomial, lam):
         raise ValueError(
             "decomposition needs a rootless polynomial; base factor is linear"
         )
-    K, phi = _K_plus_gF(field, g)
+    K, psi = _K_plus_gF(field, g)
     t = int(g.degree)
-    e1 = field.norm_exponent
-    D = e1 * t
+    D = field.norm_exponent * t
 
-    ring = QuotientRing(h)
-    form = _trace_form(ring)
-    lam_poly = Polynomial.constant(field, lam.code)
-    support = full_support(field)
-    total = field.order**t
-
-    def hits(block):
-        w = _twisted_norms(field, lam.code, block, D)
-        return _trace(phi, field.subfield, w) != 0
-
-    idx = _first_witness(field, t, field.m * D, hits, "decomposition search")
+    idx = _norm_scan(QuotientRing(g), lam.code, psi, "decomposition search")
     if idx is None:
         raise FalsificationError(
-            f"no decomposition witness among {total} candidates for "
+            f"no decomposition witness among {field.order**t} candidates for "
             f"q={field.q} m={field.m} t={t} lambda={lam.code}"
         )
     a = Polynomial(field, digits(idx, field.order, t))
-    w = lam_poly * a**e1
-    tr = int(_trace(form, field.subfield, flatten_poly(ring.reduce(w), r)))
+    w = Polynomial.constant(field, lam.code) * a**field.norm_exponent
+    ring = QuotientRing(h)
+    tr = int(_trace(_trace_form(ring), field.subfield, flatten_poly(ring.reduce(w), r)))
     if tr == 0:
         raise FalsificationError(
             "independent witness has zero trace mod the base factor; "
             f"candidate index {idx}"
         )
-    if tau(field, support, w).any():
+    if tau(field, full_support(field), w).any():
         raise FalsificationError(
             f"tau does not vanish on the witness; candidate index {idx}"
         )

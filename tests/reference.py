@@ -23,7 +23,11 @@ test on every candidate in index order, with no sieve and no budget.
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
 basis residue, and the witness searches that form lam*a^N for one
-candidate at a time by Python powers, with no budget. ``crt_matrix`` and
+candidate at a time by Python powers, with no budget; ``find_decomposition``
+tests each against ``stack_phi``, the original functional: the one kernel
+row of K stacked on ``multiples_of(g)``, the rows g*z^j*x^l of
+g*F[x]_{<et}, flattened below (e+1)t. ``twisted_norms`` is the original
+batched lam*a^N, unreduced, as shifted multiply-adds. ``crt_matrix`` and
 ``goppa_via_crt`` are the original CRT construction of a Goppa code: the
 support product built one ``Polynomial`` product at a time, then one scalar
 division by x - a_i and one reduction mod G per support point.
@@ -38,14 +42,18 @@ None of these is used by the library.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from wildgoppa.codes import LinearCode, subfield_kernel
-from wildgoppa.evidence import DecompositionReport, _K_plus_gF, tau
+from wildgoppa.evidence import DecompositionReport, build_K, tau
 from wildgoppa.gf import Field, digits
 from wildgoppa.goppa import GoppaSpec, full_support, vandermonde_rows
 from wildgoppa.linalg import MatrixGF, rank
-from wildgoppa.poly import Polynomial, QuotientRing, irreducible_power, is_irreducible
+from wildgoppa.poly import (
+    Polynomial, QuotientRing, _adder, _lookup, irreducible_power, is_irreducible,
+)
 
 _DT = np.int16
 
@@ -290,13 +298,66 @@ def startkey_search(field: Field, h: Polynomial, lam: int) -> Polynomial | None:
     return None
 
 
+def multiples_of(g: Polynomial, count: int) -> list:
+    """g * z^j x^l for j < m, l < count: an F_q-basis of g*F[x]_{<count}."""
+    field = g.field
+    out = []
+    for l in range(count):
+        shifted = g * Polynomial.monomial(field, l)
+        for j in range(field.m):
+            out.append(shifted.scale((field.gen**j).code))
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def stack_phi(field: Field, g: Polynomial):
+    """(K, phi): K = build_K(field, t, (e+1)t) for t = deg g, and phi the
+    one kernel row of K stacked on multiples_of(g, e t), flattened below
+    (e+1)t; asserts that the kernel has exactly one row.  Cached on
+    (field, monic g)."""
+    t = int(g.degree)
+    e1 = field.norm_exponent
+    D = e1 * t
+    K = build_K(field, t, D)
+    g_rows = [flatten_poly(f, D) for f in multiples_of(g, (e1 - 1) * t)]
+    phi = kernel(MatrixGF(field.subfield, np.vstack([K.generator, *g_rows]))).array
+    assert phi.shape[0] == 1, f"K + g*F has {phi.shape[0]} kernel rows"
+    return K, phi[0]
+
+
+def twisted_norms(field: Field, lam: int, block: np.ndarray, degree_bound: int) -> np.ndarray:
+    """lam * a^N for each candidate row a of block (coefficient codes, low
+    degree first), unreduced and flattened below degree_bound > N*(t-1):
+    the m Frobenius images a^(q^i) multiplied as t shifted multiply-adds
+    each."""
+    add, mul = _adder(field), _lookup(field.mul_table)
+    n, t = block.shape
+    prod = np.zeros((n, degree_bound), dtype=_DT)
+    prod[:, :t] = mul(lam, block)
+    top, coeffs = t, block
+    for i in range(1, field.m):
+        coeffs = field.frobenius_table[coeffs]
+        step = field.q**i
+        out = np.zeros_like(prod)
+        for l in range(t):
+            span = slice(l * step, l * step + top)
+            out[:, span] = add(out[:, span], mul(coeffs[:, l : l + 1], prod[:, :top]))
+        prod = out
+        top += (t - 1) * step
+    flat = np.zeros((n, degree_bound * field.m), dtype=_DT)
+    for i, row in enumerate(prod):
+        flat[i] = flatten_poly(Polynomial(field, row.tolist()), degree_bound)
+    return flat
+
+
 def find_decomposition(field: Field, g: Polynomial, lam: int):
     """(a, report) for the first candidate a of degree < deg g, in index
-    order, whose lam * a^N is outside K + g*F = ker(phi), with the ring
-    trace and tau cross-checks of the library; None when there is none."""
+    order, whose lam * a^N is outside K + g*F = ker(phi), phi from
+    ``stack_phi``, with the ring trace and tau cross-checks of the library;
+    None when there is none."""
     g = g.monic()
     h, _ = irreducible_power(g)
-    K, phi = _K_plus_gF(field, g)
+    K, phi = stack_phi(field, g)
     t = int(g.degree)
     e1 = field.norm_exponent
     D = e1 * t

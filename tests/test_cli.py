@@ -297,6 +297,24 @@ def test_probe_dense_g_fast():
     assert elapsed < 5.0
 
 
+@pytest.mark.parametrize("check", ["chain", "sugiyama"])
+def test_probe_dense_g_over_power_budget_fast(check):
+    # a random dense rootless g of degree 12,000 over F_4 with s = 5: the top
+    # power g^15 (chain) or g^10 (sugiyama) is over SPEC_POWER_DEGREE_BUDGET,
+    # which is charged before the squarefree test's gcd, quadratic in deg g
+    field = build_tower(2, 1, 2)
+    rng = np.random.default_rng(12)
+    coeffs = [int(c) for c in rng.integers(0, 4, size=12_000)] + [1]
+    coeffs[0] = next(c for c in (1, 2, 3)
+                     if Polynomial(field, [c] + coeffs[1:]).evaluate_codes(np.arange(4)).all())
+    argv = ["verify", "--p", "2", "--m", "2", "--g", ",".join(map(str, coeffs)),
+            "--s", "5", "--check", check]
+    code, out, err, elapsed = run_cli_bounded(argv)
+    assert code == 4, err
+    assert out == "" and "SPEC_POWER_DEGREE_BUDGET" in err
+    assert elapsed < 1.0
+
+
 # -------------------------------------------------------------------- output
 
 
@@ -371,8 +389,8 @@ def test_evidence_output(capsys):
 
 
 def test_evidence_builds_one_stack(capsys, monkeypatch):
-    # verify_K_properties and find_decomposition share one K + g*F
-    # elimination: one stack kernel per run
+    # verify_K_properties and find_decomposition share one kernel per run:
+    # the m t = 4 generators of K reduced mod g, over F_4
     evidence._K_plus_gF.cache_clear()
     shapes = []
     real = evidence.kernel
@@ -381,7 +399,7 @@ def test_evidence_builds_one_stack(capsys, monkeypatch):
         capsys, "evidence", "--p", "2", "--a", "2", "--m", "2", "--g", "irreducible:2",
     )
     assert code == 0 and "decomposition witness" in out
-    assert shapes == [(19, 20)]
+    assert shapes == [(4, 4)]
 
 
 def test_evidence_linear_base_skips_decomposition(capsys):

@@ -15,10 +15,9 @@ from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
     _K_plus_gF,
     _first_witness,
-    _multiples_of,
+    _norm_map,
     _trace,
     _trace_form,
-    _twisted_norms,
     build_K,
     find_decomposition,
     flatten_poly,
@@ -29,6 +28,7 @@ from wildgoppa.evidence import (
     verify_K_properties,
     verify_trace_kernel_mod,
 )
+from wildgoppa.cli import main
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import full_support, punctured_support
 from wildgoppa.linalg import MatrixGF, rank, rref
@@ -235,7 +235,7 @@ def test_decomposition_direct_sum(p, a, m, s):
     K = build_K(field, t, D)
     rows = [K.generator]
     rows.append(np.array(
-        [flatten_poly(f, D) for f in _multiples_of(g, (e1 - 1) * t)],
+        [flatten_poly(f, D) for f in reference.multiples_of(g, (e1 - 1) * t)],
         dtype=np.int16))
     w = Polynomial.constant(field, lam) * witness**e1
     rows.append(flatten_poly(w, D).reshape(1, -1))
@@ -412,7 +412,7 @@ def _reduce_row_scan(field, g, lam):
     t = int(g.degree)
     e1 = field.norm_exponent
     D = e1 * t
-    polys = mu_generators(field, t) + _multiples_of(g, (e1 - 1) * t)
+    polys = mu_generators(field, t) + reference.multiples_of(g, (e1 - 1) * t)
     stack = rref(MatrixGF(field.subfield, np.array(
         [reference.flatten_poly(f, D) for f in polys], dtype=np.int16)))
     lam_poly = Polynomial.constant(field, lam)
@@ -429,15 +429,26 @@ def _reduce_row_scan(field, g, lam):
 @pytest.mark.parametrize("p,a,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2),
                                    (2, 1, 4), (2, 4, 2)])
 @given(data=st.data())
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=4, deadline=None)
 def test_decomposition_index_against_reduce_row_scan(p, a, m, data):
+    # for g = h^s, s = 1, 2, 3, the report equals the reference's, whose
+    # functional phi comes from the stacked K + g*F; the hit is the first
+    # candidate that the RREF of the stack does not absorb; and phi below t
+    # is a nonzero F_q multiple of the library's psi
     field = build_tower(p, a, m)
-    # the reference scan is slow per candidate, so keep q^(m t) small
-    g = _random_goppa_poly(field, data, rooted=False,
-                           max_power=2 if field.order <= 16 else 1)
+    sub = field.subfield
+    h = _random_goppa_poly(field, data, rooted=False, max_power=1)
     lam = data.draw(st.sampled_from(trace_zero_units(field)))
-    _, rep = find_decomposition(field, g, lam)
-    assert rep.candidate_index == _reduce_row_scan(field, g, lam)
+    for s in (1, 2, 3):
+        g = h**s
+        t = int(g.degree)
+        _, psi = _K_plus_gF(field, g)
+        _, phi = reference.stack_phi(field, g)
+        assert [sub.mul_table[c, psi].tolist() for c in range(1, sub.order)].count(
+            phi[: field.m * t].tolist()) == 1
+        witness, rep = find_decomposition(field, g, lam)
+        assert (witness, rep) == reference.find_decomposition(field, g, lam)
+        assert rep.candidate_index == _reduce_row_scan(field, g, lam)
 
 
 # ------------------------------------------------------------ batched scans
@@ -518,17 +529,45 @@ def test_first_witness_chunk_boundaries(target):
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_twisted_norms_rows_against_powers(p, a, m, data):
-    # each row of a drawn block's batched lam * a^N is flatten_poly(lam * a**N)
+    # each row of the shared norm map on a drawn block is lam * a^N in the
+    # quotient ring, for an irreducible h and its powers h^s
     field = build_tower(p, a, m)
-    e1 = field.norm_exponent
-    t = data.draw(st.integers(1, 3))
+    r = data.draw(st.integers(1, 3))
+    h = Polynomial(field, data.draw(st.lists(
+        st.integers(0, field.order - 1), min_size=r, max_size=r)) + [1])
+    assume(is_irreducible(h))
+    ring = QuotientRing(h ** data.draw(st.integers(1, 3)))
+    t = ring.degree
     lam = data.draw(st.sampled_from(trace_zero_units(field)))
     start = data.draw(st.integers(0, field.order**t - 1))
     block = _candidate_block(start, data.draw(st.integers(1, 40)), field.order, t)
-    rows = _twisted_norms(field, lam, block, e1 * t)
+    rows = _norm_map(ring, lam)(block)
+    lam_poly = Polynomial.constant(field, lam)
     for row, coeffs in zip(rows, block.tolist()):
-        w = Polynomial.constant(field, lam) * Polynomial(field, coeffs)**e1
-        assert row.tolist() == flatten_poly(w, e1 * t).tolist()
+        w = ring.mul(lam_poly, ring.pow(Polynomial(field, coeffs), field.norm_exponent))
+        assert row.tolist() == (list(w.coeffs) + [0] * t)[:t]
+
+
+@pytest.mark.parametrize("p,a,m", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2)])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_psi_mod_g_marks_the_phi_candidates(p, a, m, data):
+    # on a drawn block, psi on lam * a^N mod g is nonzero exactly where the
+    # stack functional phi is nonzero on the unreduced lam * a^N
+    field = build_tower(p, a, m)
+    g = _random_goppa_poly(field, data, rooted=False)
+    t = int(g.degree)
+    lam = data.draw(st.sampled_from(trace_zero_units(field)))
+    start = data.draw(st.integers(0, field.order**t - 1))
+    block = _candidate_block(start, data.draw(st.integers(1, 40)), field.order, t)
+    _, psi = _K_plus_gF(field, g)
+    _, phi = reference.stack_phi(field, g)
+    sub = field.subfield
+    reduced = _norm_map(QuotientRing(g), lam)(block)
+    by_psi = _trace(psi, sub, evidence._flatten_codes(field, reduced)) != 0
+    unreduced = reference.twisted_norms(field, lam, block, field.norm_exponent * t)
+    by_phi = reference.trace_slots(phi, sub, unreduced) != 0
+    assert by_psi.tolist() == by_phi.tolist()
 
 
 def test_scans_raise_budget_exceeded_at_the_cap(monkeypatch):
@@ -563,18 +602,44 @@ def test_scans_exhausted_without_hit(monkeypatch, cap, error):
 
 @pytest.mark.parametrize("p,a,m,deg", [(2, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 2)])
 def test_K_plus_gF_is_kernel_of_phi(p, a, m, deg):
-    # phi kills every row of K and of the multiples of g, and nothing else
+    # psi kills every generator of K reduced mod g, and the reduced
+    # generators span the whole hyperplane psi = 0, for g = h and g = h^2
     field = build_tower(p, a, m)
-    g = find_irreducible(field, deg)
-    K, phi = _K_plus_gF(field, g)
-    D = field.norm_exponent * deg
+    h = find_irreducible(field, deg)
     sub = field.subfield
-    rows = np.vstack([K.generator] + [
-        flatten_poly(f, D).reshape(1, -1)
-        for f in _multiples_of(g, (field.norm_exponent - 1) * deg)])
-    assert not _trace(phi, sub, rows).any()
-    assert rank(MatrixGF(sub, rows)) == field.m * D - 1
-    assert phi.any()
+    for g in (h, h**2):
+        t = int(g.degree)
+        K, psi = _K_plus_gF(field, g)
+        assert K.k == field.m * t - 1 and psi.shape == (field.m * t,)
+        ring = QuotientRing(g)
+        rows = np.array([flatten_poly(ring.reduce(f), t)
+                         for f in mu_generators(field, t)])
+        assert not _trace(psi, sub, rows).any()
+        assert rank(MatrixGF(sub, rows)) == field.m * t - 1
+        assert psi.any()
+
+
+def test_pillar_two_falsified_by_a_second_kernel_row(capsys, monkeypatch):
+    # a reduced K that lost a dimension leaves two kernel rows: pillar II
+    # fails with the rank it implies, from the library and as exit 3
+    field = build_tower(2, 1, 2)
+    g = find_irreducible(field, 2)
+    real = evidence.kernel
+
+    def two_rows(M):
+        psi = real(M).array
+        return MatrixGF(M.field, np.vstack([psi, np.eye(1, psi.shape[1], 0, dtype=np.int16)]))
+
+    monkeypatch.setattr(evidence, "kernel", two_rows)
+    evidence._K_plus_gF.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match=r"K \+ g\*F has rank 10, expected 3 \+ 8"):
+            verify_K_properties(field, g)
+        assert main(["evidence", "--p", "2", "--m", "2", "--g", "irreducible:2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "K + g*F has rank 10, expected 3 + 8" in err
+    finally:
+        evidence._K_plus_gF.cache_clear()
 
 
 # ------------------------------------------------------------ trace kernel
