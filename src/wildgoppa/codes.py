@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .gf import Field
+from .gf import Field, digit_array
 from .linalg import MatrixGF
 
 __all__ = [
@@ -225,11 +225,8 @@ def expand_over_subfield(field: Field, H: np.ndarray) -> np.ndarray:
     """
     if field.m < 2:
         raise ValueError("expansion needs a proper tower (m >= 2)")
-    H = np.asarray(H, dtype=np.int64)
-    blocks = []
-    for j in range(field.m):
-        blocks.append((H // field.q**j) % field.q)
-    return np.vstack(blocks).astype(np.int16)
+    coords = digit_array(H, field.q, field.m)
+    return np.vstack(np.moveaxis(coords, -1, 0)).astype(np.int16)
 
 
 def subfield_kernel(field: Field, H: np.ndarray) -> LinearCode:

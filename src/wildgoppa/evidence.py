@@ -36,7 +36,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .errors import BudgetExceeded, FalsificationError
-from .gf import Field, FieldElement, digits
+from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, kernel, rank
 from .poly import (
     Polynomial,
@@ -85,8 +85,7 @@ WITNESS_SCAN_BUDGET = 2**18
 def _flatten_codes(field: Field, codes: np.ndarray) -> np.ndarray:
     """Tower coordinates of the codes on the last axis: (..., D) codes to
     (..., m*D) F_q digits, slot l*m + j holding coordinate j of codes[..., l]."""
-    powers = (field.q ** np.arange(field.m)).astype(np.int16)
-    coords = codes[..., None] // powers % np.int16(field.q)
+    coords = digit_array(codes, field.q, field.m).astype(np.int16)
     return coords.reshape(*codes.shape[:-1], -1)
 
 

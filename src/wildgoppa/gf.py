@@ -64,6 +64,13 @@ def digits(k: int, base: int, count: int) -> list[int]:
     return out
 
 
+def digit_array(codes, base: int, count: int) -> np.ndarray:
+    """The ``count`` lowest base-``base`` digits of every entry of an
+    integer array, low digit first, on a new last axis, as int64."""
+    powers = base ** np.arange(count, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64)[..., None] // powers % base
+
+
 class Field:
     """A finite field presented as a two-level tower F_p < F_q < F_(q^m).
 

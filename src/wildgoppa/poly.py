@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf import Field, FieldElement, digits, prime_factors
+from .gf import Field, FieldElement, digit_array, digits
 
 __all__ = [
     "NEG_INF",
@@ -40,10 +40,10 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-# Table lookups one find_irreducible call may spend, as _sieve_cells and
-# _rabin_cells count them. The largest search that the tests, the towers and
-# the benchmark workloads make, F_4 at degree 40, is charged 2.5e7; the
-# largest in the workloads, F_81 at degree 6, 1.5e7.
+# Table lookups one find_irreducible call may spend: _sieve_cells per chunk
+# and d^2 per squarefree confirmation. The largest search that the tests, the
+# towers and the benchmark workloads make, F_4 at degree 40, is charged
+# 2.4e7; the largest in the workloads, F_81 at degree 6, 1.5e7.
 IRREDUCIBLE_CELL_BUDGET = 10**8
 
 # Candidate scans (the sieve here, the witness scans of evidence) run in
@@ -375,30 +375,6 @@ def pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     return result
 
 
-def is_irreducible(f: Polynomial) -> bool:
-    """Deterministic irreducibility over the coefficient field.
-
-    Uses the standard criterion: f of degree d is irreducible iff
-    x^(Q^d) == x mod f and gcd(x^(Q^(d/ell)) - x, f) = 1 for each prime
-    ell dividing d, with Q the field order.
-    """
-    d = f.degree
-    if d is NEG_INF or d == 0:
-        return False
-    if d == 1:
-        return True
-    Q = f.field.order
-    fm = f.monic()
-    x = Polynomial.x(f.field)
-    if pow_mod(x, Q**d, fm) != x % fm:
-        return False
-    for ell in prime_factors(d):
-        h = pow_mod(x, Q ** (d // ell), fm) - x
-        if gcd(h, fm).degree != 0:
-            return False
-    return True
-
-
 def _lookup(table: np.ndarray):
     """(x, y) -> table[x, y] for broadcastable code arrays, as one take
     from the flattened table (about twice as fast as 2-d indexing)."""
@@ -473,7 +449,7 @@ def _candidate_block(start: int, count: int, order: int, degree: int) -> np.ndar
     high, low = divmod(start, span)
     idx = np.arange(low, min(low + count, span), dtype=np.int64)
     out = np.empty((idx.size, degree), dtype=_DT)
-    out[:, :k] = idx[:, None] // order ** np.arange(k, dtype=np.int64) % order
+    out[:, :k] = digit_array(idx, order, k)
     out[:, k:] = digits(high, order, degree - k)
     return out
 
@@ -554,43 +530,65 @@ def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     return _batch_rank(field, M) == d - 1
 
 
-def _sieve_cells(order: int, degree: int, count: int, berlekamp: bool) -> int:
-    """Table lookups of the root sieve, and of the Berlekamp sieve when it
-    runs, on ``count`` candidates."""
+def _sieve(field: Field, rows: np.ndarray) -> np.ndarray:
+    """Indices of the monic candidates (rows of non-leading coefficients,
+    degree d) that survive the root sieve (d >= 2) and, from degree 4, the
+    Berlekamp sieve (:func:`_one_distinct_factor`). Each drop proves
+    reducibility; a survivor of degree 2 or 3 is irreducible, and one of
+    degree d >= 4 is h^s for an irreducible h."""
+    degree = rows.shape[1]
+    keep = np.arange(len(rows))
+    if degree >= 2:
+        keep = keep[_root_free(field, rows)]
+    if degree >= 4 and keep.size:
+        keep = keep[_one_distinct_factor(field, rows[keep])]
+    return keep
+
+
+def is_irreducible(f: Polynomial) -> bool:
+    """Deterministic irreducibility over the coefficient field.
+
+    f of degree d is irreducible exactly when d = 1, or f survives
+    :func:`_sieve` and, from degree 4, is squarefree: the sieve leaves
+    f = h^s with h irreducible, and s = 1 exactly when f is squarefree.
+    """
+    d = f.degree
+    if d is NEG_INF or d == 0:
+        return False
+    fm = f.monic()
+    row = np.array([fm.coeffs[:-1]], dtype=_DT)
+    return _sieve(f.field, row).size == 1 and (d < 4 or is_squarefree(fm))
+
+
+def _sieve_cells(order: int, degree: int, count: int) -> int:
+    """Table lookups of :func:`_sieve` on ``count`` candidates: the root
+    sieve, and from degree 4 the Berlekamp sieve."""
     cells = count * order * degree
-    if berlekamp:
+    if degree >= 4:
         cells += count * degree * degree * (3 * degree + 4 * order.bit_length())
     return cells
-
-
-def _rabin_cells(order: int, degree: int) -> int:
-    """Table lookups of one scalar :func:`is_irreducible` call at most:
-    1 + (number of prime factors of the degree) powers x^(Q^k) mod f, each
-    of at most degree * log2(Q) squarings of 2 * degree^2 lookups."""
-    powers = 1 + len(prime_factors(degree))
-    return powers * 2 * degree**3 * order.bit_length()
 
 
 def find_irreducible(field: Field, degree: int) -> Polynomial:
     """Monic irreducible of the given degree, minimal in the deterministic
     order (non-leading coefficient vector read as a base-|F| integer).
 
-    Candidates are scanned in that order, in chunks. A chunk drops every
-    candidate with a root (degree >= 2), then, from degree 4 and from the
-    second chunk on, every candidate with two or more distinct irreducible
-    factors (:func:`_one_distinct_factor`). Each drop proves reducibility,
-    so confirming the survivors in order with :func:`is_irreducible` finds
-    the same polynomial as testing every candidate.
+    Candidates are scanned in that order, in chunks, each through
+    :func:`_sieve`. Below degree 4 the first survivor is the answer; from
+    degree 4 the survivors are powers h^s of one irreducible, and the first
+    that :func:`is_squarefree` confirms is the answer. Each drop proves
+    reducibility, so this finds the same polynomial as testing every
+    candidate.
 
-    Raises BudgetExceeded before any work when the first chunk and one
-    confirmation would cost over IRREDUCIBLE_CELL_BUDGET table lookups, and
-    as soon as the lookups charged so far pass it.
+    Each chunk is charged before it is sieved, and each confirmation d^2
+    lookups before it runs; BudgetExceeded is raised as soon as the lookups
+    charged pass IRREDUCIBLE_CELL_BUDGET, so a search whose first chunk is
+    over budget is refused before any work.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     order = field.order
     total = order**degree
-    rabin = _rabin_cells(order, degree)
     spent = 0
 
     def charge(cells: int) -> None:
@@ -603,44 +601,24 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
                 f"table lookups"
             )
 
-    # No search costs less than its first chunk and one confirmation.
-    least = _sieve_cells(order, degree, min(_FIRST_CHUNK, total), False) + rabin
-    if least > IRREDUCIBLE_CELL_BUDGET:
-        charge(least)
-    for start, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
-        berlekamp = degree >= 4 and start > 0
-        charge(_sieve_cells(order, degree, len(cands), berlekamp))
-        keep = np.arange(len(cands))
-        if degree >= 2:
-            keep = keep[_root_free(field, cands)]
-        if berlekamp and keep.size:
-            keep = keep[_one_distinct_factor(field, cands[keep])]
-        for i in keep.tolist():
-            charge(rabin)
+    for _, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
+        charge(_sieve_cells(order, degree, len(cands)))
+        for i in _sieve(field, cands).tolist():
             cand = Polynomial._raw(field, cands[i].tolist() + [1])
-            if is_irreducible(cand):
+            if degree < 4:
+                return cand
+            charge(degree * degree)
+            if is_squarefree(cand):
                 return cand
     raise RuntimeError("no irreducible polynomial of requested degree; unreachable")
 
 
 def count_distinct_roots(g: Polynomial) -> int:
-    """Number of distinct roots of g in its coefficient field.
-
-    Computed as deg gcd(g, x^Q - x) without factoring; multiplicities are
-    ignored by construction.
-    """
+    """Number of distinct roots of g in its coefficient field, by evaluating
+    g at every element; multiplicities are ignored by construction."""
     if g.is_zero:
         raise ValueError("zero polynomial has every element as a root")
-    if g.degree == 0:
-        return 0
-    Q = g.field.order
-    gm = g.monic()
-    x = Polynomial.x(g.field)
-    h = pow_mod(x, Q, gm) - x % gm
-    r = gcd(h, gm)
-    # gcd(0, gm) = gm occurs when x^Q == x mod g, i.e. g splits completely.
-    d = r.degree
-    return 0 if d is NEG_INF else int(d)
+    return int(np.count_nonzero(g.evaluate_codes(np.arange(g.field.order)) == 0))
 
 
 def is_squarefree(g: Polynomial) -> bool:

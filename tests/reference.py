@@ -18,8 +18,11 @@ of one row after elimination against RREF rows, the original membership
 test of the evidence witness scan. ``tau_span_dims`` ranks the tau images of
 the bases z^j x^l of F[x]_{<(e+1)t} and g z^j x^l of g*F[x]_{<et}, each one
 polynomial evaluated by Horner's rule at every support point and traced.
-``find_irreducible`` is the original irreducible search: the scalar Rabin
-test on every candidate in index order, with no sieve and no budget.
+``is_irreducible`` is the original irreducibility test, Rabin's criterion
+on the powers x^(Q^k) mod f, and ``find_irreducible`` the original
+irreducible search: that test on every candidate in index order, with no
+sieve and no budget. ``count_distinct_roots`` is the original root count,
+deg gcd(g, x^Q - x).
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
 basis residue, and the witness searches that form lam*a^N for one
@@ -48,11 +51,11 @@ import numpy as np
 
 from wildgoppa.codes import LinearCode, subfield_kernel
 from wildgoppa.evidence import DecompositionReport, build_K, tau
-from wildgoppa.gf import Field, digits
+from wildgoppa.gf import Field, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, vandermonde_rows
 from wildgoppa.linalg import MatrixGF, rank
 from wildgoppa.poly import (
-    Polynomial, QuotientRing, _adder, _lookup, irreducible_power, is_irreducible,
+    NEG_INF, Polynomial, QuotientRing, _adder, _lookup, gcd, irreducible_power, pow_mod,
 )
 
 _DT = np.int16
@@ -248,6 +251,38 @@ def tau_span_dims(field: Field, support, g: Polynomial) -> tuple[int, int]:
         return rank(MatrixGF(field.subfield, np.array(rows, dtype=np.int64)))
 
     return tau_rank(Polynomial.one(field), e1 * t), tau_rank(g, (e1 - 1) * t)
+
+
+def is_irreducible(f: Polynomial) -> bool:
+    """Rabin's criterion: f of degree d is irreducible iff
+    x^(Q^d) == x mod f and gcd(x^(Q^(d/ell)) - x, f) = 1 for each prime
+    ell dividing d, with Q the field order."""
+    d = f.degree
+    if d is NEG_INF or d == 0:
+        return False
+    if d == 1:
+        return True
+    Q = f.field.order
+    fm = f.monic()
+    x = Polynomial.x(f.field)
+    if pow_mod(x, Q**d, fm) != x % fm:
+        return False
+    for ell in prime_factors(d):
+        h = pow_mod(x, Q ** (d // ell), fm) - x
+        if gcd(h, fm).degree != 0:
+            return False
+    return True
+
+
+def count_distinct_roots(g: Polynomial) -> int:
+    """Distinct roots of g != 0 in its coefficient field, as
+    deg gcd(g, x^Q - x)."""
+    if g.degree == 0:
+        return 0
+    gm = g.monic()
+    x = Polynomial.x(g.field)
+    # gcd(0, gm) = gm when x^Q == x mod g, i.e. g splits completely
+    return int(gcd(pow_mod(x, g.field.order, gm) - x % gm, gm).degree)
 
 
 def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Polynomial | None:

@@ -104,7 +104,7 @@ def test_evidence_budget_exit_4_fast(capsys):
 
 
 def test_irreducible_budget_exit_4_fast(capsys):
-    # degree 300 over F_4: one scalar confirmation alone is over the
+    # degree 300 over F_4: the sieve of the first chunk alone is over the
     # search budget, so find_irreducible refuses before any work
     t0 = time.monotonic()
     code, out, err = run_main(

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import reference
+from wildgoppa import poly
 from wildgoppa.errors import BudgetExceeded
-from wildgoppa.gf import ORDER_CAP, build_tower, digits, prime_factors
+from wildgoppa.gf import ORDER_CAP, build_tower, digit_array, digits, prime_factors
 from wildgoppa.poly import (
     NEG_INF,
     Polynomial,
@@ -50,6 +53,18 @@ TOWERS = sorted(
 )
 # the scalar reference tests at most this many candidates per search
 REFERENCE_SCAN = 128
+# the towers on which is_irreducible is compared with Rabin's test
+SMALL_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 256]
+
+
+@functools.cache
+def searched_irreducible(field, degree: int) -> Polynomial | None:
+    """find_irreducible's answer, None when the search is refused (quartics
+    over F_256 are, after about 1 s)."""
+    try:
+        return find_irreducible(field, degree)
+    except BudgetExceeded:
+        return None
 
 
 def brute_distinct_roots(f: Polynomial) -> int:
@@ -227,7 +242,68 @@ class TestIrreducibility:
             assert got == expected
         else:
             index = sum(c * field.order**i for i, c in enumerate(got.coeffs[:-1]))
-            assert index >= REFERENCE_SCAN and is_irreducible(got)
+            assert index >= REFERENCE_SCAN and reference.is_irreducible(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_rabin(self, data):
+        """is_irreducible agrees with Rabin's test on towers of order <= 256
+        at degrees 1-8: on random polynomials, on powers h^s (s = 2, 3, p),
+        which reach the squarefree step, and on products of two
+        irreducibles of one degree."""
+        field = build_tower(*data.draw(st.sampled_from(SMALL_TOWERS)))
+        order = field.order
+
+        def irreducible(d):
+            # h(a*x + c) is irreducible with h; a scan from a drawn index
+            # would test 66,056 reducible quartics over F_256 from index 0
+            line = Polynomial(field, [data.draw(st.integers(0, order - 1)),
+                                      data.draw(st.integers(1, order - 1))])
+            searched = searched_irreducible(field, d)
+            if searched is None:
+                reject()
+            h = Polynomial.zero(field)
+            for c in reversed(searched.coeffs):
+                h = h * line + Polynomial.constant(field, c)
+            assert reference.is_irreducible(h)
+            return h
+
+        kind = data.draw(st.sampled_from(["random", "power", "product"]))
+        if kind == "random":
+            d = data.draw(st.integers(1, 8))
+            f = Polynomial(field, data.draw(st.lists(
+                st.integers(0, order - 1), min_size=d, max_size=d)) + [1])
+        elif kind == "power":
+            s = data.draw(st.sampled_from(sorted({2, 3, field.p} & set(range(2, 9)))))
+            f = irreducible(data.draw(st.integers(1, 8 // s))) ** s
+        else:
+            d = data.draw(st.integers(1, 4))
+            f = irreducible(d) * irreducible(d)
+        f = f.scale(data.draw(st.integers(1, order - 1)))
+        assert is_irreducible(f) == reference.is_irreducible(f)
+
+    def test_no_pow_mod(self, monkeypatch):
+        """The searches, the test and the root count run without pow_mod;
+        the square of an irreducible cubic over F_1024 passes both sieves
+        and is refused by the squarefree step."""
+        F1024 = build_tower(2, 5, 2)
+        cases = [(F4, 6), (F9, 5), (build_tower(5, 1, 2), 4), (F1024, 3)]
+        towers = [build_tower(2, 1, 1)] + [field for field, _ in cases]
+
+        def fail(*args):
+            raise AssertionError("pow_mod called")
+
+        monkeypatch.setattr(poly, "pow_mod", fail)
+        for field, top in cases:
+            for d in range(1, top + 1):
+                g = find_irreducible(field, d)
+                assert g.degree == d and is_irreducible(g)
+                assert count_distinct_roots(g) == (1 if d == 1 else 0)
+        for field in towers:
+            x = Polynomial.x(field)
+            assert count_distinct_roots(x**field.order - x) == field.order
+        h = find_irreducible(F1024, 3)
+        assert is_irreducible(h) and not is_irreducible(h**2)
 
     def test_berlekamp_sieve_keeps_exactly_prime_powers(self):
         """Over all 256 monic quartics over F_4, stage 2 keeps f exactly when
@@ -254,6 +330,14 @@ class TestIrreducibility:
             count = min(16, span - start % span)
             assert block.shape == (count, 40)
             assert block.tolist() == [digits(start + i, 4, 40) for i in range(count)]
+
+    @pytest.mark.parametrize("base,count", [(2, 1), (4, 3), (9, 2), (1024, 6)])
+    def test_digit_array_matches_digits(self, base, count):
+        codes = np.array([[0, 1, base - 1], [base, 12345 % base**count, base**count - 1]])
+        got = digit_array(codes, base, count)
+        assert got.shape == (2, 3, count) and got.dtype == np.int64
+        for code, row in zip(codes.ravel().tolist(), got.reshape(-1, count).tolist()):
+            assert row == digits(code, base, count)
 
     def test_find_irreducible_golden(self):
         """The search order is frozen: every recorded search returns the
@@ -377,6 +461,34 @@ class TestRootCounting:
             if f.is_zero or f.degree == 0:
                 continue
             assert count_distinct_roots(f) == brute_distinct_roots(f)
+            assert count_distinct_roots(f) == reference.count_distinct_roots(f)
+
+    @pytest.mark.parametrize("field", [F4, F9, F16, build_tower(2, 4, 2)])
+    def test_matches_gcd_on_structured_inputs(self, field):
+        """Split, repeated-root, constant and dense inputs agree with the
+        gcd count and with evaluation one element at a time."""
+        rng = np.random.default_rng(field.order)
+        x = Polynomial.x(field)
+
+        def linear(c):
+            return x - Polynomial.constant(field, int(c))
+
+        roots = rng.choice(field.order, size=min(5, field.order - 1), replace=False)
+        split = functools.reduce(operator.mul, map(linear, roots))
+        dense = rng.integers(0, field.order, size=301).tolist() + [1]
+        cases = [
+            x**field.order - x,
+            split,
+            split * linear(roots[0]) ** 3 * linear(roots[1]) ** 2,
+            (x**2 + x + Polynomial.one(field)) ** 2 * linear(roots[0]) ** field.p,
+            Polynomial.constant(field, 1),
+            Polynomial.constant(field, field.order - 1),
+            Polynomial(field, dense),
+            Polynomial(field, dense) * split,
+        ]
+        for f in cases:
+            want = brute_distinct_roots(f)
+            assert count_distinct_roots(f) == reference.count_distinct_roots(f) == want
 
     def test_multiplicity_ignored(self):
         x = Polynomial.x(F4)
