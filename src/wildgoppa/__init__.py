@@ -27,7 +27,6 @@ from .poly import (
 from .linalg import (
     MatrixGF,
     RrefResult,
-    intersect_row_spaces,
     kernel,
     rank,
     rref,
@@ -99,7 +98,6 @@ __all__ = [
     "pow_mod",
     "MatrixGF",
     "RrefResult",
-    "intersect_row_spaces",
     "kernel",
     "rank",
     "rref",

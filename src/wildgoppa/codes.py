@@ -4,7 +4,7 @@ A :class:`LinearCode` stores the reduced row echelon form of a generator
 matrix, which is the canonical representative of its row space: two codes
 are equal exactly when their canonical generators are identical arrays over
 equal fields. All constructions (duals, shortenings, subfield subcodes,
-trace codes, intersections) therefore compose without bookkeeping.
+trace codes) therefore compose without bookkeeping.
 
 The minimum distance routine is exact and budgeted: it returns the exact
 value, or None when the q^k - 1 nonzero codewords exceed the budget, never
@@ -158,12 +158,6 @@ class LinearCode:
             zl = (field.gen**l).code
             blocks.append(field.trace_table[field.mul_table[np.int64(zl), G64]])
         return LinearCode(sub, self.n, np.vstack(blocks))
-
-    def intersect(self, other: "LinearCode") -> "LinearCode":
-        if other.field != self.field or other.n != self.n:
-            raise ValueError("codes live in different ambient spaces")
-        I = linalg.intersect_row_spaces(self.matrix, other.matrix)
-        return LinearCode(self.field, self.n, _canonical=I.array)
 
     def contains(self, other: "LinearCode") -> bool:
         if other.field != self.field or other.n != self.n:

@@ -7,7 +7,11 @@ vanishes modulo G. Two independent constructions are provided:
 
 * ``goppa_power_codes`` builds the standard parity check, rows a_i^l / G(a_i)
   for l < deg G, of G = h * g^j from deg G and the values h(a_i) g(a_i)^j
-  alone and takes its F_q kernel; ``goppa_code`` is its j = 1 case;
+  alone and takes its F_q kernel; ``goppa_code`` is its j = 1 case. Over
+  consecutive j the rows only grow: g * x^l (l < deg G) and x^l (l < t =
+  deg g) span the polynomials of degree < deg G + t, so the rows of
+  h * g^(j+1) are those of h * g^j plus a_i^l / (h g^(j+1))(a_i), l < t.
+  The codes are nested by construction, and one elimination serves the run;
 * ``goppa_via_crt`` evaluates the defining membership map directly, sending
   c to sum of c_i * (prod_L / (x - a_i) mod G) and taking the kernel of its
   coefficient matrix. The columns come from array passes over all support
@@ -30,9 +34,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import LinearCode, subfield_kernel
+from .codes import LinearCode, expand_over_subfield, subfield_kernel
 from .errors import BudgetExceeded
 from .gf import Field, FieldElement
+from .linalg import nested_kernels
 from .poly import _DT, NEG_INF, Polynomial, _adder, _fold_mod, _lookup, parse_poly_spec
 
 __all__ = [
@@ -155,14 +160,21 @@ def value_powers(field: Field, values: np.ndarray, j: int) -> np.ndarray:
 def goppa_power_codes(
     spec: GoppaSpec, exponents: Sequence[int], cofactor: Polynomial | None = None
 ) -> list[LinearCode]:
-    """The Goppa codes for G = h * g^j, j >= 1 in exponents, g the spec's
-    polynomial and h the cofactor (default 1), from deg G = deg h + j deg g
-    and the values G(a_i) = h(a_i) g(a_i)^j alone: g^j is never formed.
+    """The Goppa codes for G = h * g^j, j >= 1 over a run of consecutive
+    exponents, g the spec's polynomial and h the cofactor (default 1), from
+    deg G = deg h + j deg g and the values G(a_i) = h(a_i) g(a_i)^j alone:
+    g^j is never formed.
 
     The parity rows a_i^l / G(a_i), l < deg G, have the code as the F_q
-    kernel of their expansion. When deg G >= n the first n rows are a scaled
-    Vandermonde matrix on distinct points, of rank n: the code is zero.
+    kernel of their expansion; each exponent after the first adds deg g of
+    them (see the module docstring). When deg G >= n the first n rows are a
+    scaled Vandermonde matrix on distinct points, of rank n: the code is zero.
     """
+    exponents = tuple(exponents)
+    if not exponents or exponents != tuple(range(exponents[0], exponents[0] + len(exponents))):
+        raise ValueError(f"exponents must be a run of consecutive integers, got {exponents}")
+    if exponents[0] < 1:
+        raise ValueError(f"exponents must be >= 1, got {exponents[0]}")
     field, n = spec.field, spec.n
     h_deg, h_inv = 0, 1
     if cofactor is not None:
@@ -170,17 +182,18 @@ def goppa_power_codes(
             raise ValueError("cofactor must live over the top field")
         h_inv = field.inv_table[_values_off_roots(cofactor, spec.support)]
         h_deg = int(cofactor.degree)
-    codes = []
+    t = int(spec.goppa_poly.degree)
+    blocks = []
     for j in exponents:
-        if j < 1:
-            raise ValueError(f"exponents must be >= 1, got {j}")
-        d = h_deg + j * int(spec.goppa_poly.degree)
+        d = h_deg + j * t
         if d >= n:
-            codes.append(LinearCode.zero_code(field.subfield, n))
-            continue
+            break
         inv = field.mul_table[h_inv, value_powers(field, spec.goppa_values, -j)]
-        codes.append(subfield_kernel(field, vandermonde_rows(field, spec.support, inv, d)))
-    return codes
+        rows = vandermonde_rows(field, spec.support, inv, t if blocks else d)
+        blocks.append(expand_over_subfield(field, rows))
+    sub = field.subfield
+    codes = [LinearCode(sub, n, _canonical=K.array) for K in nested_kernels(sub, blocks)]
+    return codes + [LinearCode.zero_code(sub, n)] * (len(exponents) - len(codes))
 
 
 def goppa_code(spec: GoppaSpec) -> LinearCode:

@@ -13,6 +13,9 @@ then zero to the right of its pivot, so the null-space vector for a free
 column f is nonzero only at f and at pivot columns to the right of f. The
 rows for the free columns, in increasing order, are therefore already the
 canonical RREF of the null space, with no second elimination.
+``nested_kernels`` reads out the kernel of every stack of a growing list of
+row blocks, each block eliminated with the echelon rows before it;
+``kernel`` is its one-block case.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
     "rref",
     "rank",
     "kernel",
-    "intersect_row_spaces",
+    "nested_kernels",
 ]
 
 _DT = np.int16
@@ -160,25 +163,23 @@ def kernel(M: MatrixGF) -> MatrixGF:
 
     For a matrix with no rows the kernel is the whole ambient space.
     """
-    field = M.field
-    n = M.ncols
-    W, rk, rpiv = _rref_array(field, M.array[:, ::-1].astype(_DT, copy=True))
-    piv = [n - 1 - c for c in rpiv]
-    free = np.delete(np.arange(n), piv)
-    B = np.zeros((free.size, n), dtype=_DT)
-    B[np.arange(free.size), free] = 1
-    B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
-    return MatrixGF._wrap(field, B)
+    return nested_kernels(M.field, [M.array])[0]
 
 
-def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    """Canonical basis of (row space of A) intersect (row space of B).
-
-    Uses duality: the intersection is the kernel of the stacked kernels.
-    """
-    if A.field != B.field or A.ncols != B.ncols:
-        raise ValueError("row spaces live in different ambient spaces")
-    ka, kb = kernel(A), kernel(B)
-    stacked = np.vstack([ka.array, kb.array])
-    return kernel(MatrixGF._wrap(A.field, stacked.astype(_DT)))
-
+def nested_kernels(field: Field, blocks) -> list[MatrixGF]:
+    """``kernel`` of each stack [B_0; ...; B_i] of the row blocks of codes,
+    eliminating each block with the echelon rows of the stack before it."""
+    out, W, rk = [], None, 0
+    for block in blocks:
+        rows = np.asarray(block)[:, ::-1]
+        if W is not None:
+            rows = np.vstack([W[:rk], rows])
+        W, rk, rpiv = _rref_array(field, rows.astype(_DT))
+        n = W.shape[1]
+        piv = [n - 1 - c for c in rpiv]
+        free = np.delete(np.arange(n), piv)
+        B = np.zeros((free.size, n), dtype=_DT)
+        B[np.arange(free.size), free] = 1
+        B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
+        out.append(MatrixGF._wrap(field, B))
+    return out

@@ -108,12 +108,6 @@ def kernel(M: MatrixGF) -> MatrixGF:
     return MatrixGF._wrap(field, W[:rk2])
 
 
-def intersect_row_spaces(A: MatrixGF, B: MatrixGF) -> MatrixGF:
-    """Intersection as the kernel of the stacked kernels, via ``kernel``."""
-    stacked = np.vstack([kernel(A).array, kernel(B).array])
-    return kernel(MatrixGF._wrap(A.field, stacked.astype(_DT)))
-
-
 def flatten_poly(f: Polynomial, degree_bound: int) -> np.ndarray:
     """Slot l*m + j holds coordinate j of coefficient l, digit by digit."""
     m, q = f.field.m, f.field.q

@@ -286,8 +286,10 @@ def test_criterion_09_splitting_and_shortening():
         if int(gcd(fa, fb).degree) != 0:
             continue
         joint = goppa_code(GoppaSpec(field, support, fa * fb))
-        split = goppa_code(GoppaSpec(field, support, fa)).intersect(
-            goppa_code(GoppaSpec(field, support, fb)))
+        # the intersection of the two codes, the dual of their duals' sum
+        duals = [goppa_code(GoppaSpec(field, support, f)).dual().generator
+                 for f in (fa, fb)]
+        split = LinearCode(field.subfield, n, np.vstack(duals)).dual()
         assert joint == split
         splits += 1
     shortenings = 0

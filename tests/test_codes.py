@@ -167,13 +167,6 @@ class TestTraceCode:
 
 
 class TestIntersectContains:
-    def test_intersection_brute(self):
-        A = random_code(F4, 4, 2, seed=21)
-        B = random_code(F4, 4, 2, seed=22)
-        I = A.intersect(B)
-        assert words(I) == words(A) & words(B)
-        assert A.contains(I) and B.contains(I)
-
     def test_contains(self):
         C = random_code(F4, 5, 3, seed=23)
         S = C.shorten([0])

@@ -178,6 +178,9 @@ class TestPowerCodes:
             goppa_power_codes(spec, (1,), cofactor=Polynomial.one(F8))
         with pytest.raises(ValueError, match="exponents must be >= 1"):
             goppa_power_codes(spec, (0,))
+        for exponents in [(1, 3), (2, 1), (1, 1), (1, 2, 4), ()]:
+            with pytest.raises(ValueError, match="run of consecutive integers"):
+                goppa_power_codes(spec, exponents)
 
 
 # every tower of order 4 to 81 with m >= 2, odd p included

@@ -9,7 +9,6 @@ from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import full_support, punctured_support
 from wildgoppa.identities import (
-    IdentityReport,
     dimension_gap,
     rs_equivalence,
     verify_chain,
@@ -296,12 +295,33 @@ class TestNoPolynomialPowers:
 
 
 class TestFalsificationPath:
-    def test_inclusion_machinery_detects_sabotage(self):
-        # simulate a falsification by checking the raise path directly:
-        # feeding a rooted g to the gap bound with an impossible claim is
-        # not constructible, so instead check the error type is raised by
-        # a deliberately broken comparison through the public API surface.
-        g = find_irreducible(F4t, 2)
-        rep = verify_theorem1(F4t, full_support(F4t), g)
-        assert isinstance(rep, IdentityReport)
-        assert issubclass(FalsificationError, AssertionError)
+    def test_inclusion_machinery_detects_sabotage(self, monkeypatch, capsys):
+        # every chain verifier and the CLI turn a link that drops a
+        # dimension into a falsification: the top code loses its first row
+        import wildgoppa.identities as identities_mod
+        from wildgoppa.cli import main
+        from wildgoppa.codes import LinearCode
+
+        real = identities_mod.goppa_power_codes
+
+        def sabotaged(spec, exponents, cofactor=None):
+            codes = real(spec, exponents, cofactor)
+            top = codes[-1]
+            assert top.k > 0
+            return codes[:-1] + [LinearCode(top.field, top.n, top.generator[1:])]
+
+        monkeypatch.setattr(identities_mod, "goppa_power_codes", sabotaged)
+        g = find_irreducible(F16t, 2)
+        x = Polynomial.x(F16t)
+        calls = [
+            lambda: verify_theorem1(F16t, full_support(F16t), g),
+            lambda: verify_chain(F16t, full_support(F16t), g, 1),
+            lambda: verify_sugiyama(F16t, punctured_support(F16t, [0]), x),
+            lambda: verify_coprime_factor_chain(F16t, punctured_support(F16t, [0]), g, x),
+        ]
+        for call in calls:
+            with pytest.raises(FalsificationError):
+                call()
+        assert main(["verify", "--p", "2", "--a", "2", "--m", "2", "--g", "irreducible:2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("FALSIFIED: wild equality failed: q=4 m=2") and "dims=(4, 3)" in err

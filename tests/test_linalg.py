@@ -15,8 +15,8 @@ from wildgoppa.gf import build_tower
 from wildgoppa.linalg import (
     MatrixGF,
     _rref_array,
-    intersect_row_spaces,
     kernel,
+    nested_kernels,
     rank,
     rref,
 )
@@ -164,23 +164,6 @@ class TestRowSpaces:
         C = MatrixGF(F4, [[1, 0, 0], [0, 1, 0]])
         assert LinearCode.from_span(F4, A.array) != LinearCode.from_span(F4, C.array)
 
-    def test_intersection_example(self):
-        A = MatrixGF(F2, [[1, 0, 0], [0, 1, 0]])
-        B = MatrixGF(F2, [[0, 1, 0], [0, 0, 1]])
-        I = intersect_row_spaces(A, B)
-        assert I.nrows == 1
-        assert np.array_equal(I.array, [[0, 1, 0]])
-
-    @given(matrix_strategy(F4, 3, 4), matrix_strategy(F4, 3, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_intersection_by_enumeration(self, A, B):
-        if A.ncols != B.ncols:
-            return
-        I = intersect_row_spaces(A, B)
-        expected = enumerate_row_space(A) & enumerate_row_space(B)
-        got = enumerate_row_space(I) if I.nrows else {tuple([0] * A.ncols)}
-        assert got == expected
-
 
 class TestReduceRow:
     def test_membership(self):
@@ -268,6 +251,34 @@ def edge_matrices(draw, field, ncols=None, max_rows=12, max_cols=9):
     return MatrixGF(field, A)
 
 
+@st.composite
+def nested_blocks(draw, field):
+    """Row blocks of one width for ``nested_kernels``: the first may have no
+    rows, and a later one may be random, add no rank (unit multiples and sums
+    of earlier rows, or zero rows) or fill the space (a scaled, shuffled
+    identity)."""
+    ncols = draw(st.integers(1, 9))
+    first = draw(edge_matrices(field, ncols)).array
+    blocks = [first[:0] if draw(st.booleans()) else first]
+    unit = st.integers(1, field.order - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "no_rank", "fills"]))
+        earlier = np.vstack(blocks).astype(np.int64)
+        if kind == "random":
+            block = draw(edge_matrices(field, ncols)).array
+        elif kind == "no_rank" and earlier.shape[0]:
+            i, j = draw(st.lists(st.integers(0, earlier.shape[0] - 1), min_size=2, max_size=2))
+            scaled = field.mul_table[draw(unit), earlier[i]]
+            block = np.array([scaled, field.add_table[scaled, earlier[j]]])
+        elif kind == "no_rank":
+            block = np.zeros((2, ncols), dtype=np.int64)
+        else:
+            block = np.zeros((ncols, ncols), dtype=np.int64)
+            block[np.arange(ncols), draw(st.permutations(range(ncols)))] = draw(unit)
+        blocks.append(block)
+    return blocks
+
+
 def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -300,13 +311,14 @@ class TestAgainstReference:
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_intersect_row_spaces(self, field, data):
-        ncols = data.draw(st.integers(1, 9))
-        A = data.draw(edge_matrices(field, ncols))
-        B = data.draw(edge_matrices(field, ncols))
-        assert_same_array(
-            intersect_row_spaces(A, B).array, reference.intersect_row_spaces(A, B).array
-        )
+    def test_nested_kernels(self, field, data):
+        blocks = data.draw(nested_blocks(field))
+        kernels = nested_kernels(field, blocks)
+        assert len(kernels) == len(blocks)
+        for depth, K in enumerate(kernels, start=1):
+            stack = MatrixGF(field, np.vstack(blocks[:depth]))
+            assert_same_array(K.array, kernel(stack).array)
+            assert_same_array(K.array, reference.kernel(stack).array)
 
     def test_more_rows_to_clear_than_field_elements(self, field):
         # rows > order takes the row-gather branch of the elimination step
