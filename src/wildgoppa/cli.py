@@ -368,13 +368,10 @@ def cmd_distance(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
-def _add_field_args(sub, m_default=None):
+def _add_field_args(sub):
     sub.add_argument("--p", type=int, required=True, help="prime of the tower")
     sub.add_argument("--a", type=int, default=1, help="subfield extension degree")
-    if m_default is None:
-        sub.add_argument("--m", type=int, required=True, help="top extension degree")
-    else:
-        sub.add_argument("--m", type=int, default=m_default)
+    sub.add_argument("--m", type=int, required=True, help="top extension degree")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,7 @@ from .linalg import MatrixGF
 __all__ = [
     "LinearCode",
     "subfield_kernel",
+    "trace_span",
     "expand_over_subfield",
     "DEFAULT_DISTANCE_BUDGET",
 ]
@@ -145,19 +146,7 @@ class LinearCode:
 
     def trace_code(self) -> "LinearCode":
         """Coordinate-wise trace image over F_q. Requires m >= 2."""
-        field = self.field
-        if field.m < 2:
-            raise ValueError("trace code needs a proper tower (m >= 2)")
-        sub = field.subfield
-        if self.k == 0:
-            return LinearCode.zero_code(sub, self.n)
-        # trace is F_q-linear, so images of z^l * row span the whole image
-        blocks = []
-        G64 = self.generator.astype(np.int64)
-        for l in range(field.m):
-            zl = (field.gen**l).code
-            blocks.append(field.trace_table[field.mul_table[np.int64(zl), G64]])
-        return LinearCode(sub, self.n, np.vstack(blocks))
+        return trace_span(self.field, self.generator)
 
     def contains(self, other: "LinearCode") -> bool:
         if other.field != self.field or other.n != self.n:
@@ -208,6 +197,18 @@ def _span_offsets(add, base: np.ndarray, scaled: np.ndarray):
         return
     for multiple in scaled[:, -1]:
         yield from _span_offsets(add, add(base, multiple), scaled[:, :-1])
+
+
+def trace_span(field: Field, rows) -> LinearCode:
+    """The trace code over F_q of the row space of ``rows`` over F_(q^m):
+    trace is F_q-linear, so the traces of z^l * row, l < m, over any
+    spanning rows span it. Requires m >= 2."""
+    if field.m < 2:
+        raise ValueError("trace code needs a proper tower (m >= 2)")
+    rows = np.asarray(rows, dtype=np.int64)
+    blocks = [field.trace_table[field.mul_table[(field.gen**l).code, rows]]
+              for l in range(field.m)]
+    return LinearCode(field.subfield, rows.shape[1], np.vstack(blocks))
 
 
 def expand_over_subfield(field: Field, H: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import LinearCode, trace_span
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, kernel, rank
@@ -66,15 +66,6 @@ __all__ = [
     "TraceKernelReport",
     "verify_trace_kernel_mod",
 ]
-
-# Budget of one evidence run, charged in _K_plus_gF before any work as the
-# cells of K + g*F[x]_{<et} written out, an (m (e+1) t - 1) x m (e+1) t
-# matrix.  That matrix is not built (its kernel comes from m t x m t), but
-# the size tracks the run's widest eliminations, the two trace codes of
-# verify_dual_reformulation: q = 2, m = 10, t = 2 (about 4.2e8 cells)
-# spends 12 s there on a 2-core x86-64 host.  The largest instance in the
-# tests and the benchmark, q = 2, m = 6, t = 2, is 755 x 756.
-K_STACK_CELL_BUDGET = 4_000_000
 
 # Candidates one witness scan may test before it raises BudgetExceeded. The
 # largest first hit that the tests, the benchmark workloads and the README
@@ -183,21 +174,13 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
     kernel is K + g*F.  It kills g*F, so phi(w) = phi|_{<t}(w mod g); it
     kills K, so phi|_{<t} kills K mod g and phi|_{<t} = c*psi, c in F_q*.
 
-    Raises BudgetExceeded before any work when the m (e+1) t - 1 rows of K
-    and g*F would span over K_STACK_CELL_BUDGET cells, and
-    FalsificationError when dim K or the rank is off.  Cached: the checks
-    of one run share one kernel.
+    Raises FalsificationError when dim K or the rank is off.  Cached: the
+    checks of one run share one kernel.
     """
     t = int(g.degree)
     m = field.m
     e1 = field.norm_exponent
     D = e1 * t
-    rows = m * t - 1 + m * (e1 - 1) * t
-    if rows * m * D > K_STACK_CELL_BUDGET:
-        raise BudgetExceeded(
-            f"K + g*F would be a {rows} x {m * D} matrix, over the budget "
-            f"of {K_STACK_CELL_BUDGET} cells"
-        )
     K = build_K(field, t, D)
     if K.k != m * t - 1:
         raise FalsificationError(
@@ -208,7 +191,7 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
     psi = kernel(MatrixGF(field.subfield, np.array(reduced))).array
     if psi.shape[0] != 1:
         raise FalsificationError(
-            f"K + g*F has rank {m * D - psi.shape[0]}, expected {K.k} + {rows - K.k}"
+            f"K + g*F has rank {m * D - psi.shape[0]}, expected {K.k} + {m * (e1 - 1) * t}"
         )
     return K, psi[0]
 
@@ -390,9 +373,7 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     (III) dim K = m t - 1, and reducing K mod h fills the full trace-zero
         hyperplane of F[x]/(h), of dimension m r - 1.
 
-    Raises FalsificationError when any pillar fails, and BudgetExceeded
-    before any work when K + g*F, (m t - 1 + m e t) rows by m (e+1) t
-    columns, would have more than K_STACK_CELL_BUDGET cells.
+    Raises FalsificationError when any pillar fails.
     """
     g = g.monic()
     h, s = _require_prime_power_factor(g)
@@ -536,6 +517,17 @@ class DualSpanReport:
     equal: bool
 
 
+def _tau_span_dim(field: Field, points: Sequence[int], mult, count: int) -> int:
+    """dim over F_q of the trace code of the rows mult_i * a_i^l, l < count,
+    on distinct points a_i with nonzero multipliers: the raw rows traced, or
+    n once count >= n, as the first n rows then span F^n (an invertible
+    scaled Vandermonde matrix)."""
+    n = len(points)
+    if count >= n:
+        return n
+    return trace_span(field, vandermonde_rows(field, points, mult, count)).k
+
+
 def verify_dual_reformulation(field: Field, support: Sequence[int],
                               g: Polynomial) -> DualSpanReport:
     """Compare the tau images whose equality rephrases the wild identity.
@@ -558,12 +550,8 @@ def verify_dual_reformulation(field: Field, support: Sequence[int],
     t = int(g.degree)
     e1 = field.norm_exponent
 
-    def span_dim(mult, count):
-        rows = vandermonde_rows(field, L, mult, count)
-        return LinearCode(field, len(L), rows).trace_code().k
-
-    dim_full = span_dim(1, e1 * t)
-    dim_mult = span_dim(gv, (e1 - 1) * t)
+    dim_full = _tau_span_dim(field, L, 1, e1 * t)
+    dim_mult = _tau_span_dim(field, L, gv, (e1 - 1) * t)
     report = DualSpanReport(
         q=field.q, m=field.m, t=t, n=len(L),
         dim_full=int(dim_full), dim_multiples=int(dim_mult),

@@ -144,48 +144,41 @@ class Field:
         self.generator_code = gen
 
         # Discrete exp/log, then the dense tables.
-        exp = np.zeros(max(n1, 1), dtype=np.int64)
+        exp = np.zeros(n1, dtype=np.int64)
         exp[0] = 1
         acc = 1
         for i in range(1, n1):
             acc = mul(acc, gen)
             exp[i] = acc
         log = np.zeros(order, dtype=np.int64)
-        log[exp] = np.arange(max(n1, 1))
+        log[exp] = np.arange(n1)
         self._exp = exp
         self._log = log
 
         codes = np.arange(order, dtype=np.int64)
-        add_t = np.zeros((order, order), dtype=np.int64)
-        for k in range(a * m):
-            dk = (codes // p**k) % p
-            add_t += ((dk[:, None] + dk[None, :]) % p) * p**k
+        if p == 2:  # digitwise addition mod 2 is the XOR of codes
+            add_t = codes[:, None] ^ codes[None, :]
+        else:
+            add_t = np.zeros((order, order), dtype=np.int64)
+            for k in range(a * m):
+                dk = (codes // p**k) % p
+                add_t += ((dk[:, None] + dk[None, :]) % p) * p**k
         self.add_table = add_t.astype(_TABLE_DTYPE)
 
-        if n1 > 0:
-            mul_t = exp[(log[:, None] + log[None, :]) % n1]
-        else:
-            mul_t = np.zeros((1, 1), dtype=np.int64)
+        mul_t = exp[(log[:, None] + log[None, :]) % n1]
         mul_t[0, :] = 0
         mul_t[:, 0] = 0
         self.mul_table = mul_t.astype(_TABLE_DTYPE)
 
-        neg = np.zeros(order, dtype=np.int64)
-        for k in range(a * m):
-            neg += ((p - (codes // p**k) % p) % p) * p**k
-        self.neg_table = neg.astype(_TABLE_DTYPE)
+        self.neg_table = self.mul_table[p - 1].copy()  # code p - 1 is -1
 
         inv = np.zeros(order, dtype=np.int64)
-        if n1 > 0:
-            inv[exp] = exp[(-np.arange(n1)) % n1]
+        inv[exp] = exp[(-np.arange(n1)) % n1]
         self.inv_table = inv.astype(_TABLE_DTYPE)  # inv[0] is a dummy 0
 
         # x -> x^q, and the trace / norm down to F_q.
-        if n1 > 0:
-            frob = exp[(log * q) % n1]
-            frob[0] = 0
-        else:
-            frob = codes.copy()
+        frob = exp[(log * q) % n1]
+        frob[0] = 0
         self.frobenius_table = frob.astype(_TABLE_DTYPE)
 
         tr = codes.copy()
@@ -211,11 +204,12 @@ class Field:
         ):
             t.setflags(write=False)
 
-        # Python nested lists: faster than numpy for scalar-at-a-time work.
-        self._add_py = self.add_table.tolist()
-        self._mul_py = self.mul_table.tolist()
-        self._neg_py = self.neg_table.tolist()
-        self._inv_py = self.inv_table.tolist()
+    # Python nested lists, faster than numpy for scalar-at-a-time work, built
+    # on first use: vectorised work never reads them.
+    _add_py = functools.cached_property(lambda self: self.add_table.tolist())
+    _mul_py = functools.cached_property(lambda self: self.mul_table.tolist())
+    _neg_py = functools.cached_property(lambda self: self.neg_table.tolist())
+    _inv_py = functools.cached_property(lambda self: self.inv_table.tolist())
 
     # -- identity ----------------------------------------------------------
 

@@ -16,6 +16,11 @@ canonical RREF of the null space, with no second elimination.
 ``nested_kernels`` reads out the kernel of every stack of a growing list of
 row blocks, each block eliminated with the echelon rows before it;
 ``kernel`` is its one-block case.
+
+Every elimination (``rref``, ``rank``, ``kernel``, ``nested_kernels``,
+``LinearCode``) runs through ``_rref_array``, which charges rows x cols x
+min(rows, cols) cells, a bound on what its row operations write, and raises
+BudgetExceeded before its first pivot when that is over the budget.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .gf import Field
 
 __all__ = [
@@ -36,6 +42,13 @@ __all__ = [
 ]
 
 _DT = np.int16
+
+# The charge of one elimination. The largest in the tests is 7.9e7 (672 x 343
+# over F_7); `verify --check rs` with irreducible:3 over F_1024 (925 x 1024)
+# and the F_729 chain with --s 3 (1614 x 729 over F_9) reach 8.8e8; evidence
+# with irreducible:2^15 over F_1024 (a 1980 x 1024 trace code, 2.1e9) is
+# refused.
+ELIMINATION_CELL_BUDGET = 1_500_000_000
 
 
 def _as_array(field: Field, rows) -> np.ndarray:
@@ -108,11 +121,16 @@ class RrefResult:
 
 
 def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """In-place RREF of a writable int array of codes."""
+    """In-place RREF of a writable int array of codes, charged first (see
+    the module docstring)."""
+    nrows, ncols = W.shape
+    cost = nrows * ncols * min(nrows, ncols)
+    if cost > ELIMINATION_CELL_BUDGET:
+        raise BudgetExceeded(f"eliminating a {nrows} x {ncols} matrix costs {cost} cells, "
+                             f"over ELIMINATION_CELL_BUDGET = {ELIMINATION_CELL_BUDGET}")
     add, mul = field.add_table, field.mul_table
     neg, inv = field.neg_table, field.inv_table
     xor = field.p == 2
-    nrows, ncols = W.shape
     r = 0
     pivots: list[int] = []
     for col in range(ncols):

@@ -92,14 +92,16 @@ def test_distance_budget_exit_4(capsys):
 
 
 def test_evidence_budget_exit_4_fast(capsys):
-    # K + g*F over F_1024 would be 20459 x 20460; refused before any work
+    # the tau span of F[x]_{<728} over F_729 is the trace code of 4368 x 729
+    # rows over F_3, charged 4368 * 729 * 729 > ELIMINATION_CELL_BUDGET and
+    # refused before its first pivot
     t0 = time.monotonic()
     code, out, err = run_main(
-        capsys, "evidence", "--p", "2", "--m", "10", "--g", "irreducible:2",
+        capsys, "evidence", "--p", "3", "--m", "6", "--g", "irreducible:2",
     )
     elapsed = time.monotonic() - t0
     assert code == 4
-    assert out == "" and "20459 x 20460" in err
+    assert out == "" and "4368 x 729" in err and "ELIMINATION_CELL_BUDGET" in err
     assert elapsed < 5.0
 
 
@@ -266,7 +268,7 @@ def test_cli_fuzz_defined_exit(argv):
     ("evidence --p 2 --m 2 --g irreducible:2 --lam 0", 2),
     ("evidence --p 2 --m 2 --g irreducible:2 --lam 2", 2),
     ("verify --p 2 --m 10 --g irreducible:2", 0),
-    ("evidence --p 2 --m 10 --g irreducible:2", 4),
+    ("evidence --p 2 --m 10 --g irreducible:2", 0),
     ("verify --p 2 --a 5 --m 2 --g irreducible:3", 0),
     ("verify --p 2 --m 2 --g irreducible:300", 4),
     ("verify --p 2 --m 2 --g irreducible:2 --s 999", 0),

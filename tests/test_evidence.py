@@ -14,6 +14,7 @@ from wildgoppa.codes import LinearCode
 from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
     _K_plus_gF,
+    _tau_span_dim,
     _first_witness,
     _norm_map,
     _trace,
@@ -29,8 +30,8 @@ from wildgoppa.evidence import (
     verify_trace_kernel_mod,
 )
 from wildgoppa.cli import main
-from wildgoppa.gf import build_tower
-from wildgoppa.goppa import full_support, punctured_support
+from wildgoppa.gf import build_tower, prime_factors
+from wildgoppa.goppa import full_support, punctured_support, vandermonde_rows
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     Polynomial,
@@ -251,13 +252,14 @@ def test_decomposition_bookkeeping_smallest():
     assert (rep.ambient_dim, rep.dim_K, rep.dim_gF) == (12, 3, 8)
 
 
-def test_decomposition_budget_exceeded_fast():
-    # K + g*F over F_1024 would be 20459 x 20460; refused before any work
+def test_decomposition_f1024_fast():
+    # K + g*F over F_1024 has 20460 columns, but psi comes from a 20 x 20
+    # kernel, so the scan answers at once
     t0 = time.monotonic()
     field = build_tower(2, 1, 10)
     g = find_irreducible(field, 2)
-    with pytest.raises(BudgetExceeded, match="20459 x 20460"):
-        find_decomposition(field, g, trace_zero_units(field)[0])
+    _, rep = find_decomposition(field, g, trace_zero_units(field)[0])
+    assert (rep.candidate_index, rep.witness_coeffs) == (1028, (4, 1))
     assert time.monotonic() - t0 < 5.0
 
 
@@ -348,6 +350,28 @@ def test_dual_spans_gap_for_linear_powers(p, a, m, t):
     g = Polynomial.x(field) ** t
     rep = verify_dual_reformulation(field, punctured_support(field, [0]), g)
     assert rep.gap in (0, 1)
+
+
+# every proper tower of order <= 256
+SPAN_TOWERS = [(p, a, m) for p in range(2, 17) if prime_factors(p) == [p]
+               for a in range(1, 8) for m in range(2, 9) if p ** (a * m) <= 256]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tau_span_dim_matches_trace_code(data):
+    # the raw rows traced (or n for count >= n) against the trace code of
+    # their row space, eliminated over F_(q^m) first
+    field = build_tower(*data.draw(st.sampled_from(SPAN_TOWERS)))
+    points = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1,
+                                max_size=min(field.order, 24), unique=True))
+    n = len(points)
+    count = data.draw(st.one_of(st.integers(1, max(1, n - 1)), st.integers(n, n + 3)))
+    unit = st.integers(1, field.order - 1)
+    mult = data.draw(st.one_of(unit, st.lists(unit, min_size=n, max_size=n).map(np.array)))
+    rows = vandermonde_rows(field, points, mult, count)
+    want = LinearCode(field, n, rows).trace_code().k
+    assert _tau_span_dim(field, points, mult, count) == want
 
 
 def test_dual_spans_reject_root_on_support():

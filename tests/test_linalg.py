@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from wildgoppa import linalg
 from wildgoppa.codes import LinearCode
+from wildgoppa.errors import BudgetExceeded
 from wildgoppa.gf import build_tower
 from wildgoppa.linalg import (
     MatrixGF,
@@ -220,6 +222,34 @@ def test_large_elimination_is_fast():
     assert res.rank == 220
     assert K.nrows == 511 - 220
     assert elapsed < 5.0
+
+
+ENTRY_POINTS = {
+    "rref": rref,
+    "rank": rank,
+    "kernel": kernel,
+    "nested_kernels": lambda M: nested_kernels(M.field, [M.array]),
+    "LinearCode": lambda M: LinearCode(M.field, M.ncols, M.array),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+def test_elimination_budget(monkeypatch, name, shape):
+    # charged rows * cols * min(rows, cols) = 36 either way round
+    M = MatrixGF(F9, np.arange(12).reshape(shape) % 9)
+    run = ENTRY_POINTS[name]
+    want = run(M)
+    monkeypatch.setattr(linalg, "ELIMINATION_CELL_BUDGET", 36)
+    assert run(M) == want
+    monkeypatch.setattr(linalg, "ELIMINATION_CELL_BUDGET", 35)
+
+    def pivot_search(*args, **kwargs):
+        raise AssertionError("a row operation ran over the budget")
+
+    monkeypatch.setattr(np, "nonzero", pivot_search)
+    with pytest.raises(BudgetExceeded, match=f"{shape[0]} x {shape[1]} matrix costs 36 "):
+        run(M)
 
 
 # ------------------------------------------- against the slow reference paths
