@@ -37,7 +37,7 @@ import numpy as np
 from .codes import LinearCode, trace_span
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
-from .linalg import MatrixGF, kernel, rank
+from .linalg import MatrixGF, charge_elimination, kernel, rank
 from .poly import (
     Polynomial,
     QuotientRing,
@@ -135,6 +135,7 @@ def build_K(field: Field, t: int, degree_bound: Optional[int] = None) -> LinearC
         raise ValueError(
             f"degree bound {degree_bound} cannot hold mu images for t={t}"
         )
+    charge_elimination(field.m * t, field.m * degree_bound)
     rows = [flatten_poly(f, degree_bound) for f in mu_generators(field, t)]
     return LinearCode(field.subfield, field.m * degree_bound, rows)
 

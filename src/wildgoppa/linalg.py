@@ -20,7 +20,8 @@ row blocks, each block eliminated with the echelon rows before it;
 Every elimination (``rref``, ``rank``, ``kernel``, ``nested_kernels``,
 ``LinearCode``) runs through ``_rref_array``, which charges rows x cols x
 min(rows, cols) cells, a bound on what its row operations write, and raises
-BudgetExceeded before its first pivot when that is over the budget.
+BudgetExceeded before its first pivot when that is over the budget; a caller
+applies the same ``charge_elimination`` before it builds a large matrix.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "rank",
     "kernel",
     "nested_kernels",
+    "charge_elimination",
 ]
 
 _DT = np.int16
@@ -120,14 +122,18 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
-def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
-    """In-place RREF of a writable int array of codes, charged first (see
-    the module docstring)."""
-    nrows, ncols = W.shape
+def charge_elimination(nrows: int, ncols: int) -> None:
+    """Raise BudgetExceeded when an nrows x ncols elimination is over budget."""
     cost = nrows * ncols * min(nrows, ncols)
     if cost > ELIMINATION_CELL_BUDGET:
         raise BudgetExceeded(f"eliminating a {nrows} x {ncols} matrix costs {cost} cells, "
                              f"over ELIMINATION_CELL_BUDGET = {ELIMINATION_CELL_BUDGET}")
+
+
+def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """In-place RREF of a writable int array of codes."""
+    nrows, ncols = W.shape
+    charge_elimination(nrows, ncols)
     add, mul = field.add_table, field.mul_table
     neg, inv = field.neg_table, field.inv_table
     xor = field.p == 2

@@ -105,6 +105,19 @@ def test_evidence_budget_exit_4_fast(capsys):
     assert elapsed < 5.0
 
 
+def test_evidence_K_charged_before_built_fast(capsys):
+    # g = x^10000 over F_4 is within the spec's degree budget, and K would
+    # be a 20000 x 60000 matrix over F_2: refused before it is built
+    t0 = time.monotonic()
+    code, out, err = run_main(
+        capsys, "evidence", "--p", "2", "--m", "2", "--g", "irreducible:1^10000",
+    )
+    elapsed = time.monotonic() - t0
+    assert code == 4
+    assert out == "" and "20000 x 60000" in err
+    assert elapsed < 5.0
+
+
 def test_irreducible_budget_exit_4_fast(capsys):
     # degree 300 over F_4: the sieve of the first chunk alone is over the
     # search budget, so find_irreducible refuses before any work

@@ -156,6 +156,17 @@ def test_dim_K_is_mt_minus_one(p, a, m, t):
     assert K.k == field.m * t - 1
 
 
+def test_build_K_charged_before_generators(monkeypatch):
+    # t = 10000 over F_4: K would be 20000 x 60000 over F_2, refused before
+    # any of its 20000 generators is built
+    def unbuilt(field, t):
+        raise AssertionError("mu generators built before the charge")
+
+    monkeypatch.setattr(evidence, "mu_generators", unbuilt)
+    with pytest.raises(BudgetExceeded, match="20000 x 60000"):
+        build_K(build_tower(2, 1, 2), 10000)
+
+
 def test_K_contains_mu_of_random_polys():
     field = build_tower(2, 1, 2)
     t = 3
