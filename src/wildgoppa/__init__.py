@@ -1,7 +1,6 @@
 """Classical Goppa codes over finite-field towers.
 
-Builds exact, table-backed finite-field towers, Goppa and generalised
-Reed-Solomon codes over them, and provides verifiers for a family of
+Builds exact, table-backed finite-field towers, Goppa codes over them, and provides verifiers for a family of
 equality and dimension identities enjoyed by wild Goppa codes, together
 with cyclotomic dimension formulas and small-scale constructive evidence
 for the underlying trace-space decompositions.
@@ -38,7 +37,6 @@ from .goppa import (
     goppa_code,
     goppa_power_codes,
     goppa_via_crt,
-    grs_pair,
     parse_goppa_poly_spec,
     parse_support_spec,
     punctured_support,
@@ -108,7 +106,6 @@ __all__ = [
     "goppa_code",
     "goppa_power_codes",
     "goppa_via_crt",
-    "grs_pair",
     "parse_goppa_poly_spec",
     "parse_support_spec",
     "punctured_support",

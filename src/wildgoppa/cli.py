@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
         payload = {"check": check, "equal": True, "s": s}
         lines = [f"exponents ({s * field.q - 1}, {s * field.q}) equal: yes"]
     elif check == "rs":
-        rs_equivalence(field, sorted(support), g)
+        rs_equivalence(field, support, g)
         payload = {"check": check, "equal": True}
         lines = ["norm-scaled evaluation code matches: yes"]
     else:

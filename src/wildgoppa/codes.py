@@ -3,8 +3,14 @@
 A :class:`LinearCode` stores the reduced row echelon form of a generator
 matrix, which is the canonical representative of its row space: two codes
 are equal exactly when their canonical generators are identical arrays over
-equal fields. All constructions (duals, shortenings, subfield subcodes,
-trace codes) therefore compose without bookkeeping.
+equal fields.
+
+Every code the verifiers compare is an alternant code, the F_q-kernel of
+the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
+``alternant_kernel`` builds it from the Cauchy systematic form of those
+rows (Roth-Seroussi 1985), one elimination over F_q of (m - 1) d rows.
+``subfield_kernel`` is the general F_q-kernel of any parity matrix, by
+expanding it over F_q.
 
 The minimum distance routine is exact and budgeted: it returns the exact
 value, or None when the q^k - 1 nonzero codewords exceed the budget, never
@@ -17,8 +23,6 @@ pass per offset.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from . import linalg
@@ -27,8 +31,8 @@ from .linalg import MatrixGF
 
 __all__ = [
     "LinearCode",
+    "alternant_kernel",
     "subfield_kernel",
-    "trace_span",
     "expand_over_subfield",
     "DEFAULT_DISTANCE_BUDGET",
 ]
@@ -66,22 +70,9 @@ class LinearCode:
         self.generator = G
         self.k = int(G.shape[0])
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_span(cls, field: Field, rows) -> "LinearCode":
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise ValueError("expected a 2-d array of generator rows")
-        return cls(field, rows.shape[1], rows)
-
     @classmethod
     def zero_code(cls, field: Field, n: int) -> "LinearCode":
         return cls(field, n)
-
-    @classmethod
-    def full_code(cls, field: Field, n: int) -> "LinearCode":
-        return cls(field, n, np.eye(n, dtype=np.int16))
 
     # -- identity ------------------------------------------------------------
 
@@ -99,54 +90,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}] over GF({self.field.order})"
-
-    @property
-    def matrix(self) -> MatrixGF:
-        return MatrixGF._wrap(self.field, self.generator)
-
-    # -- constructions ---------------------------------------------------_---
-
-    def dual(self) -> "LinearCode":
-        """The dual code under the standard inner product."""
-        K = linalg.kernel(self.matrix) if self.k else MatrixGF.identity(self.field, self.n)
-        return LinearCode(self.field, self.n, _canonical=K.array)
-
-    def parity_check(self) -> MatrixGF:
-        """A parity check matrix (generator of the dual)."""
-        return self.dual().matrix
-
-    def shorten(self, positions: Iterable[int]) -> "LinearCode":
-        """Codewords vanishing on the given 0-based positions, restricted to
-        the complement, in the original coordinate order."""
-        S = sorted(set(int(p) for p in positions))
-        if S and (S[0] < 0 or S[-1] >= self.n):
-            raise ValueError(f"positions out of range for length {self.n}")
-        keep = [c for c in range(self.n) if c not in set(S)]
-        if not keep:
-            raise ValueError("cannot shorten away every coordinate")
-        if self.k == 0:
-            return LinearCode.zero_code(self.field, len(keep))
-        # permute shortened positions to the front, reduce, and keep the rows
-        # whose pivots fall outside them: those rows vanish on S.
-        perm = S + keep
-        res = linalg.rref(MatrixGF._wrap(self.field, self.generator[:, perm]))
-        ns = len(S)
-        rows = [j for j, p in enumerate(res.pivots) if p >= ns]
-        sub = res.matrix.array[rows][:, ns:] if rows else None
-        return LinearCode(self.field, len(keep), sub)
-
-    def subfield_subcode(self) -> "LinearCode":
-        """Codewords with every entry in the scalar level F_q, read as a code
-        over F_q. Requires a proper tower (m >= 2)."""
-        field = self.field
-        if field.m < 2:
-            raise ValueError("subfield subcode needs a proper tower (m >= 2)")
-        H = self.parity_check().array
-        return subfield_kernel(field, H)
-
-    def trace_code(self) -> "LinearCode":
-        """Coordinate-wise trace image over F_q. Requires m >= 2."""
-        return trace_span(self.field, self.generator)
 
     def contains(self, other: "LinearCode") -> bool:
         if other.field != self.field or other.n != self.n:
@@ -199,18 +142,6 @@ def _span_offsets(add, base: np.ndarray, scaled: np.ndarray):
         yield from _span_offsets(add, add(base, multiple), scaled[:, :-1])
 
 
-def trace_span(field: Field, rows) -> LinearCode:
-    """The trace code over F_q of the row space of ``rows`` over F_(q^m):
-    trace is F_q-linear, so the traces of z^l * row, l < m, over any
-    spanning rows span it. Requires m >= 2."""
-    if field.m < 2:
-        raise ValueError("trace code needs a proper tower (m >= 2)")
-    rows = np.asarray(rows, dtype=np.int64)
-    blocks = [field.trace_table[field.mul_table[(field.gen**l).code, rows]]
-              for l in range(field.m)]
-    return LinearCode(field.subfield, rows.shape[1], np.vstack(blocks))
-
-
 def expand_over_subfield(field: Field, H: np.ndarray) -> np.ndarray:
     """Expand a matrix over F_(q^m) into coordinates over F_q, row-wise.
 
@@ -233,3 +164,45 @@ def subfield_kernel(field: Field, H: np.ndarray) -> LinearCode:
     expanded = expand_over_subfield(field, H)
     K = linalg.kernel(MatrixGF(field.subfield, expanded))
     return LinearCode(field.subfield, n, _canonical=K.array)
+
+
+def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
+    """The F_q-kernel of the rows H[l, i] = v_i a_i^l, l < count, over the
+    distinct points a_i with nonzero multipliers v_i (``mult``, one code per
+    point or a scalar code), as a code over F_q in the points' order.
+
+    With X the last d = count points and Y the rest, H_X^-1 H = [A | I] with
+    A[i, j] = v(y_j) P(y_j) / (v(x_i) P'(x_i) (y_j - x_i)), P = prod (x - x_k)
+    (Lagrange interpolation on X), so c is in the code exactly when
+    c_X = -A c_Y with A c_Y in F_q^d. The kernel K of A's non-base digits
+    gives c_Y, and [K | -K A_0^T], A_0 the base digits, is already the
+    canonical generator: its pivots all lie in K. When d >= n the first n
+    rows are an invertible scaled Vandermonde matrix and the code is zero.
+    """
+    L = np.asarray(points, dtype=np.int64)
+    n, d, sub = L.size, count, field.subfield
+    if d >= n:
+        return LinearCode.zero_code(sub, n)
+    exp, log, n1 = field._exp, field._log, field.order - 1
+    lv = np.broadcast_to(log[np.asarray(mult, dtype=np.int64)], (n,))
+    y, x = L[: n - d], L[n - d:]
+    neg_x = field.neg_table[x]
+    # logs of v(y_j) P(y_j) and v(x_i) P'(x_i), as sums of logs; the table
+    # has log 0 = 0, so the zero diagonal x_i - x_i adds nothing
+    lyx = log[field.add_table[y[:, None], neg_x]]
+    lpy = lyx.sum(axis=1) + lv[: n - d]
+    lpx = log[field.add_table[x[:, None], neg_x]].sum(axis=1) + lv[n - d:]
+    A = exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1]
+    hi = digit_array(A // field.q, field.q, field.m - 1)
+    K = linalg.kernel(MatrixGF._wrap(sub, np.moveaxis(hi, -1, 0).reshape(-1, n - d))).array
+    A0 = A % field.q
+    # K is the identity on its free columns, so K A_0^T is A_0's free columns
+    # plus one gathered outer product per pivot column
+    free = (K != 0).argmax(axis=1)
+    pivot = np.ones(n - d, dtype=bool)
+    pivot[free] = False
+    B = A0[:, free].T
+    for c in np.flatnonzero(pivot):
+        term = sub.mul_table[:, A0[:, c]][K[:, c]]
+        B = B ^ term if field.p == 2 else sub.add_table[B, term]
+    return LinearCode(sub, n, _canonical=np.hstack([K, sub.neg_table[B]]))

@@ -5,9 +5,11 @@ over F_q (coefficient-major, coordinate-minor), so K = im(a -> a^q - a) is
 a LinearCode over F_q.  Since F[x]_{<(e+1)t} = F[x]_{<t} + g*F[x]_{<et},
 the functional whose kernel is K + g*F[x]_{<et} only sees residues mod g:
 it is psi, the one functional on F[x]/(g) that kills K mod g, found from
-the m*t generators of K alone.  The tau spans are trace codes of
-goppa.vandermonde_rows codes (Delsarte 1975).  Each verification returns a
-report or raises FalsificationError with the offending witness.
+the m*t generators of K alone.  The tau spans are trace codes of the
+rows mult(a_i) a_i^l, each of dimension n minus that of the alternant code
+of the same rows (codes.alternant_kernel), as Tr(C)^perp = C^perp
+restricted to F_q (Delsarte 1975).  Each verification returns a report or
+raises FalsificationError with the offending witness.
 
 The absolute trace of F[x]/(h) to F_q is F_q-linear: each check that needs
 it sums q-power orbits only for the m*deg(h) basis residues z^j x^l, once,
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import LinearCode, trace_span
+from .codes import LinearCode, alternant_kernel
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, charge_elimination, kernel, rank
@@ -49,7 +51,7 @@ from .poly import (
     irreducible_power,
     is_irreducible,
 )
-from .goppa import full_support, support_codes, vandermonde_rows
+from .goppa import full_support, support_codes
 
 __all__ = [
     "flatten_poly",
@@ -520,13 +522,9 @@ class DualSpanReport:
 
 def _tau_span_dim(field: Field, points: Sequence[int], mult, count: int) -> int:
     """dim over F_q of the trace code of the rows mult_i * a_i^l, l < count,
-    on distinct points a_i with nonzero multipliers: the raw rows traced, or
-    n once count >= n, as the first n rows then span F^n (an invertible
-    scaled Vandermonde matrix)."""
-    n = len(points)
-    if count >= n:
-        return n
-    return trace_span(field, vandermonde_rows(field, points, mult, count)).k
+    on distinct points a_i with nonzero multipliers: n minus the dimension of
+    their alternant code, since Tr(C)^perp = C^perp restricted to F_q."""
+    return len(points) - alternant_kernel(field, points, mult, count).k
 
 
 def verify_dual_reformulation(field: Field, support: Sequence[int],

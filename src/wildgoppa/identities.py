@@ -14,15 +14,13 @@ coincide, where e + 1 = (q^m - 1)/(q - 1) is the norm exponent of the tower
 * an equivalence with a Reed-Solomon subfield subcode via a norm diagonal.
 
 Every verifier builds its codes from deg g^j and the values g(a_i)^j
-(``goppa.goppa_power_codes``), never from g^j itself, and raises
-:class:`FalsificationError` when an identity that should hold does not; bad
-inputs raise ValueError instead. The five that compare consecutive powers
-build them as one chain: the parity rows of g^(j+1) are those of g^j plus
-deg g new ones (the lemma in ``goppa``), so each code is the kernel of a
-superset of its predecessor's rows, and the codes are nested by
-construction. A chain or Sugiyama check whose top power has degree over
-``goppa.SPEC_POWER_DEGREE_BUDGET`` raises BudgetExceeded before any code is
-built.
+(``goppa.goppa_power_codes``), never from g^j itself, each as an alternant
+code in canonical form, so equal codes are identical arrays; the
+Reed-Solomon side of ``rs_equivalence`` is an alternant code too. A
+verifier raises :class:`FalsificationError` when an identity that should
+hold does not; bad inputs raise ValueError instead. A chain or Sugiyama
+check whose top power has degree over ``goppa.SPEC_POWER_DEGREE_BUDGET``
+raises BudgetExceeded before any code is built.
 """
 
 from __future__ import annotations
@@ -31,11 +29,11 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .codes import LinearCode
+from .codes import LinearCode, alternant_kernel
 from .errors import FalsificationError
 from .gf import Field
 from .goppa import GoppaSpec, goppa_power_codes, require_power_degree
-from .goppa import support_codes, vandermonde_rows
+from .goppa import support_codes
 from .poly import Polynomial, count_distinct_roots, gcd, is_squarefree
 
 __all__ = [
@@ -88,8 +86,8 @@ def _report(
     t0: float,
     cofactor: Polynomial | None = None,
 ) -> IdentityReport:
-    """Build the codes for h * g^j, j in the consecutive exponents (h the
-    cofactor, default 1), and report on them."""
+    """Build the codes for h * g^j, j in the exponents (h the cofactor,
+    default 1), and report on them."""
     spec = GoppaSpec(field, support, g)
     codes = goppa_power_codes(spec, exponents, cofactor)
     dims = tuple(c.k for c in codes)
@@ -241,14 +239,12 @@ def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
     For monic rootless g of degree t with k = q^m - t*(e+1) >= 1, the code
     for g^(e+1) on the full support equals the coordinate-wise product of
     N(g(a_i)) with the F_q-restriction of the Reed-Solomon code of dimension
-    k on the full support; shortening both sides matches any support that is
-    an increasing subsequence of the full one.
+    k on the full support. That restriction is the alternant code of the
+    rows a^l, l < q^m - k, since the dual of RS_k on all of F_(q^m) is
+    RS_(q^m - k); on any support L it is read on L directly, which is the
+    shortening of both sides to L, in L's order.
     """
     L = support_codes(field, support)
-    if list(L) != sorted(L):
-        raise ValueError(
-            "support must be an increasing subsequence of the full support"
-        )
     g = g.monic()
     t = int(g.degree)
     if t < 1:
@@ -266,14 +262,7 @@ def rs_equivalence(field: Field, support: Sequence, g: Polynomial) -> bool:
     spec = GoppaSpec(field, L, g)
     (gamma,) = goppa_power_codes(spec, (e1,))
 
-    # RS_k restricted to F_q on the full support, then shortened to L;
-    # positions in the full support are exactly the element codes.
-    rows = vandermonde_rows(field, range(field.order), 1, k)
-    rs_sub = LinearCode(field, field.order, rows).subfield_subcode()
-    removed = sorted(set(range(field.order)) - set(L))
-    if removed:
-        rs_sub = rs_sub.shorten(removed)
-
+    rs_sub = alternant_kernel(field, L, 1, field.order - k)
     # apply the norm diagonal N(g(a_i)) to the RS side
     sub = field.subfield
     norms = field.norm_table[spec.goppa_values]

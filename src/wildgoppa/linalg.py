@@ -13,15 +13,12 @@ then zero to the right of its pivot, so the null-space vector for a free
 column f is nonzero only at f and at pivot columns to the right of f. The
 rows for the free columns, in increasing order, are therefore already the
 canonical RREF of the null space, with no second elimination.
-``nested_kernels`` reads out the kernel of every stack of a growing list of
-row blocks, each block eliminated with the echelon rows before it;
-``kernel`` is its one-block case.
 
-Every elimination (``rref``, ``rank``, ``kernel``, ``nested_kernels``,
-``LinearCode``) runs through ``_rref_array``, which charges rows x cols x
-min(rows, cols) cells, a bound on what its row operations write, and raises
-BudgetExceeded before its first pivot when that is over the budget; a caller
-applies the same ``charge_elimination`` before it builds a large matrix.
+Every elimination (``rref``, ``rank``, ``kernel``, ``LinearCode``) runs
+through ``_rref_array``, which charges rows x cols x min(rows, cols) cells,
+a bound on what its row operations write, and raises BudgetExceeded before
+its first pivot when that is over the budget; a caller applies the same
+``charge_elimination`` before it builds a large matrix.
 """
 
 from __future__ import annotations
@@ -39,17 +36,17 @@ __all__ = [
     "rref",
     "rank",
     "kernel",
-    "nested_kernels",
     "charge_elimination",
 ]
 
 _DT = np.int16
 
-# The charge of one elimination. The largest in the tests is 7.9e7 (672 x 343
-# over F_7); `verify --check rs` with irreducible:3 over F_1024 (925 x 1024)
-# and the F_729 chain with --s 3 (1614 x 729 over F_9) reach 8.8e8; evidence
-# with irreducible:2^15 over F_1024 (a 1980 x 1024 trace code, 2.1e9) is
-# refused.
+# The charge of one elimination. The largest in the tests is 4.7e7 (360 x 360
+# over F_2). `verify --check rs` with irreducible:3 over F_1024 reaches 7.2e8
+# (its scaled 841 x 1024 Reed-Solomon side) and the alternant kernel of g^340
+# over F_1024/F_4 (1364 x 682 digits, `verify --p 2 --a 2 --m 5 --g
+# irreducible:1 --support full-minus:0`) 6.3e8; evidence's K for
+# irreducible:1^10000 over F_4 (20000 x 60000) is refused.
 ELIMINATION_CELL_BUDGET = 1_500_000_000
 
 
@@ -83,10 +80,6 @@ class MatrixGF:
         a.setflags(write=False)
         self.array = a
         return self
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "MatrixGF":
-        return cls._wrap(field, np.eye(n, dtype=_DT))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -187,23 +180,12 @@ def kernel(M: MatrixGF) -> MatrixGF:
 
     For a matrix with no rows the kernel is the whole ambient space.
     """
-    return nested_kernels(M.field, [M.array])[0]
-
-
-def nested_kernels(field: Field, blocks) -> list[MatrixGF]:
-    """``kernel`` of each stack [B_0; ...; B_i] of the row blocks of codes,
-    eliminating each block with the echelon rows of the stack before it."""
-    out, W, rk = [], None, 0
-    for block in blocks:
-        rows = np.asarray(block)[:, ::-1]
-        if W is not None:
-            rows = np.vstack([W[:rk], rows])
-        W, rk, rpiv = _rref_array(field, rows.astype(_DT))
-        n = W.shape[1]
-        piv = [n - 1 - c for c in rpiv]
-        free = np.delete(np.arange(n), piv)
-        B = np.zeros((free.size, n), dtype=_DT)
-        B[np.arange(free.size), free] = 1
-        B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
-        out.append(MatrixGF._wrap(field, B))
-    return out
+    field = M.field
+    W, rk, rpiv = _rref_array(field, M.array[:, ::-1].astype(_DT))
+    n = W.shape[1]
+    piv = [n - 1 - c for c in rpiv]
+    free = np.delete(np.arange(n), piv)
+    B = np.zeros((free.size, n), dtype=_DT)
+    B[np.arange(free.size), free] = 1
+    B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
+    return MatrixGF._wrap(field, B)

@@ -40,6 +40,12 @@ Horner step per coefficient. ``goppa_code`` is the original parity-check
 construction from the values G(a_i) of one spec, and ``goppa_power_codes``
 the original codes of the powers h * g^j: each polynomial formed, evaluated
 on the support and passed to ``goppa_code``.
+``vandermonde_rows`` is the parity matrix mult_i * a_i^l, l < count, and
+``subfield_kernel`` of it the expansion oracle for
+``codes.alternant_kernel``. ``span``, ``full_code``, ``dual``,
+``shorten``, ``subfield_subcode`` and ``trace_code`` are the original code
+constructions, each a row space or a kernel eliminated in full, and
+``grs_pair`` the original generalised Reed-Solomon pair C, D = C^perp.
 None of these is used by the library.
 """
 
@@ -52,8 +58,8 @@ import numpy as np
 from wildgoppa.codes import LinearCode, subfield_kernel
 from wildgoppa.evidence import DecompositionReport, build_K, tau
 from wildgoppa.gf import Field, digits, prime_factors
-from wildgoppa.goppa import GoppaSpec, full_support, vandermonde_rows
-from wildgoppa.linalg import MatrixGF, rank
+from wildgoppa.goppa import GoppaSpec, full_support, support_codes
+from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     NEG_INF, Polynomial, QuotientRing, _adder, _lookup, gcd, irreducible_power, pow_mod,
 )
@@ -475,3 +481,105 @@ def goppa_power_codes(spec: GoppaSpec, exponents, cofactor: Polynomial | None = 
     h = Polynomial.one(spec.field) if cofactor is None else cofactor
     return [goppa_code(GoppaSpec(spec.field, spec.support, h * spec.goppa_poly**j))
             for j in exponents]
+
+
+def vandermonde_rows(field: Field, points, mult, count: int) -> np.ndarray:
+    """The count x n matrix with rows mult_i * a_i^j for j < count, over the
+    points a_i; mult is one multiplier per point, or a scalar code."""
+    L = np.asarray(points, dtype=np.int64)
+    rows = np.empty((count, L.size), dtype=np.int64)
+    rows[:1] = mult
+    for j in range(1, count):
+        rows[j] = field.mul_table[rows[j - 1], L]
+    return rows
+
+
+def span(field: Field, rows) -> LinearCode:
+    """The row space of a 2-d array of codes."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError("expected a 2-d array of generator rows")
+    return LinearCode(field, rows.shape[1], rows)
+
+
+def full_code(field: Field, n: int) -> LinearCode:
+    return LinearCode(field, n, np.eye(n, dtype=np.int16))
+
+
+def dual(code: LinearCode) -> LinearCode:
+    """The dual code under the standard inner product."""
+    if code.k == 0:
+        return full_code(code.field, code.n)
+    K = kernel(MatrixGF(code.field, code.generator))
+    return LinearCode(code.field, code.n, K.array)
+
+
+def shorten(code: LinearCode, positions) -> LinearCode:
+    """Codewords vanishing on the given 0-based positions, restricted to the
+    complement, in the original coordinate order."""
+    S = sorted(set(int(p) for p in positions))
+    if S and (S[0] < 0 or S[-1] >= code.n):
+        raise ValueError(f"positions out of range for length {code.n}")
+    keep = [c for c in range(code.n) if c not in set(S)]
+    if not keep:
+        raise ValueError("cannot shorten away every coordinate")
+    if code.k == 0:
+        return LinearCode.zero_code(code.field, len(keep))
+    # shortened positions first: the RREF rows pivoting outside them vanish on S
+    res = rref(MatrixGF(code.field, code.generator[:, S + keep]))
+    rows = [j for j, p in enumerate(res.pivots) if p >= len(S)]
+    sub = res.matrix.array[rows][:, len(S):] if rows else None
+    return LinearCode(code.field, len(keep), sub)
+
+
+def subfield_subcode(code: LinearCode) -> LinearCode:
+    """Codewords with every entry in F_q, as a code over F_q (m >= 2)."""
+    if code.field.m < 2:
+        raise ValueError("subfield subcode needs a proper tower (m >= 2)")
+    return subfield_kernel(code.field, dual(code).generator)
+
+
+def trace_code(code: LinearCode) -> LinearCode:
+    """Coordinate-wise trace image over F_q (m >= 2): the traces of
+    z^l * row, l < m, over the generator rows."""
+    field = code.field
+    if field.m < 2:
+        raise ValueError("trace code needs a proper tower (m >= 2)")
+    rows = code.generator.astype(np.int64)
+    blocks = [field.trace_table[field.mul_table[(field.gen**l).code, rows]]
+              for l in range(field.m)]
+    return LinearCode(field.subfield, code.n, np.vstack(blocks))
+
+
+def grs_pair(field: Field, support, h: Polynomial, t: int | None = None):
+    """(C, D): C the generalised Reed-Solomon code with multipliers
+    h(a_i)/w'(a_i) on polynomials of degree < n - t (w the support product,
+    t <= deg h, default deg h), and D, with multipliers 1/h(a_i) on
+    polynomials of degree < t, its dual. C restricted to F_q is the Goppa
+    code of (support, h) when t = deg h."""
+    L = support_codes(field, support)
+    n = len(L)
+    if h.field != field:
+        raise ValueError("multiplier polynomial must live over the top field")
+    if h.degree is NEG_INF or h.degree < 1:
+        raise ValueError("multiplier polynomial must have degree >= 1")
+    if t is None:
+        t = int(h.degree)
+    if not 1 <= t <= n - 1:
+        raise ValueError(f"need 1 <= t <= n-1, got t={t}, n={n}")
+    Lv = np.array(L, dtype=np.int64)
+    hv = h.evaluate_codes(Lv)
+    if (hv == 0).any():
+        raise ValueError("multiplier polynomial vanishes on the support")
+    # w'(a_i) = prod over j != i of (a_i - a_j)
+    add, mul = field.add_table, field.mul_table
+    diffs = add[Lv[:, None], field.neg_table[Lv][None, :]].astype(np.int64)
+    np.fill_diagonal(diffs, 1)
+    wprime = np.ones(n, dtype=np.int64)
+    for j in range(n):
+        wprime = mul[wprime, diffs[:, j]].astype(np.int64)
+    u = mul[hv, field.inv_table[wprime].astype(np.int64)].astype(np.int64)
+    v = field.inv_table[hv].astype(np.int64)
+    C = LinearCode(field, n, vandermonde_rows(field, Lv, u, n - t))
+    D = LinearCode(field, n, vandermonde_rows(field, Lv, v, t))
+    return C, D

@@ -31,7 +31,7 @@ from wildgoppa.evidence import (
 )
 from wildgoppa.cli import main
 from wildgoppa.gf import build_tower, prime_factors
-from wildgoppa.goppa import full_support, punctured_support, vandermonde_rows
+from wildgoppa.goppa import full_support, punctured_support
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     Polynomial,
@@ -371,8 +371,8 @@ SPAN_TOWERS = [(p, a, m) for p in range(2, 17) if prime_factors(p) == [p]
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tau_span_dim_matches_trace_code(data):
-    # the raw rows traced (or n for count >= n) against the trace code of
-    # their row space, eliminated over F_(q^m) first
+    # n minus the alternant code's dimension against the trace code of the
+    # rows' span, eliminated over F_(q^m) first
     field = build_tower(*data.draw(st.sampled_from(SPAN_TOWERS)))
     points = data.draw(st.lists(st.integers(0, field.order - 1), min_size=1,
                                 max_size=min(field.order, 24), unique=True))
@@ -380,8 +380,8 @@ def test_tau_span_dim_matches_trace_code(data):
     count = data.draw(st.one_of(st.integers(1, max(1, n - 1)), st.integers(n, n + 3)))
     unit = st.integers(1, field.order - 1)
     mult = data.draw(st.one_of(unit, st.lists(unit, min_size=n, max_size=n).map(np.array)))
-    rows = vandermonde_rows(field, points, mult, count)
-    want = LinearCode(field, n, rows).trace_code().k
+    rows = reference.vandermonde_rows(field, points, mult, count)
+    want = reference.trace_code(LinearCode(field, n, rows)).k
     assert _tau_span_dim(field, points, mult, count) == want
 
 

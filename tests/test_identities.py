@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
+from wildgoppa.codes import LinearCode, alternant_kernel
 from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.gf import build_tower
 from wildgoppa.goppa import full_support, punctured_support
@@ -257,17 +261,42 @@ class TestRsEquivalence:
         with pytest.raises(ValueError):
             rs_equivalence(F4t, full_support(F4t), g)
 
-    def test_rejects_unsorted_support(self):
+    def test_accepts_shuffled_support(self):
+        # both sides are read on L in L's order, so any order of any
+        # punctured support verifies
+        rng = np.random.default_rng(16)
         g = find_irreducible(F16t, 2)
-        L = list(full_support(F16t))
-        L[0], L[1] = L[1], L[0]
-        with pytest.raises(ValueError):
-            rs_equivalence(F16t, L, g)
+        for size in (16, 14, 9, 3):
+            L = [int(c) for c in rng.permutation(16)[:size]]
+            assert rs_equivalence(F16t, L, g)
 
     def test_rejects_rooted(self):
         x = Polynomial.x(F16t)
         with pytest.raises(ValueError):
             rs_equivalence(F16t, punctured_support(F16t, [0]), x)
+
+
+RS_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2),
+             (3, 1, 3), (2, 1, 5), (7, 1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rs_side_matches_subcode_shortening(data):
+    # the alternant code of the rows a^l, l < q^m - k, on L against RS_k on
+    # the full support restricted to F_q and shortened to L, then read in
+    # L's order
+    field = build_tower(*data.draw(st.sampled_from(RS_TOWERS)))
+    order = field.order
+    k = data.draw(st.integers(1, order - 1))
+    points = data.draw(st.permutations(range(order)))[: data.draw(st.integers(1, order))]
+    rows = reference.vandermonde_rows(field, range(order), 1, k)
+    rs = reference.subfield_subcode(reference.span(field, rows))
+    removed = sorted(set(range(order)) - set(points))
+    want = reference.shorten(rs, removed)
+    ranks = np.argsort(np.argsort(points))
+    want = LinearCode(field.subfield, len(points), want.generator[:, ranks])
+    assert alternant_kernel(field, points, 1, order - k) == want
 
 
 class TestNoPolynomialPowers:
