@@ -41,9 +41,11 @@ __all__ = [
 NEG_INF = float("-inf")
 
 # Table lookups one find_irreducible call may spend: _sieve_cells per chunk
-# and d^2 per squarefree confirmation. The largest search that the tests, the
-# towers and the benchmark workloads make, F_4 at degree 40, is charged
-# 2.4e7; the largest in the workloads, F_81 at degree 6, 1.5e7.
+# and d^2 per squarefree confirmation; one is_squarefree gcd may spend d^2
+# too. The largest searches that the tests, the towers and the benchmark
+# workloads make, F_4 at degree 40 and the quartics over F_256, are charged
+# 4.2e7 and 3.2e7-3.4e7; the largest in the workloads, F_81 at degree 6,
+# 1.1e7.
 IRREDUCIBLE_CELL_BUDGET = 10**8
 
 # Candidate scans (the sieve here, the witness scans of evidence) run in
@@ -471,16 +473,27 @@ def _candidate_chunks(order: int, degree: int, total: int,
 
 
 def _root_free(field: Field, cands: np.ndarray) -> np.ndarray:
-    """Which monic candidates (rows of non-leading coefficients) have no
-    root in the field, by Horner evaluation at every element."""
+    """Which monic candidates (rows of non-leading coefficients, degree
+    d >= 2) have no root in the field.
+
+    A candidate is c_0 + R(x), and it has a root exactly when -c_0 is a
+    value of R. R is evaluated at every element once per run of rows that
+    share (c_1, ..., c_(d-1)), in d - 1 array steps; candidates in index
+    order share it in runs of |F|. Each row is then one lookup.
+    """
     add, mul = _adder(field), _lookup(field.mul_table)
+    high = cands[:, 1:]
+    starts = np.ones(len(cands), dtype=bool)
+    starts[1:] = (high[1:] != high[:-1]).any(axis=1)
+    runs = high[starts]
     xs = np.arange(field.order, dtype=_DT)
-    acc = np.broadcast_to(xs, (cands.shape[0], xs.size))
-    for k in range(cands.shape[1] - 1, -1, -1):
-        acc = add(acc, cands[:, k : k + 1])
-        if k:
-            acc = mul(acc, xs)
-    return (acc != 0).all(axis=1)
+    # Horner from the leading 1: R = (((x + c_(d-1)) x + ...) + c_1) x
+    acc = np.broadcast_to(xs, (len(runs), xs.size))
+    for k in range(runs.shape[1] - 1, -1, -1):
+        acc = mul(add(acc, runs[:, k : k + 1]), xs)
+    values = np.zeros(acc.shape, dtype=bool)
+    values[np.arange(len(runs))[:, None], acc] = True
+    return ~values[np.cumsum(starts) - 1, field.neg_table[cands[:, 0]]]
 
 
 def _batch_rank(field: Field, M: np.ndarray) -> np.ndarray:
@@ -507,6 +520,42 @@ def _batch_rank(field: Field, M: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _xq_by_frobenius(p: int, k: int, d: int) -> tuple[bool, int]:
+    """Which way to x^Q mod a monic f of degree d >= 2, Q = p^k, costs
+    fewer table lookups: (True, lookups per modulus) for k p-th power maps,
+    (False, lookups per modulus) for square and multiply.
+
+    A p-th power map h -> h^p = sum h_i^p x^(ip) mod f is d lookups and a
+    fold of (p - 1)(d - 1) steps of 2d. Square and multiply takes one
+    batch_mul_mod of about 4d^2 per bit and per one bit of Q. The maps win
+    for small p, square and multiply for large p, such as F_31 and F_961.
+    """
+    Q = p**k
+    maps = k * (d + 2 * d * (p - 1) * (d - 1))
+    squares = (Q.bit_length() + bin(Q).count("1")) * 4 * d * d
+    return (True, maps) if maps < squares else (False, squares)
+
+
+def _x_to_the_q(field: Field, moduli: np.ndarray) -> np.ndarray:
+    """x^Q mod f_i, Q = |F|, for the monic f_i (rows of non-leading
+    coefficients, degree d >= 2), the way :func:`_xq_by_frobenius` picks."""
+    n, d = moduli.shape
+    p, k = field.p, field.a * field.m
+    h = np.zeros((n, d), dtype=_DT)
+    h[:, 1] = 1
+    if not _xq_by_frobenius(p, k, d)[0]:
+        return batch_pow_mod(field, h, field.order, moduli)
+    codes = np.arange(field.order)
+    power = codes
+    for _ in range(p - 1):
+        power = field.mul_table[power, codes]
+    for _ in range(k):
+        spread = np.zeros((n, (d - 1) * p + 1), dtype=_DT)
+        spread[:, ::p] = power[h]
+        h = _fold_mod(field, spread, moduli)
+    return h
+
+
 def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     """Which monic f (rows of non-leading coefficients, degree d >= 2) have
     exactly one distinct irreducible factor.
@@ -518,9 +567,7 @@ def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     kernel has dimension 1.
     """
     n, d = moduli.shape
-    x = np.zeros((n, d), dtype=_DT)
-    x[:, 1] = 1
-    xq = batch_pow_mod(field, x, field.order, moduli)
+    xq = _x_to_the_q(field, moduli)
     M = np.empty((n, d - 1, d), dtype=_DT)
     M[:, 0] = xq
     for j in range(1, d - 1):
@@ -560,12 +607,18 @@ def is_irreducible(f: Polynomial) -> bool:
     return _sieve(f.field, row).size == 1 and (d < 4 or is_squarefree(fm))
 
 
-def _sieve_cells(order: int, degree: int, count: int) -> int:
-    """Table lookups of :func:`_sieve` on ``count`` candidates: the root
-    sieve, and from degree 4 the Berlekamp sieve."""
-    cells = count * order * degree
+def _sieve_cells(field: Field, degree: int, start: int, count: int) -> int:
+    """Table lookups of :func:`_sieve` on the candidates start ..
+    start + count - 1 in index order: the root sieve, d - 1 steps over the
+    field per shared high part and one lookup per candidate, and from degree
+    4 the Berlekamp sieve on every candidate, x^Q (:func:`_xq_by_frobenius`),
+    d - 2 products of about 4d^2 for B and about 2d^3 for its rank."""
+    order = field.order
+    groups = (start + count - 1) // order - start // order + 1
+    cells = groups * order * (degree - 1) + count
     if degree >= 4:
-        cells += count * degree * degree * (3 * degree + 4 * order.bit_length())
+        xq = _xq_by_frobenius(field.p, field.a * field.m, degree)[1]
+        cells += count * (xq + 4 * degree * degree * (degree - 2) + 2 * degree**3)
     return cells
 
 
@@ -601,8 +654,8 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
                 f"table lookups"
             )
 
-    for _, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
-        charge(_sieve_cells(order, degree, len(cands)))
+    for start, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
+        charge(_sieve_cells(field, degree, start, len(cands)))
         for i in _sieve(field, cands).tolist():
             cand = Polynomial._raw(field, cands[i].tolist() + [1])
             if degree < 4:
@@ -626,13 +679,21 @@ def is_squarefree(g: Polynomial) -> bool:
 
     Over a perfect field a zero derivative means g is in F[x^p], hence a
     p-th power, hence not squarefree for positive degree; otherwise g is
-    squarefree iff gcd(g, g') is constant.
+    squarefree iff gcd(g, g') is constant. That gcd is charged deg(g)^2
+    table lookups before it runs, and refused with BudgetExceeded over
+    IRREDUCIBLE_CELL_BUDGET.
     """
     d = g.degree
     if d is NEG_INF:
         raise ValueError("zero polynomial is not squarefree nor squareful")
     if d == 0:
         return True
+    if d * d > IRREDUCIBLE_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"squarefree test of a degree-{d} polynomial needs {d * d} "
+            f"table lookups, over IRREDUCIBLE_CELL_BUDGET = "
+            f"{IRREDUCIBLE_CELL_BUDGET}"
+        )
     dg = g.derivative()
     if dg.is_zero:
         return False

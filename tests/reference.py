@@ -22,7 +22,10 @@ polynomial evaluated by Horner's rule at every support point and traced.
 on the powers x^(Q^k) mod f, and ``find_irreducible`` the original
 irreducible search: that test on every candidate in index order, with no
 sieve and no budget. ``count_distinct_roots`` is the original root count,
-deg gcd(g, x^Q - x).
+deg gcd(g, x^Q - x). ``root_free`` is the original root sieve of
+``poly._sieve``: Horner's rule at every element, for every candidate.
+``one_distinct_factor`` is the original Berlekamp sieve, with x^Q mod f by
+square and multiply (``batch_pow_mod``) in every field.
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
 basis residue, and the witness searches that form lam*a^N for one
@@ -61,7 +64,8 @@ from wildgoppa.gf import Field, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
-    NEG_INF, Polynomial, QuotientRing, _adder, _lookup, gcd, irreducible_power, pow_mod,
+    NEG_INF, Polynomial, QuotientRing, _adder, _batch_rank, _lookup, batch_mul_mod,
+    batch_pow_mod, gcd, irreducible_power, pow_mod,
 )
 
 _DT = np.int16
@@ -283,6 +287,36 @@ def count_distinct_roots(g: Polynomial) -> int:
     x = Polynomial.x(g.field)
     # gcd(0, gm) = gm when x^Q == x mod g, i.e. g splits completely
     return int(gcd(pow_mod(x, g.field.order, gm) - x % gm, gm).degree)
+
+
+def root_free(field: Field, cands: np.ndarray) -> np.ndarray:
+    """Which monic candidates (rows of non-leading coefficients) have no
+    root in the field, by Horner evaluation at every element."""
+    add, mul = _adder(field), _lookup(field.mul_table)
+    xs = np.arange(field.order, dtype=_DT)
+    acc = np.broadcast_to(xs, (cands.shape[0], xs.size))
+    for k in range(cands.shape[1] - 1, -1, -1):
+        acc = add(acc, cands[:, k : k + 1])
+        if k:
+            acc = mul(acc, xs)
+    return (acc != 0).all(axis=1)
+
+
+def one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
+    """Which monic f (rows of non-leading coefficients, degree d >= 2) have
+    one distinct irreducible factor: rows 1 .. d-1 of B - I, row j of B
+    being x^(jQ) mod f, have rank d - 1."""
+    n, d = moduli.shape
+    x = np.zeros((n, d), dtype=_DT)
+    x[:, 1] = 1
+    xq = batch_pow_mod(field, x, field.order, moduli)
+    M = np.empty((n, d - 1, d), dtype=_DT)
+    M[:, 0] = xq
+    for j in range(1, d - 1):
+        M[:, j] = batch_mul_mod(field, M[:, j - 1], xq, moduli)
+    diag = np.arange(1, d)
+    M[:, diag - 1, diag] = _adder(field)(M[:, diag - 1, diag], field.neg_table[1])
+    return _batch_rank(field, M) == d - 1
 
 
 def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Polynomial | None:

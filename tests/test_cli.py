@@ -330,6 +330,27 @@ def test_probe_dense_g_over_power_budget_fast(check):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("check", [["--s", "1"], ["--check", "sugiyama"]])
+@pytest.mark.parametrize("degree,want", [(30_000, 4), (10_000, 0)])
+def test_probe_dense_g_squarefree_gcd_charged(check, degree, want):
+    # a random dense rootless g over F_4: the squarefree test's gcd(g, g') is
+    # charged deg(g)^2 lookups against IRREDUCIBLE_CELL_BUDGET (1e8) before
+    # it runs, so degree 30,000 is refused at once and 10,000 still answers
+    field = build_tower(2, 1, 2)
+    rng = np.random.default_rng(degree)
+    coeffs = [int(c) for c in rng.integers(0, 4, size=degree)] + [1]
+    coeffs[0] = next(c for c in (1, 2, 3)
+                     if Polynomial(field, [c] + coeffs[1:]).evaluate_codes(np.arange(4)).all())
+    argv = ["verify", "--p", "2", "--m", "2", "--g", ",".join(map(str, coeffs)), *check]
+    code, out, err, elapsed = run_cli_bounded(argv)
+    assert code == want, err
+    if want == 4:
+        assert out == "" and "IRREDUCIBLE_CELL_BUDGET" in err
+        assert elapsed < 5.0
+    else:
+        assert "equal: yes" in out
+
+
 # -------------------------------------------------------------------- output
 
 

@@ -23,6 +23,9 @@ from wildgoppa.poly import (
     _candidate_block,
     _fold_mod,
     _one_distinct_factor,
+    _root_free,
+    _x_to_the_q,
+    _xq_by_frobenius,
     batch_mul_mod,
     batch_pow_mod,
     count_distinct_roots,
@@ -59,8 +62,9 @@ SMALL_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 256]
 
 @functools.cache
 def searched_irreducible(field, degree: int) -> Polynomial | None:
-    """find_irreducible's answer, None when the search is refused (quartics
-    over F_256 are, after about 1 s)."""
+    """find_irreducible's answer, None when the search is refused. On the
+    towers of order <= 256 only degree 6 over F_256 is, after about 0.3 s;
+    quartics over F_256 answer in about 0.1 s."""
     try:
         return find_irreducible(field, degree)
     except BudgetExceeded:
@@ -321,6 +325,75 @@ class TestIrreducibility:
             assert keep == (tuple(row + [1]) in prime_powers), row
         assert sum(kept) == len(prime_powers) == 4 + 6 + 60
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_root_free_matches_horner(self, data):
+        """The root sieve, one evaluation per run of a shared high part,
+        agrees with Horner's rule at every element for every row, on rows in
+        any order: runs, high parts repeated apart, shuffled, a single row."""
+        field = build_tower(*data.draw(st.sampled_from(SMALL_TOWERS)))
+        d = data.draw(st.integers(2, 7))
+        codes = st.integers(0, field.order - 1)
+        # high parts that differ in one column, or not at all
+        base = data.draw(st.lists(codes, min_size=d - 1, max_size=d - 1))
+        highs = [base[:i] + [c] + base[i + 1 :] for i, c in data.draw(st.lists(
+            st.tuples(st.integers(0, d - 2), codes), min_size=1, max_size=4))]
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(highs) - 1), codes),
+                                   min_size=1, max_size=40))
+        cands = np.array([[c0] + highs[h] for h, c0 in picks], dtype=np.int16)
+        if data.draw(st.booleans()):
+            cands = cands[data.draw(st.permutations(range(len(cands))))]
+        got = _root_free(field, cands)
+        assert got.tolist() == reference.root_free(field, cands).tolist()
+
+    @pytest.mark.parametrize("field,d", [(F4, 2), (F9, 3), (F16, 4), (build_tower(7, 1, 2), 2)])
+    def test_root_free_index_order(self, field, d):
+        """Whole index-ordered blocks, runs of |F| rows, match Horner's rule;
+        a block may start and end inside a run."""
+        total = min(field.order**d, 4096)
+        cands = np.array([digits(i, field.order, d) for i in range(total)], dtype=np.int16)
+        want = reference.root_free(field, cands)
+        assert _root_free(field, cands).tolist() == want.tolist()
+        assert _root_free(field, cands[3:-5]).tolist() == want[3:-5].tolist()
+
+    @pytest.mark.parametrize("params,d,by_maps", [
+        ((2, 1, 2), 4, True), ((2, 4, 2), 5, True), ((3, 2, 2), 6, True),
+        ((7, 1, 2), 4, True), ((31, 1, 2), 4, False), ((31, 1, 1), 7, False),
+        ((17, 1, 2), 5, False),
+    ])
+    def test_x_to_the_q_both_branches(self, params, d, by_maps):
+        """x^Q mod f from p-th power maps (small p) or square and multiply
+        (large p) equals batch_pow_mod, and the Berlekamp sieve equals the
+        square-and-multiply sieve, on random moduli, an irreducible, a
+        product of two distinct factors and, at even degree, a square."""
+        field = build_tower(*params)
+        assert _xq_by_frobenius(field.p, field.a * field.m, d)[0] is by_maps
+        rng = np.random.default_rng(d)
+        # irreducible, two distinct factors, and from even d a square
+        special = [find_irreducible(field, d), Polynomial.x(field) * find_irreducible(field, d - 1)]
+        if d % 2 == 0:
+            special.append(find_irreducible(field, d // 2) ** 2)
+        rows = rng.integers(0, field.order, size=(40, d)).tolist()
+        moduli = np.array(rows + [list(f.coeffs[:-1]) for f in special], dtype=np.int16)
+        x = np.zeros(moduli.shape, dtype=np.int16)
+        x[:, 1] = 1
+        want = batch_pow_mod(field, x, field.order, moduli)
+        assert (_x_to_the_q(field, moduli) == want).all()
+        kept = _one_distinct_factor(field, moduli)
+        assert kept.tolist() == reference.one_distinct_factor(field, moduli).tolist()
+        assert kept[40] and not kept[41] and kept[42:].all()
+
+    @pytest.mark.parametrize("params,coeffs", [
+        ((2, 1, 8), [8, 2, 1, 0, 1]), ((2, 2, 4), [2, 4, 1, 0, 1]),
+        ((2, 4, 2), [1, 16, 1, 0, 1]), ((2, 8, 1), [8, 2, 1, 0, 1]),
+    ])
+    def test_quartics_over_f256_within_budget(self, params, coeffs):
+        """Quartics over F_256 fit the budget, and each presentation returns
+        what its search returns with the budget lifted, past candidate
+        65,536."""
+        g = find_irreducible(build_tower(*params), 4)
+        assert list(g.coeffs) == coeffs and reference.is_irreducible(g)
+
     def test_candidate_block_exact_past_int64(self):
         """Blocks are exact where order**degree passes 2**63, and stop at
         the next multiple of order**k so that the high digits are shared."""
@@ -511,6 +584,14 @@ class TestSquarefree:
         for c in range(4):
             f = Polynomial(F4, [c, 0, 1])
             assert not is_squarefree(f)
+
+    def test_gcd_charged_before_it_runs(self, monkeypatch):
+        """deg(g)^2 lookups are charged against IRREDUCIBLE_CELL_BUDGET."""
+        monkeypatch.setattr(poly, "IRREDUCIBLE_CELL_BUDGET", 100)
+        x = Polynomial.x(F9)
+        assert is_squarefree(x**10 + Polynomial.one(F9))
+        with pytest.raises(BudgetExceeded, match="degree-11"):
+            is_squarefree(x**11 + Polynomial.one(F9))
 
     def test_examples(self):
         x = Polynomial.x(F9)
