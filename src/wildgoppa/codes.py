@@ -9,8 +9,10 @@ Every code the verifiers compare is an alternant code, the F_q-kernel of
 the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
 ``alternant_kernel`` builds it from the Cauchy systematic form of those
 rows (Roth-Seroussi 1985), one elimination over F_q of (m - 1) d rows.
-``subfield_kernel`` is the general F_q-kernel of any parity matrix, by
-expanding it over F_q.
+``restrict_alternant`` cuts such a code down by s more rows v'_i a_i^l
+without starting over: one elimination over F_q of the m s digit rows of
+those rows times the code's generator. ``subfield_kernel`` is the general
+F_q-kernel of any parity matrix, by expanding it over F_q.
 
 The minimum distance routine is exact and budgeted: it returns the exact
 value, or None when the q^k - 1 nonzero codewords exceed the budget, never
@@ -28,10 +30,12 @@ import numpy as np
 from . import linalg
 from .gf import Field, digit_array
 from .linalg import MatrixGF
+from .poly import _adder
 
 __all__ = [
     "LinearCode",
     "alternant_kernel",
+    "restrict_alternant",
     "subfield_kernel",
     "expand_over_subfield",
     "DEFAULT_DISTANCE_BUDGET",
@@ -195,14 +199,71 @@ def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
     A = exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1]
     hi = digit_array(A // field.q, field.q, field.m - 1)
     K = linalg.kernel(MatrixGF._wrap(sub, np.moveaxis(hi, -1, 0).reshape(-1, n - d))).array
-    A0 = A % field.q
-    # K is the identity on its free columns, so K A_0^T is A_0's free columns
-    # plus one gathered outer product per pivot column
-    free = (K != 0).argmax(axis=1)
-    pivot = np.ones(n - d, dtype=bool)
-    pivot[free] = False
-    B = A0[:, free].T
-    for c in np.flatnonzero(pivot):
-        term = sub.mul_table[:, A0[:, c]][K[:, c]]
-        B = B ^ term if field.p == 2 else sub.add_table[B, term]
+    B = _rref_times(sub, K, np.ascontiguousarray((A % field.q).T))
     return LinearCode(sub, n, _canonical=np.hstack([K, sub.neg_table[B]]))
+
+
+def restrict_alternant(code: LinearCode, field: Field, points, mult, count: int) -> LinearCode:
+    """The subcode of ``code`` (over F_q, on the points) in the F_q-kernel of
+    the rows E[l, i] = v_i a_i^l, l < count, as in ``alternant_kernel``.
+
+    With G the canonical generator of the code, a word x G lies in the
+    subcode exactly when M x = 0 for M = E G^T over F_(q^m), so the subcode
+    is N G for N the kernel of M's digit rows; N G is already canonical, as
+    N is in RREF and G is the identity on its pivots. When M = 0 the code
+    itself is returned.
+    """
+    G, k, n = code.generator, code.k, code.n
+    linalg.charge_cells(count * k * (n - k), f"restricting a {k} x {n} code by {count} rows")
+    L, add, mul = np.asarray(points, dtype=np.int64), _adder(field), field.mul_table
+    # M = E_P + E_rest G_rest^T, P the pivots of G, one row of E at a time
+    lead, rest = _split_columns(G)
+    G_rest = G[:, rest]
+    M = np.empty((count, k), dtype=np.int16)
+    E = np.broadcast_to(np.asarray(mult, dtype=np.int16), (n,))
+    for l in range(count):
+        M[l] = add(E[lead], _row_sums(field, mul[E[rest], G_rest]))
+        E = mul[E, L]
+    if not M.any():
+        return code
+    sub = field.subfield
+    N = linalg.kernel(MatrixGF._wrap(sub, expand_over_subfield(field, M))).array
+    return LinearCode(sub, n, _canonical=_rref_times(sub, N, G))
+
+
+def _split_columns(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot column of each row of R, in RREF with no zero row, and the
+    mask of R's other nonzero columns."""
+    lead = (R != 0).argmax(axis=1)
+    rest = R.any(axis=0)
+    rest[lead] = False
+    return lead, rest
+
+
+def _row_sums(field: Field, X: np.ndarray) -> np.ndarray:
+    """The field sum of each row of X: XOR in characteristic 2, else the
+    base-p digits summed mod p, codes being positional base p."""
+    if field.p == 2:
+        return np.bitwise_xor.reduce(X, axis=1)
+    p, out, w = field.p, 0, 1
+    while w < field.order:
+        out = out + (X // w % p).sum(axis=1) % p * w
+        w *= p
+    return out
+
+
+def _rref_times(field: Field, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """R Y over the field, for R in RREF with no zero row: R is the identity
+    on its pivot columns, so R Y is Y's pivot rows plus one gathered outer
+    product R[:, c] Y[c] per other column c, through the smaller temporary,
+    one row per field element or one per row of R."""
+    lead, rest = _split_columns(R)
+    add, mul = _adder(field), field.mul_table
+    B = Y[lead]
+    for c in np.flatnonzero(rest):
+        if R.shape[0] > field.order:
+            term = mul[:, Y[c]][R[:, c]]
+        else:
+            term = mul[R[:, c, None], Y[c]]
+        B = add(B, term)
+    return B

@@ -6,9 +6,14 @@ code consists of the vectors c over F_q whose syndrome sum of c_i/(x - a_i)
 vanishes modulo G. Two independent constructions are provided:
 
 * ``goppa_power_codes`` reads the code of G = h * g^j as the alternant code
-  of the standard parity check, rows a_i^l / G(a_i) for l < deg G, built
-  by ``codes.alternant_kernel`` from deg G and the values h(a_i) g(a_i)^j
-  alone; ``goppa_code`` is its j = 1 case;
+  of the standard parity check, rows a_i^l / G(a_i) for l < deg G, from
+  deg G and the values h(a_i) g(a_i)^j alone; ``goppa_code`` is its j = 1
+  case. The codes are nested: for j < j' the parity rows of h * g^j' span
+  those of h * g^j together with the rows a_i^l / (h g^j')(a_i),
+  l < (j' - j) deg g, so only the smallest exponent gets
+  ``codes.alternant_kernel``; each larger one restricts the code before it
+  by those rows (``codes.restrict_alternant``), and is that code itself
+  when they vanish on it, as in the equal-power identities;
 * ``goppa_via_crt`` evaluates the defining membership map directly, sending
   c to sum of c_i * (prod_L / (x - a_i) mod G) and taking the kernel of its
   coefficient matrix. The columns come from array passes over all support
@@ -20,8 +25,8 @@ They must agree on every input; the test suite enforces this on hundreds of
 random instances, the benchmark's sweep cross-checks them on every rooted
 instance, and the identity verifiers lean on it. That check only means
 something while the two stay independent, so ``goppa_via_crt`` never uses
-the values G(a_i) or their inverses, nor ``codes.alternant_kernel`` and its
-deg G >= n zero-code shortcut.
+the values G(a_i) or their inverses, nor ``codes.alternant_kernel``, its
+deg G >= n zero-code shortcut or ``codes.restrict_alternant``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codes import LinearCode, alternant_kernel, subfield_kernel
+from .codes import LinearCode, alternant_kernel, restrict_alternant, subfield_kernel
 from .errors import BudgetExceeded
 from .gf import Field, FieldElement
 from .poly import _DT, NEG_INF, Polynomial, _adder, _fold_mod, _lookup, parse_poly_spec
@@ -147,7 +152,10 @@ def goppa_power_codes(
     """The Goppa codes for G = h * g^j, j >= 1 over the exponents, g the
     spec's polynomial and h the cofactor (default 1), from deg G = deg h +
     j deg g and the values G(a_i) = h(a_i) g(a_i)^j alone: g^j is never
-    formed. Each is the alternant code of the rows a_i^l / G(a_i), l < deg G.
+    formed. Each is the alternant code of the rows a_i^l / G(a_i), l < deg G:
+    the smallest exponent's by ``alternant_kernel``, each larger one's by
+    restricting the code of the exponent before it (see the module
+    docstring), and the zero code once deg G >= n.
     """
     exponents = tuple(exponents)
     if min(exponents, default=1) < 1:
@@ -159,11 +167,18 @@ def goppa_power_codes(
             raise ValueError("cofactor must live over the top field")
         h_inv = field.inv_table[_values_off_roots(cofactor, spec.support)]
         h_deg = int(cofactor.degree)
-    t = int(spec.goppa_poly.degree)
-    return [alternant_kernel(field, spec.support,
-                             field.mul_table[h_inv, value_powers(field, spec.goppa_values, -j)],
-                             h_deg + j * t)
-            for j in exponents]
+    t, n = int(spec.goppa_poly.degree), spec.n
+    codes, prev = {}, None
+    for j in sorted(set(exponents)):
+        values = field.mul_table[h_inv, value_powers(field, spec.goppa_values, -j)]
+        count = h_deg + j * t
+        if prev is None or count >= n:
+            codes[j] = alternant_kernel(field, spec.support, values, count)
+        else:
+            codes[j] = restrict_alternant(codes[prev], field, spec.support, values,
+                                          (j - prev) * t)
+        prev = j
+    return [codes[j] for j in exponents]
 
 
 def goppa_code(spec: GoppaSpec) -> LinearCode:

@@ -14,9 +14,10 @@ coincide, where e + 1 = (q^m - 1)/(q - 1) is the norm exponent of the tower
 * an equivalence with a Reed-Solomon subfield subcode via a norm diagonal.
 
 Every verifier builds its codes from deg g^j and the values g(a_i)^j
-(``goppa.goppa_power_codes``), never from g^j itself, each as an alternant
-code in canonical form, so equal codes are identical arrays; the
-Reed-Solomon side of ``rs_equivalence`` is an alternant code too. A
+(``goppa.goppa_power_codes``), never from g^j itself: the smallest power's
+as an alternant code, each larger one by restricting the one before, all
+in canonical form, so equal codes are identical arrays; the Reed-Solomon
+side of ``rs_equivalence`` is an alternant code too. A
 verifier raises :class:`FalsificationError` when an identity that should
 hold does not; bad inputs raise ValueError instead. A chain or Sugiyama
 check whose top power has degree over ``goppa.SPEC_POWER_DEGREE_BUDGET``

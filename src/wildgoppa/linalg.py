@@ -17,8 +17,12 @@ canonical RREF of the null space, with no second elimination.
 Every elimination (``rref``, ``rank``, ``kernel``, ``LinearCode``) runs
 through ``_rref_array``, which charges rows x cols x min(rows, cols) cells,
 a bound on what its row operations write, and raises BudgetExceeded before
-its first pivot when that is over the budget; a caller applies the same
-``charge_elimination`` before it builds a large matrix.
+its first pivot when that is over the budget; only then does it set the
+zero rows aside. A caller applies the same ``charge_elimination`` before it
+builds a large matrix, and ``charge_cells`` to the same budget before a
+large product. Over F_2 a pivot clears its column by XOR with the pivot
+row alone; in odd characteristic the row update adds through one flat
+take of the add table.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "rref",
     "rank",
     "kernel",
+    "charge_cells",
     "charge_elimination",
 ]
 
@@ -115,53 +120,72 @@ class RrefResult:
     pivots: tuple[int, ...]
 
 
+def charge_cells(cells: int, what: str) -> None:
+    """Raise BudgetExceeded when a step that writes this many cells is over
+    ELIMINATION_CELL_BUDGET."""
+    if cells > ELIMINATION_CELL_BUDGET:
+        raise BudgetExceeded(f"{what} costs {cells} cells, "
+                             f"over ELIMINATION_CELL_BUDGET = {ELIMINATION_CELL_BUDGET}")
+
+
 def charge_elimination(nrows: int, ncols: int) -> None:
     """Raise BudgetExceeded when an nrows x ncols elimination is over budget."""
-    cost = nrows * ncols * min(nrows, ncols)
-    if cost > ELIMINATION_CELL_BUDGET:
-        raise BudgetExceeded(f"eliminating a {nrows} x {ncols} matrix costs {cost} cells, "
-                             f"over ELIMINATION_CELL_BUDGET = {ELIMINATION_CELL_BUDGET}")
+    charge_cells(nrows * ncols * min(nrows, ncols), f"eliminating a {nrows} x {ncols} matrix")
 
 
 def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int, ...]]:
     """In-place RREF of a writable int array of codes."""
     nrows, ncols = W.shape
     charge_elimination(nrows, ncols)
-    add, mul = field.add_table, field.mul_table
+    # zero rows never pivot and stay zero: eliminate the others, in order,
+    # and put them back on top
+    live = np.flatnonzero(W.any(axis=1))
+    V = W if live.size == nrows else W[live]
+    order, mul = field.order, field.mul_table
+    flat_add, flat_mul = field.add_table.ravel(), mul.ravel()
     neg, inv = field.neg_table, field.inv_table
     xor = field.p == 2
     r = 0
     pivots: list[int] = []
     for col in range(ncols):
-        if r == nrows:
+        if r == live.size:
             break
-        nz = np.nonzero(W[r:, col])[0]
+        nz = np.nonzero(V[r:, col])[0]
         if nz.size == 0:
             continue
         # rows r and below are zero left of col, so only columns col: change
         pr = r + int(nz[0])
         if pr != r:
-            W[[r, pr], col:] = W[[pr, r], col:]
-        pv = int(W[r, col])
+            V[[r, pr], col:] = V[[pr, r], col:]
+        pv = int(V[r, col])
         if pv != 1:
-            W[r, col:] = mul[int(inv[pv]), W[r, col:]]
-        colvals = W[:, col].copy()
+            # the flat index in intp: code * order overflows int16 from 256
+            V[r, col:] = flat_mul[np.add(V[r, col:], int(inv[pv]) * order, dtype=np.intp)]
+        colvals = V[:, col].copy()
         colvals[r] = 0
         rows_nz = np.nonzero(colvals)[0]
         if rows_nz.size:
-            prow = W[r, col:]
-            factors = neg[colvals[rows_nz]]
-            # the smaller temporary: one row per field element, or per row
-            if rows_nz.size > field.order:
-                scaled = mul[:, prow][factors]
+            prow = V[r, col:]
+            if order == 2:
+                V[rows_nz, col:] ^= prow
             else:
-                scaled = mul[factors[:, None], prow[None, :]]
-            if xor:
-                W[rows_nz, col:] ^= scaled
-            else:
-                W[rows_nz, col:] = add[W[rows_nz, col:], scaled]
+                factors = neg[colvals[rows_nz]]
+                # the smaller temporary: one row per field element, or per row
+                if rows_nz.size > order:
+                    scaled = mul[:, prow][factors]
+                else:
+                    scaled = mul[factors[:, None], prow[None, :]]
+                if xor:
+                    V[rows_nz, col:] ^= scaled
+                else:
+                    idx = np.multiply(V[rows_nz, col:], order, dtype=np.intp)
+                    idx += scaled
+                    V[rows_nz, col:] = flat_add.take(idx)
         pivots.append(col)
         r += 1
+    if V is not W:
+        W[: live.size] = V
+        W[live.size:] = 0
     return W, r, tuple(pivots)
 
 

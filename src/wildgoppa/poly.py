@@ -715,8 +715,10 @@ def irreducible_power(g: Polynomial) -> tuple[Polynomial, int] | None:
     g = g.monic()
     Q = g.field.order
     x = Polynomial.x(g.field)
+    xq = x % g
     for dh in range(1, int(d) + 1):
-        w = gcd(g, pow_mod(x, Q**dh, g) - x % g)
+        xq = pow_mod(xq, Q, g)  # x^(Q^dh) mod g, one Q-th power per step
+        w = gcd(g, xq - x % g)
         if w.degree == 0:
             continue
         # w is the product of the distinct factors of degree exactly dh, so

@@ -25,7 +25,8 @@ sieve and no budget. ``count_distinct_roots`` is the original root count,
 deg gcd(g, x^Q - x). ``root_free`` is the original root sieve of
 ``poly._sieve``: Horner's rule at every element, for every candidate.
 ``one_distinct_factor`` is the original Berlekamp sieve, with x^Q mod f by
-square and multiply (``batch_pow_mod``) in every field.
+square and multiply (``batch_pow_mod``) in every field. ``irreducible_power``
+is the original distinct-degree sieve, each x^(Q^dh) mod g powered from x.
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
 basis residue, and the witness searches that form lam*a^N for one
@@ -65,7 +66,7 @@ from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     NEG_INF, Polynomial, QuotientRing, _adder, _batch_rank, _lookup, batch_mul_mod,
-    batch_pow_mod, gcd, irreducible_power, pow_mod,
+    batch_pow_mod, gcd, pow_mod,
 )
 
 _DT = np.int16
@@ -276,6 +277,27 @@ def is_irreducible(f: Polynomial) -> bool:
         if gcd(h, fm).degree != 0:
             return False
     return True
+
+
+def irreducible_power(g: Polynomial) -> tuple[Polynomial, int] | None:
+    """(h, s) with g = h**s up to a leading unit and h monic irreducible, or
+    None: the distinct-degree sieve with x^(Q^dh) mod g by square and
+    multiply from x at every dh."""
+    d = g.degree
+    if d is NEG_INF or d == 0:
+        return None
+    g = g.monic()
+    Q = g.field.order
+    x = Polynomial.x(g.field)
+    for dh in range(1, int(d) + 1):
+        w = gcd(g, pow_mod(x, Q**dh, g) - x % g)
+        if w.degree == 0:
+            continue
+        if int(w.degree) != dh or int(d) % dh != 0:
+            return None
+        s = int(d) // dh
+        return (w, s) if w**s == g else None
+    return None
 
 
 def count_distinct_roots(g: Polynomial) -> int:

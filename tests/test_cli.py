@@ -351,6 +351,18 @@ def test_probe_dense_g_squarefree_gcd_charged(check, degree, want):
         assert "equal: yes" in out
 
 
+def test_evidence_degree_120_power_refused_in_bounded_time():
+    # g = h^3, h the degree-40 irreducible over F_4: irreducible_power raises
+    # x^(Q^dh) mod g to the Q-th power once per factor degree dh, and the run
+    # reaches the startkey scan's refusal in about 4 s in-process on 2 cores
+    # (7.4-8.9 s in a fresh process when every x^(Q^dh) was powered from x)
+    argv = ["evidence", "--p", "2", "--m", "2", "--g", "irreducible:40^3"]
+    code, out, err, elapsed = run_cli_bounded(argv)
+    assert code == 4, err
+    assert "WITNESS_SCAN_BUDGET" in err
+    assert elapsed < 10.0
+
+
 # -------------------------------------------------------------------- output
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import reference
 from wildgoppa.codes import (
-    _BLOCK_ROWS, LinearCode, alternant_kernel, expand_over_subfield, subfield_kernel,
+    _BLOCK_ROWS, LinearCode, alternant_kernel, expand_over_subfield, restrict_alternant,
+    subfield_kernel,
 )
 from wildgoppa.gf import build_tower
 
@@ -210,6 +211,48 @@ class TestAlternantKernel:
                 assert got == subfield_kernel(field, rows), count
             else:
                 assert got.k == 0
+
+
+class TestRestrictAlternant:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_stacked_expansion(self, data):
+        # an alternant code restricted by a second block of rows with its own
+        # multipliers: the kernel of both blocks, whether the second adds
+        # rank, all of it (the zero code) or none
+        field = build_tower(*data.draw(st.sampled_from(ALTERNANT_TOWERS)))
+        points = data.draw(st.permutations(range(field.order)))
+        n = data.draw(st.integers(2, field.order))
+        points = points[:n]
+        unit = st.integers(1, field.order - 1)
+        mults = st.one_of(unit, st.lists(unit, min_size=n, max_size=n))
+        mult, extra = data.draw(mults), data.draw(mults)
+        count = data.draw(st.integers(1, n - 1))
+        more = data.draw(st.integers(1, n - 1))
+        code = alternant_kernel(field, points, mult, count)
+        got = restrict_alternant(code, field, points, extra, more)
+        rows = np.vstack([reference.vandermonde_rows(field, points, mult, count),
+                          reference.vandermonde_rows(field, points, extra, more)])
+        assert got == subfield_kernel(field, rows)
+
+    def test_rows_that_vanish_keep_the_code(self, monkeypatch):
+        # the rows a^l / g^5(a), l < 2, vanish on the code of g^4 (the wild
+        # equality over F_16/F_4, e = 4): the same object, no elimination
+        import wildgoppa.linalg as linalg_mod
+        from wildgoppa.goppa import GoppaSpec, full_support, value_powers
+        from wildgoppa.poly import find_irreducible
+
+        field = build_tower(2, 2, 2)
+        spec = GoppaSpec(field, full_support(field), find_irreducible(field, 2))
+        code = alternant_kernel(field, spec.support, value_powers(field, spec.goppa_values, -4), 8)
+        assert code.k > 0
+
+        def forbidden(*args):
+            raise AssertionError("an elimination ran")
+
+        monkeypatch.setattr(linalg_mod, "kernel", forbidden)
+        extra = value_powers(field, spec.goppa_values, -5)
+        assert restrict_alternant(code, field, spec.support, extra, 2) is code
 
 
 class TestIntersectContains:

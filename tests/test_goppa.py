@@ -123,6 +123,14 @@ POWER_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2)
                 (3, 1, 3), (7, 1, 2)]
 
 
+# every tower of order <= 256 with m >= 2
+CHAIN_TOWERS = [
+    (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2), (3, 1, 3),
+    (2, 1, 5), (7, 1, 2), (2, 2, 3), (2, 3, 2), (2, 1, 6), (3, 2, 2), (3, 1, 4),
+    (11, 1, 2), (13, 1, 2), (2, 1, 7), (5, 1, 3), (2, 4, 2), (2, 2, 4), (2, 1, 8),
+]
+
+
 @st.composite
 def power_cases(draw, tower, rootless):
     """(spec of g, exponents 1..e+2 in a drawn order, cofactor or None): g
@@ -158,6 +166,28 @@ class TestPowerCodes:
         spec, exponents, h = data.draw(power_cases(tower, rootless))
         got = goppa_power_codes(spec, exponents, cofactor=h)
         assert got == reference.goppa_power_codes(spec, exponents, cofactor=h)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exponents_any_order_with_gaps_and_repeats(self, data):
+        # every tower of order <= 256; after the smallest exponent each code
+        # is a restriction of the one before, and past deg G >= n it is zero
+        tower = data.draw(st.sampled_from(CHAIN_TOWERS))
+        spec, _, h = data.draw(power_cases(tower, data.draw(st.booleans())))
+        if data.draw(st.booleans()):  # punctured further
+            keep = data.draw(st.integers(1, spec.n))
+            spec = GoppaSpec(spec.field, spec.support[:keep], spec.goppa_poly)
+        top = spec.n // int(spec.goppa_poly.degree) + 2
+        exponents = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
+        got = goppa_power_codes(spec, exponents, cofactor=h)
+        assert got == reference.goppa_power_codes(spec, exponents, cofactor=h)
+
+    def test_equal_neighbours_share_one_generator(self):
+        # the wild equality over F_16/F_4 (e = 4): the rows added for g^5
+        # vanish on the code of g^4, which comes back as it is
+        spec = GoppaSpec(F16, full_support(F16), find_irreducible(F16, 2))
+        low, high, again = goppa_power_codes(spec, (4, 5, 4))
+        assert low.k > 0 and high is low and again is low
 
     @pytest.mark.parametrize("tower", [(2, 1, 2), (3, 1, 2), (2, 5, 2), (3, 2, 3)])
     def test_value_powers_past_int64(self, tower):
@@ -258,7 +288,9 @@ class TestBatchedCrt:
         assert goppa_via_crt(spec) == goppa_code(spec)
 
     def test_independent_of_parity_path(self, monkeypatch):
-        # the CRT columns use neither G(a_i) nor the alternant kernel
+        # the CRT columns use neither G(a_i) nor the alternant kernel, its
+        # restriction or their shared product with an RREF matrix
+        import wildgoppa.codes as codes_mod
         import wildgoppa.goppa as goppa_mod
 
         spec = crt_spec(F16, [9, 3, 14, 5, 7, 2, 11, 0, 6], 6, Polynomial(F16, [3, 1, 1]))
@@ -268,6 +300,8 @@ class TestBatchedCrt:
             raise AssertionError("goppa_via_crt used the parity-check path")
 
         monkeypatch.setattr(goppa_mod, "alternant_kernel", forbidden)
+        monkeypatch.setattr(goppa_mod, "restrict_alternant", forbidden)
+        monkeypatch.setattr(codes_mod, "_rref_times", forbidden)
         monkeypatch.setattr(Polynomial, "evaluate_codes", forbidden)
         object.__setattr__(spec, "goppa_values", None)
         assert goppa_via_crt(spec) == want

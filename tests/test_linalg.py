@@ -29,9 +29,12 @@ F9 = build_tower(3, 1, 2)
 F1024 = build_tower(2, 5, 2)
 F49 = build_tower(7, 1, 2)
 F81 = build_tower(3, 2, 2)
+F289 = build_tower(17, 1, 2)
+F729 = build_tower(3, 2, 3)
 
-# characteristic 2 (the XOR path) and odd characteristic
-REFERENCE_FIELDS = [F4, F1024.subfield, F1024, F9, F49, F81]
+# F_2 (the pivot-row XOR), characteristic 2 (the XOR path) and odd
+# characteristic, where code * order overflows int16 from order 256 on
+REFERENCE_FIELDS = [F2, F4, F1024.subfield, F1024, F9, F49, F81, F289, F729]
 
 
 def enumerate_row_space(M: MatrixGF) -> set[tuple[int, ...]]:
@@ -255,16 +258,19 @@ def test_elimination_budget(monkeypatch, name, shape):
 
 @st.composite
 def edge_matrices(draw, field, ncols=None, max_rows=12, max_cols=9):
-    """Random matrices, some with no rows, zero columns, repeated rows or
-    full rank."""
+    """Random matrices, some with no rows, zero rows, zero columns, repeated
+    rows or full rank."""
     nrows = draw(st.integers(0, max_rows))
     if ncols is None:
         ncols = draw(st.integers(1, max_cols))
     entry = st.one_of(st.integers(0, 1), st.integers(0, field.order - 1))
     flat = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
     A = np.array(flat, dtype=np.int64).reshape(nrows, ncols)
-    shape = draw(st.sampled_from(["random", "zero_columns", "repeated_rows", "full_rank"]))
-    if shape == "zero_columns":
+    shape = draw(st.sampled_from(["random", "zero_rows", "zero_columns", "repeated_rows",
+                                  "full_rank"]))
+    if shape == "zero_rows" and nrows:
+        A[draw(st.lists(st.integers(0, nrows - 1), min_size=1))] = 0
+    elif shape == "zero_columns":
         A[:, draw(st.lists(st.integers(0, ncols - 1), min_size=1))] = 0
     elif shape == "repeated_rows" and nrows:
         A = A[draw(st.lists(st.integers(0, nrows - 1), min_size=nrows, max_size=nrows))]

@@ -647,6 +647,26 @@ class TestIrreduciblePower:
         f = (x**3).scale(F9.element(2))
         assert irreducible_power(f) == (x, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_sieve_powering_from_x(self, data):
+        # powers of the searched irreducibles and of random monic factors,
+        # alone or times a second such power, under a drawn leading unit
+        field = build_tower(*data.draw(st.sampled_from(SMALL_TOWERS)))
+        codes = st.integers(0, field.order - 1)
+
+        def power():
+            d = data.draw(st.integers(1, 3))
+            if data.draw(st.booleans()):
+                base = searched_irreducible(field, d)
+            else:
+                base = Polynomial(field, data.draw(st.lists(codes, min_size=d, max_size=d)) + [1])
+            return base ** data.draw(st.integers(1, 3))
+
+        g = power() * power() if data.draw(st.booleans()) else power()
+        g = g.scale(field.element(data.draw(st.integers(1, field.order - 1))))
+        assert irreducible_power(g) == reference.irreducible_power(g)
+
 
 class TestQuotientRing:
     def test_field_quotient(self):
