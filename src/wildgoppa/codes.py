@@ -1,9 +1,13 @@
 """Linear codes over constructed fields.
 
-A :class:`LinearCode` stores the reduced row echelon form of a generator
-matrix, which is the canonical representative of its row space: two codes
-are equal exactly when their canonical generators are identical arrays over
-equal fields.
+A :class:`LinearCode` is fixed by its canonical generator, the reduced row
+echelon form of any generator matrix: two codes are equal exactly when
+their canonical generators are identical arrays over equal fields. It
+keeps that generator as a pair (K, T): K is in RREF over the first w
+columns with no zero row, and the generator is [K | K T], T of shape
+w x (n - w). A code built from rows has T of width 0, so K is the
+generator; an alternant code keeps its Cauchy systematic form, and the
+product K T is formed, once, only when ``generator`` is read.
 
 Every code the verifiers compare is an alternant code, the F_q-kernel of
 the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
@@ -11,8 +15,9 @@ the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
 rows (Roth-Seroussi 1985), one elimination over F_q of (m - 1) d rows.
 ``restrict_alternant`` cuts such a code down by s more rows v'_i a_i^l
 without starting over: one elimination over F_q of the m s digit rows of
-those rows times the code's generator. ``subfield_kernel`` is the general
-F_q-kernel of any parity matrix, by expanding it over F_q.
+those rows times the code's generator, formed from the pair without K T.
+``subfield_kernel`` is the general F_q-kernel of any parity matrix, by
+expanding it over F_q.
 
 The minimum distance routine is exact and budgeted: it returns the exact
 value, or None when the q^k - 1 nonzero codewords exceed the budget, never
@@ -47,11 +52,12 @@ _BLOCK_ROWS = 1 << 14
 
 
 class LinearCode:
-    """A linear code, canonicalised as the RREF of its generator matrix."""
+    """A linear code, canonicalised as the RREF of its generator matrix,
+    kept as the pair (K, T) of the module docstring."""
 
-    __slots__ = ("field", "n", "k", "generator")
+    __slots__ = ("field", "n", "k", "_K", "_T", "_generator")
 
-    def __init__(self, field: Field, n: int, rows=None, *, _canonical=None):
+    def __init__(self, field: Field, n: int, rows=None, *, _canonical=None, _tail=None):
         if n < 1:
             raise ValueError("code length must be >= 1")
         self.field = field
@@ -71,8 +77,19 @@ class LinearCode:
                 G = res.matrix.array[: res.rank]
         G = G.astype(np.int16, copy=False)
         G.setflags(write=False)
-        self.generator = G
+        self._K = G
+        self._T = np.zeros((n, 0), dtype=np.int16) if _tail is None else _tail
+        self._generator = G if _tail is None else None
         self.k = int(G.shape[0])
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The canonical generator [K | K T], formed on the first read."""
+        if self._generator is None:
+            G = np.hstack([self._K, _rref_times(self.field, self._K, self._T)])
+            G.setflags(write=False)
+            self._generator = G
+        return self._generator
 
     @classmethod
     def zero_code(cls, field: Field, n: int) -> "LinearCode":
@@ -81,11 +98,11 @@ class LinearCode:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, LinearCode)
             and other.field == self.field
             and other.n == self.n
-            and other.generator.shape == self.generator.shape
+            and other.k == self.k
             and np.array_equal(other.generator, self.generator)
         )
 
@@ -179,9 +196,10 @@ def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
     A[i, j] = v(y_j) P(y_j) / (v(x_i) P'(x_i) (y_j - x_i)), P = prod (x - x_k)
     (Lagrange interpolation on X), so c is in the code exactly when
     c_X = -A c_Y with A c_Y in F_q^d. The kernel K of A's non-base digits
-    gives c_Y, and [K | -K A_0^T], A_0 the base digits, is already the
-    canonical generator: its pivots all lie in K. When d >= n the first n
-    rows are an invertible scaled Vandermonde matrix and the code is zero.
+    gives c_Y, and the code is the pair (K, -A_0^T), A_0 the base digits:
+    [K | -K A_0^T] is the canonical generator, as its pivots all lie in K,
+    and is formed only when read. When d >= n the first n rows are an
+    invertible scaled Vandermonde matrix and the code is zero.
     """
     L = np.asarray(points, dtype=np.int64)
     n, d, sub = L.size, count, field.subfield
@@ -199,36 +217,41 @@ def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
     A = exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1]
     hi = digit_array(A // field.q, field.q, field.m - 1)
     K = linalg.kernel(MatrixGF._wrap(sub, np.moveaxis(hi, -1, 0).reshape(-1, n - d))).array
-    B = _rref_times(sub, K, np.ascontiguousarray((A % field.q).T))
-    return LinearCode(sub, n, _canonical=np.hstack([K, sub.neg_table[B]]))
+    T = np.ascontiguousarray(sub.neg_table[A % field.q].T)
+    return LinearCode(sub, n, _canonical=K, _tail=T)
 
 
 def restrict_alternant(code: LinearCode, field: Field, points, mult, count: int) -> LinearCode:
     """The subcode of ``code`` (over F_q, on the points) in the F_q-kernel of
     the rows E[l, i] = v_i a_i^l, l < count, as in ``alternant_kernel``.
 
-    With G the canonical generator of the code, a word x G lies in the
-    subcode exactly when M x = 0 for M = E G^T over F_(q^m), so the subcode
-    is N G for N the kernel of M's digit rows; N G is already canonical, as
-    N is in RREF and G is the identity on its pivots. When M = 0 the code
-    itself is returned.
+    With (K, T) the code's pair, Y its first w points and X the rest, a
+    word x [K | K T] lies in the subcode exactly when M x = 0 for
+    M = (E_Y + E_X T^T) K^T over F_(q^m), so the subcode is the pair
+    (N K, T) for N the kernel of M's digit rows; N K is in RREF, as N is and
+    K is the identity on its pivots. When M = 0 the code itself is
+    returned. The generator is never read.
     """
-    G, k, n = code.generator, code.k, code.n
-    linalg.charge_cells(count * k * (n - k), f"restricting a {k} x {n} code by {count} rows")
+    K, T, k, n = code._K, code._T, code.k, code.n
+    w = K.shape[1]
+    # one row of E at a time: EY = E_Y + E_X T^T, w x d lookups, then
+    # M = EY_P + EY_rest K_rest^T, P the pivots of K, k x (w - k) more
+    linalg.charge_cells(count * (w * (n - w) + k * (w - k)),
+                        f"restricting a {k} x {n} code by {count} rows")
     L, add, mul = np.asarray(points, dtype=np.int64), _adder(field), field.mul_table
-    # M = E_P + E_rest G_rest^T, P the pivots of G, one row of E at a time
-    lead, rest = _split_columns(G)
-    G_rest = G[:, rest]
+    lead, rest = _split_columns(K)
+    K_rest = K[:, rest]
     M = np.empty((count, k), dtype=np.int16)
     E = np.broadcast_to(np.asarray(mult, dtype=np.int16), (n,))
     for l in range(count):
-        M[l] = add(E[lead], _row_sums(field, mul[E[rest], G_rest]))
+        EY = add(E[:w], _row_sums(field, mul[T, E[w:]]))
+        M[l] = add(EY[lead], _row_sums(field, mul[EY[rest], K_rest]))
         E = mul[E, L]
     if not M.any():
         return code
     sub = field.subfield
     N = linalg.kernel(MatrixGF._wrap(sub, expand_over_subfield(field, M))).array
-    return LinearCode(sub, n, _canonical=_rref_times(sub, N, G))
+    return LinearCode(sub, n, _canonical=_rref_times(sub, N, K), _tail=T)
 
 
 def _split_columns(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from .errors import FalsificationError
 from .gf import Field
 from .goppa import GoppaSpec, goppa_power_codes, require_power_degree
 from .goppa import support_codes
-from .poly import Polynomial, count_distinct_roots, gcd, is_squarefree
+from .poly import Polynomial, charge_gcd, count_distinct_roots, gcd, is_squarefree
 
 __all__ = [
     "IdentityReport",
@@ -206,12 +206,15 @@ def verify_coprime_factor_chain(
     so its failure raises. The e-1 link genuinely needs g squarefree; when
     it fails for non-squarefree g the report carries a note instead of an
     exception, since the general claim is suspected to be a typo for the
-    squarefree case.
+    squarefree case. The gcd(g, h) is charged max(deg g, deg h)^2 table
+    lookups first, and refused over IRREDUCIBLE_CELL_BUDGET.
     """
     t0 = time.monotonic()
     r = count_distinct_roots(g)
     if r != 0:
         raise ValueError("cofactor chain needs a rootless base polynomial")
+    charge_gcd(int(max(g.degree, h.degree)),
+               f"gcd of degree-{g.degree} and degree-{h.degree} polynomials")
     if gcd(g, h).degree != 0:
         raise ValueError("cofactor must be coprime to the base polynomial")
     e = wild_exponent(field)

@@ -674,6 +674,16 @@ def count_distinct_roots(g: Polynomial) -> int:
     return int(np.count_nonzero(g.evaluate_codes(np.arange(g.field.order)) == 0))
 
 
+def charge_gcd(degree: int, what: str) -> None:
+    """Raise BudgetExceeded when a gcd of polynomials of this degree, charged
+    degree^2 table lookups, is over IRREDUCIBLE_CELL_BUDGET."""
+    if degree * degree > IRREDUCIBLE_CELL_BUDGET:
+        raise BudgetExceeded(
+            f"{what} needs {degree * degree} table lookups, over "
+            f"IRREDUCIBLE_CELL_BUDGET = {IRREDUCIBLE_CELL_BUDGET}"
+        )
+
+
 def is_squarefree(g: Polynomial) -> bool:
     """Whether g has no repeated irreducible factor.
 
@@ -688,12 +698,7 @@ def is_squarefree(g: Polynomial) -> bool:
         raise ValueError("zero polynomial is not squarefree nor squareful")
     if d == 0:
         return True
-    if d * d > IRREDUCIBLE_CELL_BUDGET:
-        raise BudgetExceeded(
-            f"squarefree test of a degree-{d} polynomial needs {d * d} "
-            f"table lookups, over IRREDUCIBLE_CELL_BUDGET = "
-            f"{IRREDUCIBLE_CELL_BUDGET}"
-        )
+    charge_gcd(d, f"squarefree test of a degree-{d} polynomial")
     dg = g.derivative()
     if dg.is_zero:
         return False

@@ -235,6 +235,27 @@ class TestRestrictAlternant:
                           reference.vandermonde_rows(field, points, extra, more)])
         assert got == subfield_kernel(field, rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_code_from_rows(self, data):
+        # a code built from rows is the pair (K, T) with T of width 0: the
+        # restriction reads K alone and meets the kernel of the stacked
+        # parity rows, the code's dual over F_q and the new block
+        field = build_tower(*data.draw(st.sampled_from(ALTERNANT_TOWERS)))
+        sub = field.subfield
+        n = data.draw(st.integers(2, field.order))
+        points = data.draw(st.permutations(range(field.order)))[:n]
+        rows = data.draw(st.lists(st.lists(st.integers(0, sub.order - 1), min_size=n,
+                                           max_size=n), min_size=1, max_size=n))
+        code = LinearCode(sub, n, rows)
+        unit = st.integers(1, field.order - 1)
+        extra = data.draw(st.one_of(unit, st.lists(unit, min_size=n, max_size=n)))
+        more = data.draw(st.integers(1, n - 1))
+        got = restrict_alternant(code, field, points, extra, more)
+        stacked = np.vstack([reference.dual(code).generator,
+                             reference.vandermonde_rows(field, points, extra, more)])
+        assert got == subfield_kernel(field, stacked)
+
     def test_rows_that_vanish_keep_the_code(self, monkeypatch):
         # the rows a^l / g^5(a), l < 2, vanish on the code of g^4 (the wild
         # equality over F_16/F_4, e = 4): the same object, no elimination

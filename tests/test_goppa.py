@@ -180,7 +180,12 @@ class TestPowerCodes:
         top = spec.n // int(spec.goppa_poly.degree) + 2
         exponents = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
         got = goppa_power_codes(spec, exponents, cofactor=h)
-        assert got == reference.goppa_power_codes(spec, exponents, cofactor=h)
+        want = reference.goppa_power_codes(spec, exponents, cofactor=h)
+        assert got == want
+        # the generators formed from the (K, T) pairs are the same arrays
+        for code, ref in zip(got, want):
+            assert code.generator.tobytes() == ref.generator.tobytes()
+            assert hash(code) == hash(ref)
 
     def test_equal_neighbours_share_one_generator(self):
         # the wild equality over F_16/F_4 (e = 4): the rows added for g^5

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from wildgoppa.codes import LinearCode, alternant_kernel
+from wildgoppa.codes import LinearCode, alternant_kernel, subfield_kernel
+from wildgoppa.cyclotomic import closed_form
 from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.gf import build_tower
-from wildgoppa.goppa import full_support, punctured_support
+from wildgoppa.goppa import (
+    GoppaSpec, full_support, goppa_power_codes, punctured_support, value_powers,
+)
 from wildgoppa.identities import (
     dimension_gap,
     rs_equivalence,
@@ -82,6 +85,38 @@ class TestTheorem1:
         for removed in ([0], [1, 2], [5, 7, 11]):
             rep = verify_theorem1(F16t, punctured_support(F16t, removed), g)
             assert all(rep.equal)
+
+    def test_rootless_forms_no_generator(self, monkeypatch):
+        # the identity reads dims and compares a code with itself, so the
+        # product K T of the alternant code is formed only once its
+        # generator is read, and then once
+        import wildgoppa.codes as codes_mod
+
+        field = build_tower(2, 4, 2)   # F_256 / F_16, e = 16
+        g = find_irreducible(field, 3)
+        real, calls = codes_mod._rref_times, []
+
+        def forbidden(*args):
+            raise AssertionError("K T formed")
+
+        monkeypatch.setattr(codes_mod, "_rref_times", forbidden)
+        rep = verify_theorem1(field, full_support(field), g)
+        k = closed_form(16, 2, 3)
+        assert rep.dims == (k, k) and rep.equal == (True,)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(codes_mod, "_rref_times", counted)
+        spec = GoppaSpec(field, full_support(field), g)
+        low, high = goppa_power_codes(spec, (16, 17))
+        assert high is low and not calls
+        G = low.generator
+        assert low.generator is G and len(calls) == 1
+        rows = reference.vandermonde_rows(field, spec.support,
+                                          value_powers(field, spec.goppa_values, -16), 48)
+        assert G.tobytes() == subfield_kernel(field, rows).generator.tobytes()
 
 
 class TestDimensionGap:
@@ -240,6 +275,20 @@ class TestCoprimeFactorChain:
         g = find_irreducible(F4t, 2)
         with pytest.raises(ValueError):
             verify_coprime_factor_chain(F4t, full_support(F4t), g, g)
+
+    def test_gcd_charged_before_it_runs(self, monkeypatch):
+        # gcd(g, h) is quadratic in the larger degree: 10001^2 lookups are
+        # over IRREDUCIBLE_CELL_BUDGET and refused before it starts
+        import wildgoppa.identities as identities_mod
+
+        def forbidden(*args):
+            raise AssertionError("gcd ran before the charge")
+
+        monkeypatch.setattr(identities_mod, "gcd", forbidden)
+        g = find_irreducible(F4t, 2)
+        h = Polynomial(F4t, [1] + [0] * 10000 + [1])
+        with pytest.raises(BudgetExceeded, match="degree-10001 polynomials needs 100020001"):
+            verify_coprime_factor_chain(F4t, punctured_support(F4t, [0]), g, h)
 
 
 class TestRsEquivalence:
