@@ -209,11 +209,11 @@ def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
     lv = np.broadcast_to(log[np.asarray(mult, dtype=np.int64)], (n,))
     y, x = L[: n - d], L[n - d:]
     neg_x = field.neg_table[x]
-    # logs of v(y_j) P(y_j) and v(x_i) P'(x_i), as sums of logs; the table
-    # has log 0 = 0, so the zero diagonal x_i - x_i adds nothing
+    # logs of v(y_j) P(y_j) and v(x_i) P'(x_i), as int32 sums of logs; the
+    # table has log 0 = 0, so the zero diagonal x_i - x_i adds nothing
     lyx = log[field.add_table[y[:, None], neg_x]]
-    lpy = lyx.sum(axis=1) + lv[: n - d]
-    lpx = log[field.add_table[x[:, None], neg_x]].sum(axis=1) + lv[n - d:]
+    lpy = lyx.sum(axis=1, dtype=np.int32) + lv[: n - d]
+    lpx = log[field.add_table[x[:, None], neg_x]].sum(axis=1, dtype=np.int32) + lv[n - d:]
     A = exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1]
     hi = digit_array(A // field.q, field.q, field.m - 1)
     K = linalg.kernel(MatrixGF._wrap(sub, np.moveaxis(hi, -1, 0).reshape(-1, n - d))).array

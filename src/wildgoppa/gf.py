@@ -11,11 +11,12 @@ coordinates (e_0, ..., e_(m-1)) over F_q is encoded as sum(enc(e_j) * q^j).
 The overall encoding is therefore positional base p, and addition is
 digitwise.
 
-Construction multiplies in ``poly`` over K; afterwards all arithmetic goes
-through full lookup tables (numpy arrays), which keeps both scalar work and
-vectorised linear algebra exact and fast for the field sizes this library
-targets (a few hundred elements). Towers whose top field would exceed
-``ORDER_CAP`` elements are rejected.
+Construction works in batched passes over K (see :class:`Field`);
+afterwards all arithmetic goes through full lookup tables (numpy arrays),
+which keeps both scalar work and vectorised linear algebra exact and fast
+for the field sizes this library targets. Towers whose top field would
+exceed ``ORDER_CAP`` elements are rejected. Scalar work reads nested-list
+mirrors of the tables, each row of a 2-d mirror built on first touch.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ __all__ = [
 ORDER_CAP = 1024
 
 _TABLE_DTYPE = np.int16
+# Construction writes the order x order tables this many cells at a time.
+_TABLE_BLOCK_CELLS = 1 << 17
 
 
 def prime_factors(n: int) -> list[int]:
@@ -66,9 +69,48 @@ def digits(k: int, base: int, count: int) -> list[int]:
 
 def digit_array(codes, base: int, count: int) -> np.ndarray:
     """The ``count`` lowest base-``base`` digits of every entry of an
-    integer array, low digit first, on a new last axis, as int64."""
-    powers = base ** np.arange(count, dtype=np.int64)
-    return np.asarray(codes, dtype=np.int64)[..., None] // powers % base
+    integer array, low digit first, on a new last axis, in the array's
+    integer dtype when base**count fits it and as int64 otherwise."""
+    codes = np.asarray(codes)
+    dt = codes.dtype
+    if dt.kind != "i" or base**count > np.iinfo(dt).max:
+        dt = np.dtype(np.int64)
+    powers = base ** np.arange(count, dtype=dt)
+    return codes.astype(dt, copy=False)[..., None] // powers % base
+
+
+class _Row:
+    """Row x of a table's nested-list mirror until it is first read: the
+    first lookup puts table[x].tolist() in its place in the mirror."""
+
+    __slots__ = ("mirror", "table", "x")
+
+    def __init__(self, mirror: list, table: np.ndarray, x: int):
+        self.mirror, self.table, self.x = mirror, table, x
+
+    def __getitem__(self, y: int) -> int:
+        return self.tolist()[y]
+
+    def tolist(self) -> list[int]:
+        row = self.mirror[self.x]
+        if row is self:
+            row = self.mirror[self.x] = self.table[self.x].tolist()
+        return row
+
+
+def _mirror(table: np.ndarray) -> list:
+    """The nested-list mirror of a 2-d table, each row a :class:`_Row`
+    until first read."""
+    rows: list = []
+    rows.extend(_Row(rows, table, x) for x in range(len(table)))
+    return rows
+
+
+def mirror_row(mirror: list, x: int) -> list[int]:
+    """Row x of a nested-list mirror as a list, for a caller that keeps the
+    row across a loop."""
+    row = mirror[x]
+    return row if row.__class__ is list else row.tolist()
 
 
 class Field:
@@ -82,8 +124,15 @@ class Field:
     Each level is K[x]/(f): K is the level below (F_q under F_(q^m), F_p
     under F_q, the integers mod p at the bottom) and f is the monic
     irreducible that :func:`wildgoppa.poly.find_irreducible` returns over K.
-    Construction multiplies in ``poly`` over K only to find the generator and
-    fill the lookup tables; after that the tables are the only arithmetic.
+    Construction multiplies in ``poly`` over K, a batch of residues at a
+    time, only to find the generator and fill exp: the generator is the
+    smallest code of order ``order - 1``, and exp its powers, built by
+    doubling (gen^(s+i) = gen^s gen^i is one batched product whose last
+    entry is the next gen^s), which also tests each candidate. The add
+    table (digitwise; the XOR of codes in characteristic 2) and the mul
+    table (a take from exp twice over at log x + log y, in int32) are
+    written into int16 a block of rows at a time, so no order x order
+    temporary exists. After that the tables are the only arithmetic.
 
     Attributes of interest: ``p``, ``a``, ``m``, ``q = p**a``,
     ``order = q**m``, ``base_modulus_coeffs`` (the degree-a modulus over F_p,
@@ -110,9 +159,11 @@ class Field:
 
         self.base_modulus_coeffs: tuple[int, ...] = (0, 1)
         self.top_modulus_coeffs: tuple[int, ...] = (0, 1)
+        # Elements in batched passes are rows of d digits base r over the
+        # level below, K; a prime field is rows of one int64 digit mod p.
         if a * m == 1:
-            mul = lambda x, y: x * y % p
-            power = lambda x, e: pow(x, e, p)
+            r, d, dt = p, 1, np.int64
+            mul = lambda X, Y: X * Y % p
         else:
             from . import poly  # poly imports this module at load time
 
@@ -123,63 +174,78 @@ class Field:
                 self.top_modulus_coeffs = f.coeffs
             else:
                 self.base_modulus_coeffs = f.coeffs
-            # A code is the element whose base-|K| digits are its coordinates.
-            r, d = K.order, int(f.degree)
-            lift = lambda x: poly.Polynomial(K, digits(x, r, d))
-            code = lambda g: sum(c * r**i for i, c in enumerate(g.coeffs))
-            mul = lambda x, y: code(lift(x) * lift(y) % f)
-            power = lambda x, e: code(poly.pow_mod(lift(x), e, f))
+            r, d, dt = K.order, int(f.degree), _TABLE_DTYPE
+            f_low = np.array([f.coeffs[:-1]], dtype=dt)
+            mul = lambda X, Y: poly.batch_mul_mod(K, X, Y, np.broadcast_to(f_low, X.shape))
+        # A code is the element whose base-r digits are its coordinates.
+        lift = lambda code: np.array(digits(code, r, d), dtype=dt)
+        weights = r ** np.arange(d, dtype=np.int64)
 
-        # Multiplicative generator: smallest code whose order is order - 1.
+        # The generator is the smallest code of order n1 = order - 1, and exp
+        # its powers, found together by doubling: with gen^0 .. gen^s known,
+        # gen^(s+1) .. gen^(2s) are gen^1 .. gen^s times gen^s, one batched
+        # product whose last entry is the next gen^s. A candidate is dropped
+        # as soon as 1 is among its powers; codes below r lie in K and have
+        # smaller order when d > 1, so the candidates start at r.
         n1 = order - 1
-        gen = 1
-        if n1 > 1:
-            checks = [n1 // ell for ell in prime_factors(n1)]
-            for cand in range(2, order):
-                if all(power(cand, e) != 1 for e in checks):
-                    gen = cand
-                    break
+        gen = 1 if n1 == 1 else 2 if d == 1 else r
+        rows = np.zeros((n1, d), dtype=dt)
+        rows[0, 0] = 1
+        rows[1:2] = lift(gen)  # empty for F_2, whose only unit is 1
+        s = 1
+        while s < n1 - 1:
+            top = min(2 * s, n1 - 1)
+            rows[s + 1 : top + 1] = mul(rows[1 : top - s + 1], rows[s : s + 1])
+            if (rows[s + 1 : top + 1] @ weights == 1).any():
+                gen, s = gen + 1, 1
+                if gen == order:
+                    raise RuntimeError("no generator found; unreachable")
+                rows[1] = lift(gen)
             else:
-                raise RuntimeError("no generator found; unreachable")
+                s = top
         self.generator_code = gen
-
-        # Discrete exp/log, then the dense tables.
-        exp = np.zeros(n1, dtype=np.int64)
-        exp[0] = 1
-        acc = 1
-        for i in range(1, n1):
-            acc = mul(acc, gen)
-            exp[i] = acc
-        log = np.zeros(order, dtype=np.int64)
+        # exp in int16 codes, log in int32: a sum of up to 2^21 logs fits
+        exp = (rows @ weights).astype(_TABLE_DTYPE)
+        log = np.zeros(order, dtype=np.int32)
         log[exp] = np.arange(n1)
         self._exp = exp
         self._log = log
 
-        codes = np.arange(order, dtype=np.int64)
-        if p == 2:  # digitwise addition mod 2 is the XOR of codes
-            add_t = codes[:, None] ^ codes[None, :]
-        else:
-            add_t = np.zeros((order, order), dtype=np.int64)
-            for k in range(a * m):
-                dk = (codes // p**k) % p
-                add_t += ((dk[:, None] + dk[None, :]) % p) * p**k
-        self.add_table = add_t.astype(_TABLE_DTYPE)
-
-        mul_t = exp[(log[:, None] + log[None, :]) % n1]
+        # The order x order tables, written straight into int16 a block of
+        # rows at a time: add is digitwise (the XOR of codes when p == 2), and
+        # mul[x, y] = gen^(log x + log y) is a take from exp twice over.
+        codes = np.arange(order, dtype=_TABLE_DTYPE)
+        add_t = np.empty((order, order), dtype=_TABLE_DTYPE)
+        mul_t = np.empty((order, order), dtype=_TABLE_DTYPE)
+        exp2 = np.concatenate([exp, exp])
+        digs = digit_array(codes, p, a * m) if p > 2 else None
+        step = max(1, _TABLE_BLOCK_CELLS // order)
+        for lo in range(0, order, step):
+            block = slice(lo, lo + step)
+            if p == 2:
+                np.bitwise_xor(codes[block, None], codes, out=add_t[block])
+            else:
+                acc = add_t[block]
+                acc[...] = 0
+                for k in range(a * m):
+                    dk = digs[:, k]
+                    acc += (dk[block, None] + dk) % p * p**k
+            np.take(exp2, log[block, None] + log, out=mul_t[block])
         mul_t[0, :] = 0
         mul_t[:, 0] = 0
-        self.mul_table = mul_t.astype(_TABLE_DTYPE)
+        self.add_table = add_t
+        self.mul_table = mul_t
 
-        self.neg_table = self.mul_table[p - 1].copy()  # code p - 1 is -1
+        self.neg_table = mul_t[p - 1].copy()  # code p - 1 is -1
 
-        inv = np.zeros(order, dtype=np.int64)
+        inv = np.zeros(order, dtype=_TABLE_DTYPE)  # inv[0] is a dummy 0
         inv[exp] = exp[(-np.arange(n1)) % n1]
-        self.inv_table = inv.astype(_TABLE_DTYPE)  # inv[0] is a dummy 0
+        self.inv_table = inv
 
         # x -> x^q, and the trace / norm down to F_q.
         frob = exp[(log * q) % n1]
         frob[0] = 0
-        self.frobenius_table = frob.astype(_TABLE_DTYPE)
+        self.frobenius_table = frob
 
         tr = codes.copy()
         nrm = codes.copy()
@@ -190,8 +256,8 @@ class Field:
             nrm = mul_t[nrm, cur]
         if not (tr < q).all() or not (nrm < q).all():
             raise RuntimeError("trace/norm left the scalar level; unreachable")
-        self.trace_table = tr.astype(_TABLE_DTYPE)
-        self.norm_table = nrm.astype(_TABLE_DTYPE)
+        self.trace_table = tr
+        self.norm_table = nrm
 
         for t in (
             self.add_table,
@@ -205,9 +271,10 @@ class Field:
             t.setflags(write=False)
 
     # Python nested lists, faster than numpy for scalar-at-a-time work, built
-    # on first use: vectorised work never reads them.
-    _add_py = functools.cached_property(lambda self: self.add_table.tolist())
-    _mul_py = functools.cached_property(lambda self: self.mul_table.tolist())
+    # on first use (the 2-d ones a row at a time): vectorised work never
+    # reads them.
+    _add_py = functools.cached_property(lambda self: _mirror(self.add_table))
+    _mul_py = functools.cached_property(lambda self: _mirror(self.mul_table))
     _neg_py = functools.cached_property(lambda self: self.neg_table.tolist())
     _inv_py = functools.cached_property(lambda self: self.inv_table.tolist())
 

@@ -145,14 +145,18 @@ def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int
     flat_add, flat_mul = field.add_table.ravel(), mul.ravel()
     neg, inv = field.neg_table, field.inv_table
     xor = field.p == 2
-    r = 0
+    r = col = 0
     pivots: list[int] = []
-    for col in range(ncols):
-        if r == live.size:
-            break
+    while r < live.size and col < ncols:
         nz = np.nonzero(V[r:, col])[0]
         if nz.size == 0:
-            continue
+            # a column zero in rows r and below stays zero there, since so is
+            # every pivot row added to them: jump to the next nonzero column
+            ahead = np.flatnonzero(V[r:, col:].any(axis=0))
+            if ahead.size == 0:
+                break
+            col += int(ahead[0])
+            nz = np.nonzero(V[r:, col])[0]
         # rows r and below are zero left of col, so only columns col: change
         pr = r + int(nz[0])
         if pr != r:
@@ -183,6 +187,7 @@ def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int
                     V[rows_nz, col:] = flat_add.take(idx)
         pivots.append(col)
         r += 1
+        col += 1
     if V is not W:
         W[: live.size] = V
         W[live.size:] = 0

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf import Field, FieldElement, digit_array, digits
+from .gf import Field, FieldElement, digit_array, digits, mirror_row
 
 __all__ = [
     "NEG_INF",
@@ -40,12 +40,12 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-# Table lookups one find_irreducible call may spend: _sieve_cells per chunk
-# and d^2 per squarefree confirmation; one is_squarefree gcd may spend d^2
-# too. The largest searches that the tests, the towers and the benchmark
-# workloads make, F_4 at degree 40 and the quartics over F_256, are charged
-# 4.2e7 and 3.2e7-3.4e7; the largest in the workloads, F_81 at degree 6,
-# 1.1e7.
+# Table lookups one find_irreducible call may spend: _root_cells per chunk,
+# _berlekamp_cells per root-sieve survivor and d^2 per squarefree
+# confirmation; one is_squarefree gcd may spend d^2 too. The largest
+# searches that the tests, the towers and the benchmark workloads make,
+# F_4 at degree 40 and the quartics over F_256, are charged 1.4e7 and
+# 8.3e6-9.3e6; the largest in the workloads, F_81 at degree 6, 3.9e6.
 IRREDUCIBLE_CELL_BUDGET = 10**8
 
 # Candidate scans (the sieve here, the witness scans of evidence) run in
@@ -205,7 +205,7 @@ class Polynomial:
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
-            mrow = mul[ai]
+            mrow = mirror_row(mul, ai)
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = add[out[i + j]][mrow[bj]]
@@ -213,7 +213,7 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         code = _as_code(self.field, c)
-        mrow = self.field._mul_py[code]
+        mrow = mirror_row(self.field._mul_py, code)
         return Polynomial._raw(self.field, [mrow[ci] for ci in self.coeffs])
 
     def __pow__(self, e: int) -> "Polynomial":
@@ -253,7 +253,7 @@ class Polynomial:
             c = mul[r[-1]][lead_inv]
             shift = len(r) - 1 - db
             q[shift] = c
-            mc = mul[neg[c]]
+            mc = mirror_row(mul, neg[c])
             for j, bj in enumerate(other.coeffs[:-1]):
                 if bj:
                     r[shift + j] = add[r[shift + j]][mc[bj]]
@@ -577,17 +577,21 @@ def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     return _batch_rank(field, M) == d - 1
 
 
-def _sieve(field: Field, rows: np.ndarray) -> np.ndarray:
+def _sieve(field: Field, rows: np.ndarray, charge=None) -> np.ndarray:
     """Indices of the monic candidates (rows of non-leading coefficients,
     degree d) that survive the root sieve (d >= 2) and, from degree 4, the
     Berlekamp sieve (:func:`_one_distinct_factor`). Each drop proves
     reducibility; a survivor of degree 2 or 3 is irreducible, and one of
-    degree d >= 4 is h^s for an irreducible h."""
+    degree d >= 4 is h^s for an irreducible h. ``charge``, when given, is
+    called with the Berlekamp sieve's lookups on the root sieve's survivors
+    before it runs."""
     degree = rows.shape[1]
     keep = np.arange(len(rows))
     if degree >= 2:
         keep = keep[_root_free(field, rows)]
     if degree >= 4 and keep.size:
+        if charge is not None:
+            charge(keep.size * _berlekamp_cells(field, degree))
         keep = keep[_one_distinct_factor(field, rows[keep])]
     return keep
 
@@ -607,19 +611,21 @@ def is_irreducible(f: Polynomial) -> bool:
     return _sieve(f.field, row).size == 1 and (d < 4 or is_squarefree(fm))
 
 
-def _sieve_cells(field: Field, degree: int, start: int, count: int) -> int:
-    """Table lookups of :func:`_sieve` on the candidates start ..
-    start + count - 1 in index order: the root sieve, d - 1 steps over the
-    field per shared high part and one lookup per candidate, and from degree
-    4 the Berlekamp sieve on every candidate, x^Q (:func:`_xq_by_frobenius`),
-    d - 2 products of about 4d^2 for B and about 2d^3 for its rank."""
+def _root_cells(field: Field, degree: int, start: int, count: int) -> int:
+    """Table lookups of the root sieve on the candidates start ..
+    start + count - 1 in index order: d - 1 steps over the field per shared
+    high part and one lookup per candidate."""
     order = field.order
     groups = (start + count - 1) // order - start // order + 1
-    cells = groups * order * (degree - 1) + count
-    if degree >= 4:
-        xq = _xq_by_frobenius(field.p, field.a * field.m, degree)[1]
-        cells += count * (xq + 4 * degree * degree * (degree - 2) + 2 * degree**3)
-    return cells
+    return groups * order * (degree - 1) + count
+
+
+def _berlekamp_cells(field: Field, degree: int) -> int:
+    """Table lookups of the Berlekamp sieve on one candidate of degree
+    d >= 4: x^Q (:func:`_xq_by_frobenius`), d - 2 products of about 4d^2
+    for B and about 2d^3 for its rank."""
+    xq = _xq_by_frobenius(field.p, field.a * field.m, degree)[1]
+    return xq + 4 * degree * degree * (degree - 2) + 2 * degree**3
 
 
 def find_irreducible(field: Field, degree: int) -> Polynomial:
@@ -633,10 +639,13 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
     reducibility, so this finds the same polynomial as testing every
     candidate.
 
-    Each chunk is charged before it is sieved, and each confirmation d^2
-    lookups before it runs; BudgetExceeded is raised as soon as the lookups
-    charged pass IRREDUCIBLE_CELL_BUDGET, so a search whose first chunk is
-    over budget is refused before any work.
+    Each chunk's root sieve is charged before it runs, the Berlekamp sieve
+    on the root sieve's survivors only, and each confirmation d^2 lookups
+    before it runs; BudgetExceeded is raised as soon as the lookups charged
+    pass IRREDUCIBLE_CELL_BUDGET. The answer itself goes through the
+    Berlekamp sieve, so a search whose first root sieve is over budget, or
+    whose answer's Berlekamp sieve alone would be, is refused before any
+    work.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -654,9 +663,11 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
                 f"table lookups"
             )
 
+    if degree >= 4 and _berlekamp_cells(field, degree) > IRREDUCIBLE_CELL_BUDGET:
+        charge(_berlekamp_cells(field, degree))
     for start, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
-        charge(_sieve_cells(field, degree, start, len(cands)))
-        for i in _sieve(field, cands).tolist():
+        charge(_root_cells(field, degree, start, len(cands)))
+        for i in _sieve(field, cands, charge).tolist():
             cand = Polynomial._raw(field, cands[i].tolist() + [1])
             if degree < 4:
                 return cand

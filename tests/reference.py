@@ -43,7 +43,10 @@ the whole exponent, and ``evaluate_codes`` the original evaluation, one
 Horner step per coefficient. ``goppa_code`` is the original parity-check
 construction from the values G(a_i) of one spec, and ``goppa_power_codes``
 the original codes of the powers h * g^j: each polynomial formed, evaluated
-on the support and passed to ``goppa_code``.
+on the support and passed to ``goppa_code``. ``tower_tables`` is the
+original scalar construction of a tower's tables: the generator found by one
+``pow_mod`` per candidate and check, exp filled by order - 2 scalar
+products, and the add and mul tables formed as int64 order x order arrays.
 ``vandermonde_rows`` is the parity matrix mult_i * a_i^l, l < count, and
 ``subfield_kernel`` of it the expansion oracle for
 ``codes.alternant_kernel``. ``span``, ``full_code``, ``dual``,
@@ -61,12 +64,12 @@ import numpy as np
 
 from wildgoppa.codes import LinearCode, subfield_kernel
 from wildgoppa.evidence import DecompositionReport, build_K, tau
-from wildgoppa.gf import Field, digits, prime_factors
+from wildgoppa.gf import Field, build_tower, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     NEG_INF, Polynomial, QuotientRing, _adder, _batch_rank, _lookup, batch_mul_mod,
-    batch_pow_mod, gcd, pow_mod,
+    batch_pow_mod, find_irreducible as searched_irreducible, gcd, pow_mod,
 )
 
 _DT = np.int16
@@ -639,3 +642,57 @@ def grs_pair(field: Field, support, h: Polynomial, t: int | None = None):
     C = LinearCode(field, n, vandermonde_rows(field, Lv, u, n - t))
     D = LinearCode(field, n, vandermonde_rows(field, Lv, v, t))
     return C, D
+
+
+def tower_tables(p: int, a: int, m: int) -> dict[str, object]:
+    """generator_code, exp, log and the seven tables of the tower
+    F_p < F_(p^a) < F_(p^(a*m)), by the original scalar construction over
+    the library's moduli (the level below from ``build_tower``)."""
+    order, q = p ** (a * m), p**a
+    if a * m == 1:
+        mul = lambda x, y: x * y % p
+        power = lambda x, e: pow(x, e, p)
+    else:
+        K = build_tower(p, a, 1) if m > 1 else build_tower(p, 1, 1)
+        f = searched_irreducible(K, m if m > 1 else a)
+        r, d = K.order, int(f.degree)
+        lift = lambda x: Polynomial(K, digits(x, r, d))
+        code = lambda g: sum(c * r**i for i, c in enumerate(g.coeffs))
+        mul = lambda x, y: code(lift(x) * lift(y) % f)
+        power = lambda x, e: code(pow_mod(lift(x), e, f))
+
+    n1 = order - 1
+    gen = 1
+    if n1 > 1:
+        checks = [n1 // ell for ell in prime_factors(n1)]
+        gen = next(c for c in range(2, order) if all(power(c, e) != 1 for e in checks))
+    exp = np.zeros(n1, dtype=np.int64)
+    exp[0] = 1
+    for i in range(1, n1):
+        exp[i] = mul(int(exp[i - 1]), gen)
+    log = np.zeros(order, dtype=np.int64)
+    log[exp] = np.arange(n1)
+
+    codes = np.arange(order, dtype=np.int64)
+    add_t = np.zeros((order, order), dtype=np.int64)
+    for k in range(a * m):
+        dk = (codes // p**k) % p
+        add_t += ((dk[:, None] + dk[None, :]) % p) * p**k
+    mul_t = exp[(log[:, None] + log[None, :]) % n1]
+    mul_t[0, :] = 0
+    mul_t[:, 0] = 0
+    inv = np.zeros(order, dtype=np.int64)
+    inv[exp] = exp[(-np.arange(n1)) % n1]
+    frob = exp[(log * q) % n1]
+    frob[0] = 0
+    tr, nrm, cur = codes.copy(), codes.copy(), codes.copy()
+    for _ in range(m - 1):
+        cur = frob[cur]
+        tr = add_t[tr, cur]
+        nrm = mul_t[nrm, cur]
+    tables = {"add_table": add_t, "mul_table": mul_t, "neg_table": mul_t[p - 1],
+              "inv_table": inv, "frobenius_table": frob, "trace_table": tr,
+              "norm_table": nrm}
+    out = {name: t.astype(_DT) for name, t in tables.items()}
+    out.update(generator_code=gen, exp=exp, log=log)
+    return out

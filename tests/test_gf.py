@@ -7,8 +7,11 @@ import itertools
 import json
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +20,9 @@ from wildgoppa.gf import (
     Field,
     FieldElement,
     build_tower,
+    mirror_row,
 )
+from wildgoppa.poly import Polynomial
 
 SMALL_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 2),
                 (2, 2, 2), (2, 1, 3), (5, 1, 2), (2, 2, 3), (2, 1, 4)]
@@ -242,6 +247,37 @@ class TestTables:
             F.mul_table[0, 0] = 1
 
 
+class TestMirrors:
+    def test_rows_built_on_first_touch(self):
+        F = Field(2, 5, 2)  # uncached, so no row is built yet
+        assert (F.element(5) * F.element(9)).code == F.mul_table[5, 9]
+        assert (F.element(7) + F.element(3)).code == F.add_table[7, 3]
+        assert [x for x, row in enumerate(F._mul_py) if type(row) is list] == [5]
+        assert [x for x, row in enumerate(F._add_py) if type(row) is list] == [7]
+        kept = F._mul_py[11]  # still a stand-in, read through as a row
+        assert [kept[y] for y in range(F.order)] == F.mul_table[11].tolist()
+        assert F._mul_py[11] == F.mul_table[11].tolist()
+        assert mirror_row(F._mul_py, 12) == F.mul_table[12].tolist()
+        assert mirror_row(F._mul_py, 12) is F._mul_py[12]
+
+    @pytest.mark.parametrize("p,a,m", [(2, 2, 3), (3, 1, 3)])
+    def test_polynomial_arithmetic_on_fresh_mirrors(self, p, a, m):
+        # products, scalings and divisions keep mirror rows across their
+        # loops; on a fresh field every row they read starts as a stand-in
+        F = Field(p, a, m)
+        rng = np.random.default_rng(p * 100 + a * 10 + m)
+        f = Polynomial(F, rng.integers(0, F.order, size=12).tolist() + [1])
+        g = Polynomial(F, rng.integers(0, F.order, size=5).tolist() + [3])
+        add, mul = F.add_table, F.mul_table
+        want = np.zeros(len(f.coeffs) + len(g.coeffs) - 1, dtype=np.int64)
+        for i, c in enumerate(f.coeffs):
+            want[i : i + len(g.coeffs)] = add[want[i : i + len(g.coeffs)], mul[c, g.coeffs]]
+        assert (f * g).coeffs == tuple(want.tolist())
+        assert f.scale(F.element(6)).coeffs == tuple(mul[6, f.coeffs].tolist())
+        quo, rem = divmod(f * g + Polynomial(F, [1, 2]), g)
+        assert quo == f and rem == Polynomial(F, [1, 2])
+
+
 @given(st.integers(min_value=0, max_value=511), st.integers(min_value=0, max_value=511))
 @settings(max_examples=60, deadline=None)
 def test_f512_commutativity(i, j):
@@ -297,6 +333,34 @@ def test_tower_tables_golden():
     assert sorted(expected) == sorted(f"{p},{a},{m}" for p, a, m in towers)
     for p, a, m in towers:
         assert tower_digests(build_tower(p, a, m)) == expected[f"{p},{a},{m}"], (p, a, m)
+
+
+def test_tower_tables_match_scalar_construction():
+    """The batched construction reproduces the original scalar one: same
+    generator, exp and log values, and the same seven tables, dtype
+    included, on every golden tower."""
+    for p, a, m in golden_towers():
+        F, ref = build_tower(p, a, m), reference.tower_tables(p, a, m)
+        assert F.generator_code == ref["generator_code"], (p, a, m)
+        assert np.array_equal(F._exp, ref["exp"]), (p, a, m)
+        assert np.array_equal(F._log, ref["log"]), (p, a, m)
+        for name in GOLDEN_TABLES:
+            got = getattr(F, name)
+            assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), (p, a, m, name)
+
+
+def test_f1024_construction_memory():
+    """Building F_1024 (its scalar level already built) allocates at most
+    twice the tables it keeps: no order x order temporary beyond them."""
+    build_tower(2, 5, 1)
+    tracemalloc.start()
+    try:
+        F = Field(2, 5, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(F, name).nbytes for name in GOLDEN_TABLES)
+    assert peak <= 2 * kept, (peak, kept)
 
 
 def test_prime_field_moduli_against_sympy():

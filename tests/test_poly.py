@@ -63,8 +63,9 @@ SMALL_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 256]
 @functools.cache
 def searched_irreducible(field, degree: int) -> Polynomial | None:
     """find_irreducible's answer, None when the search is refused. On the
-    towers of order <= 256 only degree 6 over F_256 is, after about 0.3 s;
-    quartics over F_256 answer in about 0.1 s."""
+    towers of order <= 256 no search up to degree 7 is (degree 7 over F_243,
+    the slowest, takes about 0.6 s); quartics over F_256 answer in about
+    0.1 s."""
     try:
         return find_irreducible(field, degree)
     except BudgetExceeded:
@@ -394,6 +395,13 @@ class TestIrreducibility:
         g = find_irreducible(build_tower(*params), 4)
         assert list(g.coeffs) == coeffs and reference.is_irreducible(g)
 
+    @pytest.mark.parametrize("params,degree", [((2, 4, 2), 6), ((3, 1, 5), 7)])
+    def test_berlekamp_charged_on_root_survivors(self, params, degree):
+        """Degree 6 over F_256 and degree 7 over F_243 fit the budget: the
+        Berlekamp sieve is charged only on the root sieve's survivors."""
+        g = find_irreducible(build_tower(*params), degree)
+        assert g.degree == degree and reference.is_irreducible(g)
+
     def test_candidate_block_exact_past_int64(self):
         """Blocks are exact where order**degree passes 2**63, and stop at
         the next multiple of order**k so that the high digits are shared."""
@@ -411,6 +419,13 @@ class TestIrreducibility:
         assert got.shape == (2, 3, count) and got.dtype == np.int64
         for code, row in zip(codes.ravel().tolist(), got.reshape(-1, count).tolist()):
             assert row == digits(code, base, count)
+        if base**count <= np.iinfo(np.int16).max:  # int16 codes keep their dtype
+            narrow = digit_array(codes.astype(np.int16), base, count)
+            assert narrow.dtype == np.int16 and (narrow == got).all()
+
+    def test_digit_array_widens_when_digits_overflow(self):
+        got = digit_array(np.array([5, 3], dtype=np.int16), 2, 20)
+        assert got.dtype == np.int64 and got.tolist() == [digits(5, 2, 20), digits(3, 2, 20)]
 
     def test_find_irreducible_golden(self):
         """The search order is frozen: every recorded search returns the
