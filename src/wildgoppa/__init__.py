@@ -14,7 +14,6 @@ from .poly import (
     Polynomial,
     QuotientRing,
     count_distinct_roots,
-    ext_gcd,
     find_irreducible,
     gcd,
     irreducible_power,
@@ -86,7 +85,6 @@ __all__ = [
     "Polynomial",
     "QuotientRing",
     "count_distinct_roots",
-    "ext_gcd",
     "find_irreducible",
     "gcd",
     "irreducible_power",

@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     p_table.add_argument(
         "--strict-distance", action="store_true",
-        help="fail with exit 4 when a distance column stays within budget",
+        help="fail with exit 4 when a distance needs more than --budget codewords",
     )
     p_table.set_defaults(func=cmd_table)
 

@@ -106,7 +106,8 @@ def class_sum_dim(q: int, m: int, t: int, n: int | None = None) -> int:
 
     For every class I_b meeting the window A = {0, ..., t*(e+1) - 1} the
     count m*(|I_b intersect A| - 1) + m - |I_b| is added to n - m*t*(e+1).
-    Valid for t*(e+1) <= q^m - 1; n defaults to the canonical length.
+    Valid for t*(e+1) <= q^m - 1 and n at least the parity rank
+    m*t*(e+1) minus those counts; n defaults to the canonical length.
     """
     _validate_qm(q, m)
     if t < 1:
@@ -126,7 +127,7 @@ def class_sum_dim(q: int, m: int, t: int, n: int | None = None) -> int:
         cnt = cls.window_count(D)
         if cnt:
             total += m * (cnt - 1) + m - cls.size
-    return n - m * D + total
+    return _dimension(n, m * D - total)
 
 
 def closed_form(q: int, m: int, t: int, n: int | None = None) -> int:
@@ -138,15 +139,23 @@ def closed_form(q: int, m: int, t: int, n: int | None = None) -> int:
     if m == 2:
         if not 2 <= t <= q - 2:
             raise ValueError(f"m=2 closed form needs 2 <= t <= q-2, got t={t}")
-        return n - 2 * t * (q + 1) + t * (t + 2)
+        return _dimension(n, 2 * t * (q + 1) - t * (t + 2))
     if m == 3:
         if not 1 <= t <= q - 1:
             raise ValueError(f"m=3 closed form needs 1 <= t <= q-1, got t={t}")
-        return (
-            n
-            - 3 * t * (q * q + q + 1)
-            + 2 * t
-            + 2 * t * (t + 1) * (t + 2)
-            + 3 * (q - 1 - t) * t * (t + 1)
+        return _dimension(
+            n,
+            3 * t * (q * q + q + 1)
+            - 2 * t
+            - 2 * t * (t + 1) * (t + 2)
+            - 3 * (q - 1 - t) * t * (t + 1),
         )
     raise ValueError(f"no closed form for m={m}; use class_sum_dim")
+
+
+def _dimension(n: int, rank: int) -> int:
+    """n - rank for a parity check of the given rank; ValueError when the
+    support is shorter than that rank, where the count would go negative."""
+    if n < rank:
+        raise ValueError(f"support length {n} is below the parity rank {rank}")
+    return n - rank

@@ -22,7 +22,6 @@ mirrors of the tables, each row of a 2-d mirror built on first touch.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
 
 import numpy as np
 
@@ -330,21 +329,6 @@ class Field:
             return FieldElement(self, self.q)
         return FieldElement(self, self.p if self.a > 1 else 1)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for c in range(self.order):
-            yield FieldElement(self, c)
-
-    def embed(self, x: "FieldElement | int") -> "FieldElement":
-        """Image of an F_q element in the top field (same code by encoding)."""
-        if isinstance(x, FieldElement):
-            if x.field != self.subfield:
-                raise ValueError(f"{x!r} is not in the scalar level of {self!r}")
-            return FieldElement(self, x.code)
-        code = int(x)
-        if not 0 <= code < self.q:
-            raise ValueError(f"scalar code {code} out of range for F_{self.q}")
-        return FieldElement(self, code)
-
 
 class FieldElement:
     """An element of a :class:`Field`, identified by its integer code."""
@@ -382,21 +366,14 @@ class FieldElement:
         f = self.field
         return FieldElement(f, f._mul_py[self.code][f._inv_py[other.code]])
 
-    def inverse(self) -> "FieldElement":
-        if self.code == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElement(self.field, self.field._inv_py[self.code])
-
     def __pow__(self, e: int) -> "FieldElement":
         f = self.field
         if self.code == 0:
             if e < 0:
                 raise ZeroDivisionError("zero has no inverse")
             return f.one if e == 0 else f.zero
-        n1 = f.order - 1
-        if n1 == 0:
-            return f.one
-        return FieldElement(f, int(f._exp[(int(f._log[self.code]) * e) % n1]))
+        k = int(f._log[self.code]) * e % (f.order - 1)
+        return FieldElement(f, int(f._exp[k]))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -416,33 +393,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"<{self.code} in GF({self.field.order})>"
-
-    # -- tower structure ----------------------------------------------------
-
-    def coordinates(self) -> tuple["FieldElement", ...]:
-        """Coordinates over F_q, low power first, as subfield elements."""
-        f = self.field
-        sub = f.subfield
-        return tuple(FieldElement(sub, c) for c in digits(self.code, f.q, f.m))
-
-    @property
-    def in_subfield(self) -> bool:
-        """Whether the element lies in F_q (fixed by x -> x^q; by the
-        encoding this is exactly code < q)."""
-        return self.code < self.field.q
-
-    def frobenius(self) -> "FieldElement":
-        """x -> x^q."""
-        return FieldElement(self.field, int(self.field.frobenius_table[self.code]))
-
-    def trace(self) -> "FieldElement":
-        """Trace to F_q: sum of x^(q^i) for 0 <= i < m."""
-        return FieldElement(self.field.subfield, int(self.field.trace_table[self.code]))
-
-    def norm(self) -> "FieldElement":
-        """Norm to F_q: product of x^(q^i) for 0 <= i < m; equals
-        x^((q^m-1)/(q-1)) on nonzero x."""
-        return FieldElement(self.field.subfield, int(self.field.norm_table[self.code]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,6 @@ __all__ = [
     "Polynomial",
     "QuotientRing",
     "gcd",
-    "ext_gcd",
     "pow_mod",
     "batch_mul_mod",
     "batch_pow_mod",
@@ -127,16 +126,6 @@ class Polynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading_coefficient(self) -> FieldElement:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.element(self.coeffs[-1])
-
-    def coefficient(self, i: int) -> FieldElement:
-        code = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return self.field.element(code)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -290,15 +279,6 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, x) -> FieldElement:
-        f = self.field
-        code = _as_code(f, x)
-        add, mul = f._add_py, f._mul_py
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add[mul[acc][code]][c]
-        return f.element(acc)
-
     def evaluate_codes(self, codes: np.ndarray) -> np.ndarray:
         """Vectorised evaluation at an array of element codes.
 
@@ -341,24 +321,6 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic() if not a.is_zero else a
-
-
-def ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(g, u, v) with g = gcd(a, b) monic and u*a + v*b = g."""
-    a._check(b)
-    f = a.field
-    r0, r1 = a, b
-    u0, u1 = Polynomial.one(f), Polynomial.zero(f)
-    v0, v1 = Polynomial.zero(f), Polynomial.one(f)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero:
-        return r0, u0, v0
-    lead_inv = r0.leading_coefficient.inverse()
-    return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
 
 
 def pow_mod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
@@ -772,9 +734,9 @@ class QuotientRing:
 
     Residues are represented by :class:`Polynomial` values of degree less
     than the modulus degree. When the modulus is irreducible the ring is the
-    field with ``|F|**deg`` elements, and ``inv`` works on every nonzero
-    residue. Elements enumerate in the encoding order induced by reading the
-    coefficient vector as a base-|F| integer.
+    field with ``|F|**deg`` elements. ``element_at`` indexes residues in the
+    encoding order induced by reading the coefficient vector as a base-|F|
+    integer.
     """
 
     def __init__(self, modulus: Polynomial):
@@ -790,10 +752,6 @@ class QuotientRing:
     def __repr__(self) -> str:
         return f"QuotientRing({self.modulus!r})"
 
-    @property
-    def is_field(self) -> bool:
-        return is_irreducible(self.modulus)
-
     def reduce(self, a: Polynomial) -> Polynomial:
         a._check(self.modulus)
         return a % self.modulus
@@ -802,21 +760,9 @@ class QuotientRing:
         return (a * b) % self.modulus
 
     def pow(self, a: Polynomial, e: int) -> Polynomial:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         return pow_mod(a, e, self.modulus)
-
-    def inv(self, a: Polynomial) -> Polynomial:
-        g, u, _ = ext_gcd(self.reduce(a), self.modulus)
-        if g.degree != 0:
-            raise ZeroDivisionError(f"{a!r} is not invertible mod {self.modulus!r}")
-        return self.reduce(u)
 
     def element_at(self, k: int) -> Polynomial:
         if not 0 <= k < self.size:
             raise ValueError(f"index {k} out of range")
         return Polynomial._raw(self.field, digits(k, self.field.order, self.degree))
-
-    def elements(self) -> Iterator[Polynomial]:
-        for k in range(self.size):
-            yield self.element_at(k)

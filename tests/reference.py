@@ -53,6 +53,12 @@ products, and the add and mul tables formed as int64 order x order arrays.
 ``shorten``, ``subfield_subcode`` and ``trace_code`` are the original code
 constructions, each a row space or a kernel eliminated in full, and
 ``grs_pair`` the original generalised Reed-Solomon pair C, D = C^perp.
+The scalar element API that the library no longer carries lives here too:
+``elements`` and ``embed`` of a field; ``inverse``, ``coordinates``,
+``in_subfield``, ``frobenius``, ``trace`` and ``norm`` of one element, each
+read from the tables; ``leading_coefficient`` and ``evaluate`` (Horner's
+rule at one point) of a polynomial; ``ext_gcd``, the extended Euclidean
+algorithm; and ``ring_inv``, the inverse of a ``QuotientRing`` residue.
 None of these is used by the library.
 """
 
@@ -64,12 +70,13 @@ import numpy as np
 
 from wildgoppa.codes import LinearCode, subfield_kernel
 from wildgoppa.evidence import DecompositionReport, build_K, tau
-from wildgoppa.gf import Field, build_tower, digits, prime_factors
+from wildgoppa.gf import Field, FieldElement, build_tower, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
-    NEG_INF, Polynomial, QuotientRing, _adder, _batch_rank, _lookup, batch_mul_mod,
-    batch_pow_mod, find_irreducible as searched_irreducible, gcd, pow_mod,
+    NEG_INF, Polynomial, QuotientRing, _adder, _as_code, _batch_rank, _lookup,
+    batch_mul_mod, batch_pow_mod, find_irreducible as searched_irreducible, gcd,
+    pow_mod,
 )
 
 _DT = np.int16
@@ -696,3 +703,100 @@ def tower_tables(p: int, a: int, m: int) -> dict[str, object]:
     out = {name: t.astype(_DT) for name, t in tables.items()}
     out.update(generator_code=gen, exp=exp, log=log)
     return out
+
+
+# -- the scalar element and residue API, one element at a time ---------------
+
+
+def elements(field: Field):
+    for c in range(field.order):
+        yield FieldElement(field, c)
+
+
+def embed(field: Field, x: FieldElement | int) -> FieldElement:
+    """Image of an F_q element in the top field (same code by encoding)."""
+    if isinstance(x, FieldElement):
+        if x.field != field.subfield:
+            raise ValueError(f"{x!r} is not in the scalar level of {field!r}")
+        return FieldElement(field, x.code)
+    code = int(x)
+    if not 0 <= code < field.q:
+        raise ValueError(f"scalar code {code} out of range for F_{field.q}")
+    return FieldElement(field, code)
+
+
+def inverse(x: FieldElement) -> FieldElement:
+    if x.code == 0:
+        raise ZeroDivisionError("zero has no inverse")
+    return FieldElement(x.field, x.field._inv_py[x.code])
+
+
+def coordinates(x: FieldElement) -> tuple[FieldElement, ...]:
+    """Coordinates over F_q, low power first, as subfield elements."""
+    f = x.field
+    sub = f.subfield
+    return tuple(FieldElement(sub, c) for c in digits(x.code, f.q, f.m))
+
+
+def in_subfield(x: FieldElement) -> bool:
+    """Whether the element lies in F_q (fixed by x -> x^q; by the
+    encoding this is exactly code < q)."""
+    return x.code < x.field.q
+
+
+def frobenius(x: FieldElement) -> FieldElement:
+    """x -> x^q."""
+    return FieldElement(x.field, int(x.field.frobenius_table[x.code]))
+
+
+def trace(x: FieldElement) -> FieldElement:
+    """Trace to F_q: sum of x^(q^i) for 0 <= i < m."""
+    return FieldElement(x.field.subfield, int(x.field.trace_table[x.code]))
+
+
+def norm(x: FieldElement) -> FieldElement:
+    """Norm to F_q: product of x^(q^i) for 0 <= i < m; equals
+    x^((q^m-1)/(q-1)) on nonzero x."""
+    return FieldElement(x.field.subfield, int(x.field.norm_table[x.code]))
+
+
+def leading_coefficient(f: Polynomial) -> FieldElement:
+    if not f.coeffs:
+        raise ValueError("zero polynomial has no leading coefficient")
+    return f.field.element(f.coeffs[-1])
+
+
+def evaluate(f: Polynomial, x) -> FieldElement:
+    """f(x) by Horner's rule on the scalar tables."""
+    field = f.field
+    code = _as_code(field, x)
+    add, mul = field._add_py, field._mul_py
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = add[mul[acc][code]][c]
+    return field.element(acc)
+
+
+def ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(g, u, v) with g = gcd(a, b) monic and u*a + v*b = g."""
+    a._check(b)
+    f = a.field
+    r0, r1 = a, b
+    u0, u1 = Polynomial.one(f), Polynomial.zero(f)
+    v0, v1 = Polynomial.zero(f), Polynomial.one(f)
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero:
+        return r0, u0, v0
+    lead_inv = inverse(leading_coefficient(r0))
+    return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
+
+
+def ring_inv(ring: QuotientRing, a: Polynomial) -> Polynomial:
+    g, u, _ = ext_gcd(ring.reduce(a), ring.modulus)
+    if g.degree != 0:
+        raise ZeroDivisionError(f"{a!r} is not invertible mod {ring.modulus!r}")
+    return ring.reduce(u)

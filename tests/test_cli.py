@@ -261,10 +261,17 @@ def run_cli_bounded(argv):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(argv=cli_argv())
 def test_cli_fuzz_defined_exit(argv):
-    code, _, err, elapsed = run_cli_bounded(argv)
+    code, out, err, elapsed = run_cli_bounded(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     assert elapsed < FUZZ_WALL_LIMIT_S, (argv, elapsed)
+    if argv[0] == "dims" and code == 0:
+        if out.startswith("{"):
+            data = json.loads(out)
+            n, k = data["n"], data["k"]
+        else:
+            _, n, _, k = out.split()[:4]
+        assert 0 <= int(k) <= int(n), (argv, out)
 
 
 @pytest.mark.parametrize("argv,want", [
@@ -286,12 +293,14 @@ def test_cli_fuzz_defined_exit(argv):
     ("verify --p 2 --m 2 --g irreducible:300", 4),
     ("verify --p 2 --m 2 --g irreducible:2 --s 999", 0),
     ("verify --p 2 --m 2 --g irreducible:2 --s 16667", 4),
+    ("dims --p 2 --m 3 --t 1 --n 6", 2),
 ])
 def test_probe_defined_exit_fast(argv, want):
     # bad p, m = 1, g = 0 or 1, ^0, duplicate support, s = 0, a bad lambda,
     # the m = 10 cases, the F_1024 case, irreducible:300 over F_4, a chain
-    # of 1,001 zero codes (g^j of degree up to 5,994 >= n = 4), and one whose
-    # top power g^50001 has degree 100,002, over SPEC_POWER_DEGREE_BUDGET
+    # of 1,001 zero codes (g^j of degree up to 5,994 >= n = 4), one whose
+    # top power g^50001 has degree 100,002, over SPEC_POWER_DEGREE_BUDGET,
+    # and a dims length below the parity rank (7 for q = 2, m = 3, t = 1)
     code, _, err, elapsed = run_cli_bounded(argv.split())
     assert code == want, err
     assert "Traceback" not in err

@@ -81,6 +81,11 @@ class TestClassSum:
             class_sum_dim(4, 2, 4)  # t(e+1) = 20 > 15
         with pytest.raises(ValueError):
             class_sum_dim(4, 2, 2, n=0)
+        # n = 1 is a valid length but below the parity rank 12
+        with pytest.raises(ValueError, match="parity rank 12"):
+            class_sum_dim(4, 2, 2, n=1)
+        with pytest.raises(ValueError, match="parity rank 12"):
+            closed_form(4, 2, 2, n=1)
 
     def test_window_boundary(self):
         # t = q - 1 makes the window the whole residue ring
