@@ -15,9 +15,11 @@ the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
 rows (Roth-Seroussi 1985), one elimination over F_q of (m - 1) d rows.
 ``restrict_alternant`` cuts such a code down by s more rows v'_i a_i^l
 without starting over: one elimination over F_q of the m s digit rows of
-those rows times the code's generator, formed from the pair without K T.
-``subfield_kernel`` is the general F_q-kernel of any parity matrix, by
-expanding it over F_q.
+those rows times the code's generator, two products formed from the pair
+without K T. ``subfield_kernel`` is the general F_q-kernel of any parity
+matrix, by expanding it over F_q (``expand_over_subfield``, which also
+gives the alternant rows their digits). Every matrix product here is
+``linalg.matmul``.
 
 The minimum distance routine is exact and budgeted: it returns the exact
 value, or None when the q^k - 1 nonzero codewords exceed the budget, never
@@ -173,7 +175,7 @@ def expand_over_subfield(field: Field, H: np.ndarray) -> np.ndarray:
     if field.m < 2:
         raise ValueError("expansion needs a proper tower (m >= 2)")
     coords = digit_array(H, field.q, field.m)
-    return np.vstack(np.moveaxis(coords, -1, 0)).astype(np.int16)
+    return np.moveaxis(coords, -1, 0).reshape(-1, coords.shape[1]).astype(np.int16)
 
 
 def subfield_kernel(field: Field, H: np.ndarray) -> LinearCode:
@@ -214,10 +216,9 @@ def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
     lyx = log[field.add_table[y[:, None], neg_x]]
     lpy = lyx.sum(axis=1, dtype=np.int32) + lv[: n - d]
     lpx = log[field.add_table[x[:, None], neg_x]].sum(axis=1, dtype=np.int32) + lv[n - d:]
-    A = exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1]
-    hi = digit_array(A // field.q, field.q, field.m - 1)
-    K = linalg.kernel(MatrixGF._wrap(sub, np.moveaxis(hi, -1, 0).reshape(-1, n - d))).array
-    T = np.ascontiguousarray(sub.neg_table[A % field.q].T)
+    A = expand_over_subfield(field, exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1])
+    K = linalg.kernel(MatrixGF._wrap(sub, A[d:])).array
+    T = np.ascontiguousarray(sub.neg_table[A[:d]].T)
     return LinearCode(sub, n, _canonical=K, _tail=T)
 
 
@@ -234,19 +235,17 @@ def restrict_alternant(code: LinearCode, field: Field, points, mult, count: int)
     """
     K, T, k, n = code._K, code._T, code.k, code.n
     w = K.shape[1]
-    # one row of E at a time: EY = E_Y + E_X T^T, w x d lookups, then
-    # M = EY_P + EY_rest K_rest^T, P the pivots of K, k x (w - k) more
+    # EY = E_Y + E_X T^T, count x w x (n - w) lookups, then
+    # M = EY_P + EY_rest K_rest^T, P the pivots of K, count x k x (w - k) more
     linalg.charge_cells(count * (w * (n - w) + k * (w - k)),
                         f"restricting a {k} x {n} code by {count} rows")
     L, add, mul = np.asarray(points, dtype=np.int64), _adder(field), field.mul_table
+    E = np.broadcast_to(np.asarray(mult, dtype=np.int16), (count, n)).copy()
+    for l in range(1, count):
+        E[l] = mul[E[l - 1], L]
     lead, rest = _split_columns(K)
-    K_rest = K[:, rest]
-    M = np.empty((count, k), dtype=np.int16)
-    E = np.broadcast_to(np.asarray(mult, dtype=np.int16), (n,))
-    for l in range(count):
-        EY = add(E[:w], _row_sums(field, mul[T, E[w:]]))
-        M[l] = add(EY[lead], _row_sums(field, mul[EY[rest], K_rest]))
-        E = mul[E, L]
+    EY = add(E[:, :w], linalg.matmul(field, E[:, w:], T.T))
+    M = add(EY[:, lead], linalg.matmul(field, EY[:, rest], K[:, rest].T))
     if not M.any():
         return code
     sub = field.subfield
@@ -263,30 +262,9 @@ def _split_columns(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lead, rest
 
 
-def _row_sums(field: Field, X: np.ndarray) -> np.ndarray:
-    """The field sum of each row of X: XOR in characteristic 2, else the
-    base-p digits summed mod p, codes being positional base p."""
-    if field.p == 2:
-        return np.bitwise_xor.reduce(X, axis=1)
-    p, out, w = field.p, 0, 1
-    while w < field.order:
-        out = out + (X // w % p).sum(axis=1) % p * w
-        w *= p
-    return out
-
-
 def _rref_times(field: Field, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """R Y over the field, for R in RREF with no zero row: R is the identity
-    on its pivot columns, so R Y is Y's pivot rows plus one gathered outer
-    product R[:, c] Y[c] per other column c, through the smaller temporary,
-    one row per field element or one per row of R."""
+    on its pivot columns, so R Y is Y's pivot rows plus the product of R's
+    other columns with the rest of Y."""
     lead, rest = _split_columns(R)
-    add, mul = _adder(field), field.mul_table
-    B = Y[lead]
-    for c in np.flatnonzero(rest):
-        if R.shape[0] > field.order:
-            term = mul[:, Y[c]][R[:, c]]
-        else:
-            term = mul[R[:, c, None], Y[c]]
-        B = add(B, term)
-    return B
+    return _adder(field)(Y[lead], linalg.matmul(field, R[:, rest], Y[rest]))

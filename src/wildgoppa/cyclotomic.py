@@ -118,10 +118,7 @@ def class_sum_dim(q: int, m: int, t: int, n: int | None = None) -> int:
         raise ValueError(
             f"window t*(e+1) = {D} exceeds the residue ring modulo {q**m - 1}"
         )
-    if n is None:
-        n = default_length(q, m, t)
-    if not 1 <= n <= q**m:
-        raise ValueError(f"support length {n} out of range")
+    n = _support_length(q, m, t, n)
     total = 0
     for cls in cyclotomic_classes(q, m).classes:
         cnt = cls.window_count(D)
@@ -134,8 +131,7 @@ def closed_form(q: int, m: int, t: int, n: int | None = None) -> int:
     """Closed-form dimension for m = 2 (2 <= t <= q-2) and m = 3
     (1 <= t <= q-1); other parameter ranges raise ValueError."""
     _validate_qm(q, m)
-    if n is None:
-        n = default_length(q, m, t)
+    n = _support_length(q, m, t, n)
     if m == 2:
         if not 2 <= t <= q - 2:
             raise ValueError(f"m=2 closed form needs 2 <= t <= q-2, got t={t}")
@@ -151,6 +147,13 @@ def closed_form(q: int, m: int, t: int, n: int | None = None) -> int:
             - 3 * (q - 1 - t) * t * (t + 1),
         )
     raise ValueError(f"no closed form for m={m}; use class_sum_dim")
+
+
+def _support_length(q: int, m: int, t: int, n: int | None) -> int:
+    """n, by default the canonical length; ValueError outside 1 <= n <= q^m."""
+    if n is not None and not 1 <= n <= q**m:
+        raise ValueError(f"support length {n} out of range")
+    return default_length(q, m, t) if n is None else n
 
 
 def _dimension(n: int, rank: int) -> int:

@@ -14,18 +14,19 @@ raises FalsificationError with the offending witness.
 The absolute trace of F[x]/(h) to F_q is F_q-linear: each check that needs
 it sums q-power orbits only for the m*deg(h) basis residues z^j x^l, once,
 and the trace of any residue is the F_q dot product of that trace form
-with the residue flattened below deg(h).
+with the residue flattened below deg(h), one product with the form.
 
 Both witness scans test a form on lam * a^N mod a modulus, N = 1 + q + ...
 + q^(m-1): psi mod g in find_decomposition, the trace form mod h in
 startkey_search.  In characteristic p, a^(q^i) is a with each coefficient
 raised to q^i (the field's Frobenius table) and x sent to x^(q^i), so a^N
 is the product of the m Frobenius images, formed for a whole chunk of
-candidates at once through one table of x^(l q) mod the modulus, the same
-q-power map that sums the trace form's orbits.  Chunks come in index order
-and each is tested by one F_q dot product per candidate, so the first hit
-is the one a candidate-by-candidate scan finds.  A scan gives up after
-WITNESS_SCAN_BUDGET candidates.
+candidates at once by products with the table of x^(l q) mod the modulus
+(poly._power_rows), the same q-power map that sums the trace form's
+orbits.  Chunks come in index order and each is tested by one F_q dot
+product per candidate, so the first hit is the one a
+candidate-by-candidate scan finds.  A scan gives up after
+WITNESS_SCAN_BUDGET candidates.  Every matrix product is linalg.matmul.
 """
 
 from __future__ import annotations
@@ -39,13 +40,13 @@ import numpy as np
 from .codes import LinearCode, alternant_kernel
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
-from .linalg import MatrixGF, charge_elimination, kernel, rank
+from .linalg import MatrixGF, charge_elimination, kernel, matmul, rank
 from .poly import (
     Polynomial,
     QuotientRing,
     _adder,
     _candidate_chunks,
-    _lookup,
+    _power_rows,
     batch_mul_mod,
     count_distinct_roots,
     irreducible_power,
@@ -78,7 +79,7 @@ WITNESS_SCAN_BUDGET = 2**18
 def _flatten_codes(field: Field, codes: np.ndarray) -> np.ndarray:
     """Tower coordinates of the codes on the last axis: (..., D) codes to
     (..., m*D) F_q digits, slot l*m + j holding coordinate j of codes[..., l]."""
-    coords = digit_array(codes, field.q, field.m).astype(np.int16)
+    coords = digit_array(codes, field.q, field.m).astype(np.int16, order="C")
     return coords.reshape(*codes.shape[:-1], -1)
 
 
@@ -199,28 +200,15 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
     return K, psi[0]
 
 
-def _ring_frobenius(ring: QuotientRing) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _ring_frobenius(h: Polynomial) -> np.ndarray:
     """(r, r) codes whose row l is x^(l q) mod h, for the q-power map of
-    F[x]/(h): (sum_l c_l x^l)^q = sum_l c_l^q (x^(l q) mod h)."""
-    field = ring.field
-    xq = ring.pow(Polynomial.x(field), field.q)
-    table = np.zeros((ring.degree, ring.degree), dtype=np.int16)
-    cur = Polynomial.one(field)
-    for l in range(ring.degree):
-        table[l, : len(cur.coeffs)] = cur.coeffs
-        cur = ring.mul(cur, xq)
+    F[x]/(h), h monic: (sum_l c_l x^l)^q = sum_l c_l^q (x^(l q) mod h);
+    cached and read-only, as the checks of one run share it."""
+    h_low = np.array(h.coeffs[:-1], dtype=np.int16)
+    table = _power_rows(h.field, h_low[None], h.field.a)[0]
+    table.setflags(write=False)
     return table
-
-
-def _frobenius(field: Field, table: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Row-wise res^q mod h for an (N, r) array of residues, with table
-    from _ring_frobenius."""
-    add, mul = _adder(field), _lookup(field.mul_table)
-    coeffs = field.frobenius_table[res]
-    out = mul(coeffs[:, :1], table[0])
-    for l in range(1, table.shape[0]):
-        out = add(out, mul(coeffs[:, l : l + 1], table[l]))
-    return out
 
 
 def _trace_form(ring: QuotientRing) -> np.ndarray:
@@ -229,18 +217,19 @@ def _trace_form(ring: QuotientRing) -> np.ndarray:
 
     Each is the sum of a q-power orbit of length m*r and must be a constant
     with a subfield code; by F_q-linearity both then hold for every residue.
-    The m*r orbits advance together, one _frobenius step at a time.
+    The m*r orbits advance together, one product with the q-power table
+    (_ring_frobenius) at a time.
     """
     field = ring.field
     m, r = field.m, ring.degree
     basis = np.zeros((m * r, r), dtype=np.int16)
     for l in range(r):
         basis[l * m : (l + 1) * m, l] = [(field.gen**j).code for j in range(m)]
-    table = _ring_frobenius(ring)
+    table = _ring_frobenius(ring.modulus)
     add = _adder(field)
     acc = cur = basis
     for _ in range(m * r - 1):
-        cur = _frobenius(field, table, cur)
+        cur = matmul(field, field.frobenius_table[cur], table)
         acc = add(acc, cur)
     bad = np.flatnonzero(acc[:, 1:].any(axis=1) | (acc[:, 0] >= field.q))
     if bad.size:
@@ -255,14 +244,7 @@ def _trace_form(ring: QuotientRing) -> np.ndarray:
 def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
     """Absolute traces of flattened residues (slots on the last axis): the
     F_q dot product of each with the trace form."""
-    add = _adder(sub)
-    acc = sub.mul_table[flat, form]
-    while acc.shape[-1] > 1:  # fold the slots pairwise, an odd one carried
-        h = acc.shape[-1] // 2
-        acc = np.concatenate(
-            [add(acc[..., :h], acc[..., h : 2 * h]), acc[..., 2 * h :]], axis=-1
-        )
-    return acc[..., 0]
+    return matmul(sub, flat.reshape(-1, form.size), form[:, None]).reshape(flat.shape[:-1])
 
 
 def _first_witness(field: Field, degree: int, width: int, hits,
@@ -295,20 +277,20 @@ def _norm_map(ring: QuotientRing, lam: int):
     norm exponent, in the same form.
 
     a^N is the product of the Frobenius images a^(q^i), i < m, each one
-    _frobenius step from the last; the modulus need not be irreducible.
+    product with the q-power table from the last; the modulus need not be
+    irreducible.
     """
     field = ring.field
-    table = _ring_frobenius(ring)
+    table = _ring_frobenius(ring.modulus)
     modulus = np.array(ring.modulus.coeffs[:-1], dtype=np.int16)
-    mul = _lookup(field.mul_table)
 
     def norms(block):
         moduli = np.broadcast_to(modulus, block.shape)
         norm = cur = block
         for _ in range(field.m - 1):
-            cur = _frobenius(field, table, cur)
+            cur = matmul(field, field.frobenius_table[cur], table)
             norm = batch_mul_mod(field, norm, cur, moduli)
-        return mul(lam, norm)
+        return field.mul_table[lam][norm]
 
     return norms
 

@@ -69,13 +69,15 @@ def digits(k: int, base: int, count: int) -> list[int]:
 def digit_array(codes, base: int, count: int) -> np.ndarray:
     """The ``count`` lowest base-``base`` digits of every entry of an
     integer array, low digit first, on a new last axis, in the array's
-    integer dtype when base**count fits it and as int64 otherwise."""
+    integer dtype when base**count fits it and as int64 otherwise: one
+    contiguous pass per digit, the digit axis moved last only in the view."""
     codes = np.asarray(codes)
     dt = codes.dtype
     if dt.kind != "i" or base**count > np.iinfo(dt).max:
         dt = np.dtype(np.int64)
-    powers = base ** np.arange(count, dtype=dt)
-    return codes.astype(dt, copy=False)[..., None] // powers % base
+    powers = base ** np.arange(count, dtype=dt).reshape((-1,) + (1,) * codes.ndim)
+    digs = codes.astype(dt, copy=False) // powers % base
+    return digs.transpose(*range(1, digs.ndim), 0)
 
 
 class _Row:

@@ -23,6 +23,7 @@ builds a large matrix, and ``charge_cells`` to the same budget before a
 large product. Over F_2 a pivot clears its column by XOR with the pivot
 row alone; in odd characteristic the row update adds through one flat
 take of the add table.
+``matmul`` is the package's one matrix product over a field.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .gf import Field
+from .poly import _CHUNK_CELLS, _adder, _lookup
 
 __all__ = [
     "MatrixGF",
@@ -40,6 +42,7 @@ __all__ = [
     "rref",
     "rank",
     "kernel",
+    "matmul",
     "charge_cells",
     "charge_elimination",
 ]
@@ -218,3 +221,35 @@ def kernel(M: MatrixGF) -> MatrixGF:
     B[np.arange(free.size), free] = 1
     B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
     return MatrixGF._wrap(field, B)
+
+
+def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B over the field, for int16 code arrays A (r x k) and B (k x c).
+
+    When the inner axis is the longest and a row's k c terms fit in
+    _CHUNK_CELLS, chunks of rows gather all their terms from the mul table
+    and sum over k (XOR in characteristic 2, else a pairwise fold). Else a
+    loop adds the outer products A[:, j] B[j], each gathered through the
+    smaller temporary, a row per field element or one per row of A.
+    """
+    (r, k), c = A.shape, B.shape[1]
+    if r * k * c == 0:
+        return np.zeros((r, c), dtype=_DT)
+    add, mul = _adder(field), _lookup(field.mul_table)
+    if k > min(r, c) and k * c <= _CHUNK_CELLS:
+        out = np.empty((r, c), dtype=_DT)
+        step = _CHUNK_CELLS // (k * c)
+        for lo in range(0, r, step):
+            terms = mul(A[lo : lo + step, :, None], B)
+            if field.p == 2:
+                terms = np.bitwise_xor.reduce(terms, axis=1, keepdims=True)
+            while terms.shape[1] > 1:  # fold pairwise, an odd term carried
+                h = terms.shape[1] // 2
+                terms = np.concatenate([add(terms[:, :h], terms[:, h : 2 * h]), terms[:, 2 * h :]], 1)
+            out[lo : lo + step] = terms[:, 0]
+        return out
+    out = None
+    for j in range(k):
+        term = field.mul_table[:, B[j]][A[:, j]] if r > field.order else mul(A[:, j, None], B[j])
+        out = term if out is None else add(out, term)
+    return out

@@ -498,24 +498,31 @@ def _xq_by_frobenius(p: int, k: int, d: int) -> tuple[bool, int]:
     return (True, maps) if maps < squares else (False, squares)
 
 
-def _x_to_the_q(field: Field, moduli: np.ndarray) -> np.ndarray:
-    """x^Q mod f_i, Q = |F|, for the monic f_i (rows of non-leading
-    coefficients, degree d >= 2), the way :func:`_xq_by_frobenius` picks."""
-    n, d = moduli.shape
-    p, k = field.p, field.a * field.m
+def _power_rows(field: Field, moduli: np.ndarray, k: int) -> np.ndarray:
+    """(N, d, d) codes whose row j is x^(j P) mod f_i, P = p^k, for the monic
+    f_i of degree d >= 1 (rows of non-leading coefficients): the P-th power
+    map of F[x]/(f_i), (sum_j c_j x^j)^P = sum_j c_j^P (x^(j P) mod f_i).
+    x^P comes the way :func:`_xq_by_frobenius` picks, and each later row is
+    the one before times x^P."""
+    (n, d), p = moduli.shape, field.p
+    rows = np.zeros((n, d, d), dtype=_DT)
+    rows[:, 0, 0] = 1
+    if d == 1:
+        return rows
     h = np.zeros((n, d), dtype=_DT)
     h[:, 1] = 1
     if not _xq_by_frobenius(p, k, d)[0]:
-        return batch_pow_mod(field, h, field.order, moduli)
-    codes = np.arange(field.order)
-    power = codes
-    for _ in range(p - 1):
-        power = field.mul_table[power, codes]
-    for _ in range(k):
-        spread = np.zeros((n, (d - 1) * p + 1), dtype=_DT)
-        spread[:, ::p] = power[h]
-        h = _fold_mod(field, spread, moduli)
-    return h
+        h = batch_pow_mod(field, h, p**k, moduli)
+    else:
+        power = field._exp[field._log * p % (field.order - 1)]  # c -> c^p
+        power[0] = 0
+        for _ in range(k):
+            spread = np.zeros((n, (d - 1) * p + 1), dtype=_DT)
+            spread[:, ::p] = power[h]
+            h = _fold_mod(field, spread, moduli)
+    for j in range(1, d):
+        rows[:, j] = h if j == 1 else batch_mul_mod(field, rows[:, j - 1], h, moduli)
+    return rows
 
 
 def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
@@ -524,16 +531,12 @@ def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
 
     Berlekamp: the h with h^Q = h mod f form an F_Q-space whose dimension is
     the number of distinct irreducible factors of f, squarefree or not. That
-    space is the left kernel of B - I, where row j of B is x^(jQ) mod f. Row
-    0 of B - I is zero, so rows 1 .. d-1 have rank d - 1 exactly when the
-    kernel has dimension 1.
+    space is the left kernel of B - I, where row j of B is x^(jQ) mod f
+    (:func:`_power_rows`). Row 0 of B - I is zero, so rows 1 .. d-1 have
+    rank d - 1 exactly when the kernel has dimension 1.
     """
-    n, d = moduli.shape
-    xq = _x_to_the_q(field, moduli)
-    M = np.empty((n, d - 1, d), dtype=_DT)
-    M[:, 0] = xq
-    for j in range(1, d - 1):
-        M[:, j] = batch_mul_mod(field, M[:, j - 1], xq, moduli)
+    d = moduli.shape[1]
+    M = _power_rows(field, moduli, field.a * field.m)[:, 1:]
     diag = np.arange(1, d)
     M[:, diag - 1, diag] = _adder(field)(M[:, diag - 1, diag], field.neg_table[1])
     return _batch_rank(field, M) == d - 1
@@ -755,12 +758,6 @@ class QuotientRing:
     def reduce(self, a: Polynomial) -> Polynomial:
         a._check(self.modulus)
         return a % self.modulus
-
-    def mul(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        return (a * b) % self.modulus
-
-    def pow(self, a: Polynomial, e: int) -> Polynomial:
-        return pow_mod(a, e, self.modulus)
 
     def element_at(self, k: int) -> Polynomial:
         if not 0 <= k < self.size:

@@ -6,7 +6,11 @@ original two-pass kernel: left-pivoting RREF of M, the (n - r) x n basis
 built from it, then a second elimination of that basis to make it
 canonical. ``flatten_poly`` and ``unflatten_poly`` are the original
 per-coefficient, per-digit loops of the evidence flattening. ``matmul`` is
-a plain matrix product over the field, for checking kernels (M K^T = 0).
+a plain matrix product over the field, one column of A at a time: it
+checks kernels (M K^T = 0) and is the oracle for ``linalg.matmul``.
+``power_rows`` is the original q-power table of the evidence scans, the
+rows x^(l e) mod h built one scalar ``ring_pow`` and ``ring_mul`` at a
+time, and the oracle for ``poly._power_rows``.
 ``abs_trace`` is the absolute trace of one residue as a full q-power orbit
 sum, the oracle for the evidence trace form, and ``trace_slots`` is the
 original dot product with that form, summed one slot at a time. ``codewords`` enumerates all
@@ -58,7 +62,8 @@ The scalar element API that the library no longer carries lives here too:
 ``in_subfield``, ``frobenius``, ``trace`` and ``norm`` of one element, each
 read from the tables; ``leading_coefficient`` and ``evaluate`` (Horner's
 rule at one point) of a polynomial; ``ext_gcd``, the extended Euclidean
-algorithm; and ``ring_inv``, the inverse of a ``QuotientRing`` residue.
+algorithm; and ``ring_mul``, ``ring_pow`` and ``ring_inv``, the product,
+power and inverse of ``QuotientRing`` residues.
 None of these is used by the library.
 """
 
@@ -174,12 +179,25 @@ def abs_trace(ring: QuotientRing, w: Polynomial) -> int:
     field = ring.field
     acc = cur = ring.reduce(w)
     for _ in range(field.m * ring.degree - 1):
-        cur = ring.pow(cur, field.q)
+        cur = ring_pow(ring, cur, field.q)
         acc = acc + cur
     assert len(acc.coeffs) <= 1, f"non-constant trace {acc.coeffs}"
     code = acc.coeffs[0] if acc.coeffs else 0
     assert code < field.q, f"trace code {code} outside F_q"
     return code
+
+
+def power_rows(ring: QuotientRing, e: int) -> np.ndarray:
+    """(r, r) codes whose row l is x^(l e) mod h, one scalar ``ring_pow``
+    and ``ring_mul`` at a time."""
+    field = ring.field
+    xe = ring_pow(ring, Polynomial.x(field), e)
+    table = np.zeros((ring.degree, ring.degree), dtype=_DT)
+    cur = Polynomial.one(field)
+    for l in range(ring.degree):
+        table[l, : len(cur.coeffs)] = cur.coeffs
+        cur = ring_mul(ring, cur, xe)
+    return table
 
 
 def trace_slots(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
@@ -366,7 +384,7 @@ def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Pol
 
 def trace_form(ring: QuotientRing) -> np.ndarray:
     """Absolute traces of the basis residues z^j x^l, in slot order
-    l*m + j, each the sum of its q-power orbit taken one ``ring.pow`` at a
+    l*m + j, each the sum of its q-power orbit taken one ``ring_pow`` at a
     time."""
     field = ring.field
     q, m = field.q, field.m
@@ -376,7 +394,7 @@ def trace_form(ring: QuotientRing) -> np.ndarray:
         for j in range(m):
             acc = cur = Polynomial.monomial(field, l, (field.gen**j).code)
             for _ in range(steps - 1):
-                cur = ring.pow(cur, q)
+                cur = ring_pow(ring, cur, q)
                 acc = acc + cur
             assert len(acc.coeffs) <= 1, f"non-constant trace {acc.coeffs}"
             code = acc.coeffs[0] if acc.coeffs else 0
@@ -393,7 +411,7 @@ def startkey_search(field: Field, h: Polynomial, lam: int) -> Polynomial | None:
     lam_poly = Polynomial.constant(field, lam)
     for idx in range(ring.size):
         alpha = ring.element_at(idx)
-        w = ring.mul(lam_poly, ring.pow(alpha, field.norm_exponent))
+        w = ring_mul(ring, lam_poly, ring_pow(ring, alpha, field.norm_exponent))
         if trace_slots(form, field.subfield, flatten_poly(w, ring.degree)) != 0:
             return alpha
     return None
@@ -793,6 +811,14 @@ def ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polyn
         return r0, u0, v0
     lead_inv = inverse(leading_coefficient(r0))
     return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
+
+
+def ring_mul(ring: QuotientRing, a: Polynomial, b: Polynomial) -> Polynomial:
+    return (a * b) % ring.modulus
+
+
+def ring_pow(ring: QuotientRing, a: Polynomial, e: int) -> Polynomial:
+    return pow_mod(a, e, ring.modulus)
 
 
 def ring_inv(ring: QuotientRing, a: Polynomial) -> Polynomial:

@@ -81,6 +81,10 @@ class TestClassSum:
             class_sum_dim(4, 2, 4)  # t(e+1) = 20 > 15
         with pytest.raises(ValueError):
             class_sum_dim(4, 2, 2, n=0)
+        # closed_form checks the same range
+        for n in (0, 10**6):
+            with pytest.raises(ValueError, match=f"support length {n} out of range"):
+                closed_form(4, 2, 2, n=n)
         # n = 1 is a valid length but below the parity rank 12
         with pytest.raises(ValueError, match="parity rank 12"):
             class_sum_dim(4, 2, 2, n=1)

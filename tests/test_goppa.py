@@ -294,9 +294,11 @@ class TestBatchedCrt:
 
     def test_independent_of_parity_path(self, monkeypatch):
         # the CRT columns use neither G(a_i) nor the alternant kernel, its
-        # restriction or their shared product with an RREF matrix
+        # restriction, their shared product with an RREF matrix or the
+        # package's matrix product
         import wildgoppa.codes as codes_mod
         import wildgoppa.goppa as goppa_mod
+        import wildgoppa.linalg as linalg_mod
 
         spec = crt_spec(F16, [9, 3, 14, 5, 7, 2, 11, 0, 6], 6, Polynomial(F16, [3, 1, 1]))
         want = reference.goppa_via_crt(spec)
@@ -307,6 +309,7 @@ class TestBatchedCrt:
         monkeypatch.setattr(goppa_mod, "alternant_kernel", forbidden)
         monkeypatch.setattr(goppa_mod, "restrict_alternant", forbidden)
         monkeypatch.setattr(codes_mod, "_rref_times", forbidden)
+        monkeypatch.setattr(linalg_mod, "matmul", forbidden)
         monkeypatch.setattr(Polynomial, "evaluate_codes", forbidden)
         object.__setattr__(spec, "goppa_values", None)
         assert goppa_via_crt(spec) == want

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from wildgoppa import linalg
+from wildgoppa import linalg, poly
 from wildgoppa.codes import LinearCode
 from wildgoppa.errors import BudgetExceeded
-from wildgoppa.gf import build_tower
+from wildgoppa.gf import build_tower, prime_factors
 from wildgoppa.linalg import (
     MatrixGF,
     _rref_array,
@@ -35,6 +35,13 @@ F729 = build_tower(3, 2, 3)
 # F_2 (the pivot-row XOR), characteristic 2 (the XOR path) and odd
 # characteristic, where code * order overflows int16 from order 256 on
 REFERENCE_FIELDS = [F2, F4, F1024.subfield, F1024, F9, F49, F81, F289, F729]
+
+# every tower of order <= 256, prime fields included, so F_9, F_27 and F_81
+# in each of their presentations
+SMALL_TOWERS = [
+    (p, a, m) for p in range(2, 257) if prime_factors(p) == [p]
+    for a in range(1, 9) for m in range(1, 9) if p ** (a * m) <= 256
+]
 
 
 def enumerate_row_space(M: MatrixGF) -> set[tuple[int, ...]]:
@@ -186,6 +193,25 @@ class TestReduceRow:
         assert reference.reduce_row(res.matrix, res.pivots, np.array([1, 1, 1])).any()
 
 
+@st.composite
+def matmul_operands(draw):
+    """(field, A, B) over a tower of order <= 256: A may have no rows, zero
+    rows or more rows than the field has elements, the inner dimension may
+    be 0, and the output may be narrower or wider than it."""
+    field = build_tower(*draw(st.sampled_from(SMALL_TOWERS)))
+    r = draw(st.sampled_from([0, 1, 5, field.order + draw(st.integers(1, 8))]))
+    k, c = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, field.order, size=(r, k)).astype(np.int16)
+    A[rng.random(r) < 0.25] = 0
+    B = rng.integers(0, field.order, size=(k, c)).astype(np.int16)
+    return field, A, B
+
+
+def reference_product(field, A, B) -> np.ndarray:
+    return reference.matmul(MatrixGF._wrap(field, A.copy()), MatrixGF._wrap(field, B.copy())).array
+
+
 class TestMatmul:
     def test_identity(self):
         M = MatrixGF(F8, [[1, 2, 3], [4, 5, 6]])
@@ -208,6 +234,23 @@ class TestMatmul:
         with pytest.raises(ValueError):
             Z = MatrixGF(F2, np.zeros((2, 3), dtype=np.int16))
             reference.matmul(Z, Z)
+
+    @given(matmul_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_library_product_against_reference(self, operands):
+        field, A, B = operands
+        assert_same_array(linalg.matmul(field, A, B), reference_product(field, A, B))
+
+    @pytest.mark.parametrize("field", [F2, F9, F1024, F729], ids=lambda f: f"GF{f.order}")
+    def test_narrow_product_in_row_chunks(self, field):
+        # a narrow product over more than _CHUNK_CELLS terms takes several
+        # row chunks, the last one short
+        rng = np.random.default_rng(field.order)
+        A = rng.integers(0, field.order, size=(3001, 60)).astype(np.int16)
+        for c in (1, 7):
+            B = rng.integers(0, field.order, size=(60, c)).astype(np.int16)
+            assert A.size * c > poly._CHUNK_CELLS
+            assert_same_array(linalg.matmul(field, A, B), reference_product(field, A, B))
 
 
 def test_large_elimination_is_fast():

@@ -23,8 +23,8 @@ from wildgoppa.poly import (
     _candidate_block,
     _fold_mod,
     _one_distinct_factor,
+    _power_rows,
     _root_free,
-    _x_to_the_q,
     _xq_by_frobenius,
     batch_mul_mod,
     batch_pow_mod,
@@ -380,10 +380,29 @@ class TestIrreducibility:
         x = np.zeros(moduli.shape, dtype=np.int16)
         x[:, 1] = 1
         want = batch_pow_mod(field, x, field.order, moduli)
-        assert (_x_to_the_q(field, moduli) == want).all()
+        assert (_power_rows(field, moduli, field.a * field.m)[:, 1] == want).all()
         kept = _one_distinct_factor(field, moduli)
         assert kept.tolist() == reference.one_distinct_factor(field, moduli).tolist()
         assert kept[40] and not kept[41] and kept[42:].all()
+
+    @pytest.mark.parametrize("params", [
+        (2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 3, 1), (3, 1, 3), (5, 1, 2),
+        (7, 1, 2), (17, 1, 2), (31, 1, 2),
+    ])
+    def test_power_rows_against_scalar_powers(self, params):
+        """Every row x^(j p^k) mod f of _power_rows, for the q-th (k = a) and
+        the |F|-th (k = a m) power maps, equals one scalar power and product
+        at a time, on random monic moduli of degree 1 to 5."""
+        field = build_tower(*params)
+        rng = np.random.default_rng(field.order)
+        for d in range(1, 6):
+            moduli = rng.integers(0, field.order, size=(4, d)).astype(np.int16)
+            for k in (field.a, field.a * field.m):
+                rows = _power_rows(field, moduli, k)
+                assert rows.shape == (4, d, d) and rows.dtype == np.int16
+                for f, got in zip(moduli.tolist(), rows):
+                    ring = QuotientRing(Polynomial(field, f + [1]))
+                    assert (got == reference.power_rows(ring, field.p**k)).all()
 
     @pytest.mark.parametrize("params,coeffs", [
         ((2, 1, 8), [8, 2, 1, 0, 1]), ((2, 2, 4), [2, 4, 1, 0, 1]),
@@ -691,7 +710,7 @@ class TestQuotientRing:
         assert R.size == 16 and is_irreducible(R.modulus)
         for k in range(1, R.size):
             a = R.element_at(k)
-            assert R.mul(a, reference.ring_inv(R, a)) == Polynomial.one(F4)
+            assert reference.ring_mul(R, a, reference.ring_inv(R, a)) == Polynomial.one(F4)
 
     def test_enumeration_round_trip(self):
         R = QuotientRing(find_irreducible(F8, 2))
@@ -705,7 +724,7 @@ class TestQuotientRing:
         q = 4
         R = QuotientRing(find_irreducible(F4, 2))
         residues = [R.element_at(k) for k in range(R.size)]
-        fixed = [a for a in residues if R.pow(a, q) == a]
+        fixed = [a for a in residues if reference.ring_pow(R, a, q) == a]
         assert len(fixed) == q
 
     def test_nonfield_quotient(self):
