@@ -12,7 +12,6 @@ from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, build_tower
 from .poly import (
     Polynomial,
-    QuotientRing,
     count_distinct_roots,
     find_irreducible,
     gcd,
@@ -83,7 +82,6 @@ __all__ = [
     "FieldElement",
     "build_tower",
     "Polynomial",
-    "QuotientRing",
     "count_distinct_roots",
     "find_irreducible",
     "gcd",

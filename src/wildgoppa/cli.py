@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import BudgetExceeded, FalsificationError
-from .gf import build_tower
+from .gf import build_tower, prime_factors
 from .codes import DEFAULT_DISTANCE_BUDGET
 from .cyclotomic import (
     class_sum_dim,
@@ -27,6 +27,7 @@ from .cyclotomic import (
 )
 from .evidence import (
     _require_trace_zero_unit,
+    _split_power,
     find_decomposition,
     startkey_search,
     verify_dual_reformulation,
@@ -54,7 +55,6 @@ from .poly import (
     Polynomial,
     count_distinct_roots,
     find_irreducible,
-    irreducible_power,
 )
 
 # the two benchmark grids: (q, (p, a), t-range)
@@ -80,6 +80,14 @@ def _field_from(args):
     if args.m < 2:
         raise ValueError(f"need a proper tower m >= 2, got m={args.m}")
     return build_tower(args.p, args.a, args.m)
+
+
+def _tower_q(args) -> int:
+    """q = p^a for the subcommands that build no field, p checked as
+    build_tower checks it."""
+    if prime_factors(args.p) != [args.p]:
+        raise ValueError(f"p must be prime, got {args.p}")
+    return args.p**args.a
 
 
 def _check_budget(args) -> None:
@@ -229,7 +237,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    q = args.p**args.a
+    q = _tower_q(args)
     n = args.n if args.n is not None else default_length(q, args.m, args.t)
     k = class_sum_dim(q, args.m, args.t, n)
     payload = {"q": q, "m": args.m, "t": args.t, "n": n, "k": k}
@@ -253,7 +261,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    q = args.p**args.a
+    q = _tower_q(args)
     if args.t is not None and args.t < 1:
         raise ValueError(f"need t >= 1, got {args.t}")
     dec = cyclotomic_classes(q, args.m)
@@ -299,7 +307,7 @@ def cmd_evidence(args) -> int:
         )
     lam = _require_trace_zero_unit(field, lam)
     g = parse_goppa_poly_spec(field, args.g).monic()
-    decomp = irreducible_power(g)
+    decomp = _split_power(g)
     if decomp is None:
         raise ValueError("evidence checks need a power of an irreducible")
     h, s = decomp

@@ -27,6 +27,12 @@ orbits.  Chunks come in index order and each is tested by one F_q dot
 product per candidate, so the first hit is the one a
 candidate-by-candidate scan finds.  A scan gives up after
 WITNESS_SCAN_BUDGET candidates.  Every matrix product is linalg.matmul.
+
+The checks of one run share what they derive, each cached per modulus:
+the split g = h^s (_split_power), the q-power table of each modulus
+(_ring_frobenius), the trace form of F[x]/(h) (_trace_form) and (K, psi)
+for g (_K_plus_gF).  Pillar III of verify_K_properties is
+verify_trace_kernel_mod on (h, s).
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, charge_elimination, kernel, matmul, rank
 from .poly import (
     Polynomial,
-    QuotientRing,
     _adder,
     _candidate_chunks,
     _power_rows,
@@ -143,8 +148,15 @@ def build_K(field: Field, t: int, degree_bound: Optional[int] = None) -> LinearC
     return LinearCode(field.subfield, field.m * degree_bound, rows)
 
 
+@functools.lru_cache(maxsize=16)
+def _split_power(g: Polynomial) -> Optional[tuple[Polynomial, int]]:
+    """irreducible_power of a monic g: (h, s) with g = h^s, or None.
+    Cached, as the checks of one run share the split."""
+    return irreducible_power(g)
+
+
 def _require_prime_power_factor(g: Polynomial):
-    decomp = irreducible_power(g.monic())
+    decomp = _split_power(g.monic())
     if decomp is None:
         raise ValueError(
             "polynomial must be a power of a single irreducible"
@@ -190,8 +202,7 @@ def _K_plus_gF(field: Field, g: Polynomial) -> tuple[LinearCode, np.ndarray]:
         raise FalsificationError(
             f"dim K = {K.k}, expected {m * t - 1} for q={field.q} m={m} t={t}"
         )
-    ring = QuotientRing(g)
-    reduced = [flatten_poly(ring.reduce(f), t) for f in mu_generators(field, t)]
+    reduced = [flatten_poly(f % g, t) for f in mu_generators(field, t)]
     psi = kernel(MatrixGF(field.subfield, np.array(reduced))).array
     if psi.shape[0] != 1:
         raise FalsificationError(
@@ -211,21 +222,23 @@ def _ring_frobenius(h: Polynomial) -> np.ndarray:
     return table
 
 
-def _trace_form(ring: QuotientRing) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _trace_form(h: Polynomial) -> np.ndarray:
     """Absolute traces down to F_q of the basis residues z^j x^l of
-    F[x]/(h), in flatten_poly's slot order l*m + j.
+    F[x]/(h), h monic, in flatten_poly's slot order l*m + j.
 
     Each is the sum of a q-power orbit of length m*r and must be a constant
     with a subfield code; by F_q-linearity both then hold for every residue.
     The m*r orbits advance together, one product with the q-power table
-    (_ring_frobenius) at a time.
+    (_ring_frobenius) at a time.  Cached and read-only, as the checks of
+    one run share it.
     """
-    field = ring.field
-    m, r = field.m, ring.degree
+    field = h.field
+    m, r = field.m, int(h.degree)
     basis = np.zeros((m * r, r), dtype=np.int16)
     for l in range(r):
         basis[l * m : (l + 1) * m, l] = [(field.gen**j).code for j in range(m)]
-    table = _ring_frobenius(ring.modulus)
+    table = _ring_frobenius(h)
     add = _adder(field)
     acc = cur = basis
     for _ in range(m * r - 1):
@@ -238,7 +251,9 @@ def _trace_form(ring: QuotientRing) -> np.ndarray:
         raise FalsificationError(
             f"absolute trace of z^{j} x^{l} is {coeffs}, not in F_q"
         )
-    return acc[:, 0]
+    form = acc[:, 0]
+    form.setflags(write=False)
+    return form
 
 
 def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
@@ -271,18 +286,18 @@ def _first_witness(field: Field, degree: int, width: int, hits,
     return None
 
 
-def _norm_map(ring: QuotientRing, lam: int):
-    """The map from an (N, r) block of residues a mod the ring's modulus
+def _norm_map(h: Polynomial, lam: int):
+    """The map from an (N, r) block of residues a mod the monic h
     (coefficient codes, low degree first) to the residues lam * a^N, N the
     norm exponent, in the same form.
 
     a^N is the product of the Frobenius images a^(q^i), i < m, each one
-    product with the q-power table from the last; the modulus need not be
+    product with the q-power table from the last; h need not be
     irreducible.
     """
-    field = ring.field
-    table = _ring_frobenius(ring.modulus)
-    modulus = np.array(ring.modulus.coeffs[:-1], dtype=np.int16)
+    field = h.field
+    table = _ring_frobenius(h)
+    modulus = np.array(h.coeffs[:-1], dtype=np.int16)
 
     def norms(block):
         moduli = np.broadcast_to(modulus, block.shape)
@@ -295,40 +310,19 @@ def _norm_map(ring: QuotientRing, lam: int):
     return norms
 
 
-def _norm_scan(ring: QuotientRing, lam: int, form: np.ndarray,
+def _norm_scan(h: Polynomial, lam: int, form: np.ndarray,
                what: str) -> Optional[int]:
-    """Index of the first residue a of the ring, in code order, whose
+    """Index of the first residue a mod the monic h, in code order, whose
     lam * a^N flattened has a nonzero F_q dot product with form; None when
     there is none.  Raises BudgetExceeded as _first_witness does."""
-    field = ring.field
-    norms = _norm_map(ring, lam)
+    field = h.field
+    r = int(h.degree)
+    norms = _norm_map(h, lam)
 
     def hits(block):
         return _trace(form, field.subfield, _flatten_codes(field, norms(block))) != 0
 
-    return _first_witness(field, ring.degree, field.m * ring.degree, hits, what)
-
-
-def _reduced_trace_kernel_dim(ring: QuotientRing, form: np.ndarray,
-                              gens: Sequence[Polynomial]) -> int:
-    """Reduce the mu generators mod h and check that they fill the kernel of
-    the absolute trace on F[x]/(h): each residue has trace zero and together
-    they span m*r - 1 dimensions. Returns that dimension."""
-    field = ring.field
-    reduced = [ring.reduce(f) for f in gens]
-    rows = np.array([flatten_poly(f, ring.degree) for f in reduced], dtype=np.int16)
-    traces = _trace(form, field.subfield, rows)
-    if traces.any():
-        bad = reduced[int(np.flatnonzero(traces)[0])]
-        raise FalsificationError(
-            f"K residue {bad.coeffs} mod base factor has nonzero trace"
-        )
-    dim = rank(MatrixGF(field.subfield, rows))
-    if dim != field.m * ring.degree - 1:
-        raise FalsificationError(
-            f"K mod base factor has dim {dim}, expected {field.m * ring.degree - 1}"
-        )
-    return dim
+    return _first_witness(field, r, field.m * r, hits, what)
 
 
 @dataclass(frozen=True)
@@ -356,7 +350,8 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
         g*F trivially: the m t generators of K reduced mod g have exactly
         one kernel row, so K mod g keeps dim m t - 1 (see _K_plus_gF).
     (III) dim K = m t - 1, and reducing K mod h fills the full trace-zero
-        hyperplane of F[x]/(h), of dimension m r - 1.
+        hyperplane of F[x]/(h), of dimension m r - 1
+        (verify_trace_kernel_mod).
 
     Raises FalsificationError when any pillar fails.
     """
@@ -367,18 +362,16 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     dim_sum = field.m * field.norm_exponent * t - 1
 
     support = full_support(field)
-    gens = mu_generators(field, t)
-    for f in gens:
+    for f in mu_generators(field, t):
         if tau(field, support, f).any():
             raise FalsificationError(
                 f"tau does not vanish on K generator with coeffs {f.coeffs}"
             )
 
-    ring = QuotientRing(h)
-    dim_mod = _reduced_trace_kernel_dim(ring, _trace_form(ring), gens)
+    dim_mod = verify_trace_kernel_mod(field, h, s).dim_reduced
 
     return KReport(
-        q=field.q, m=field.m, t=t, base_degree=ring.degree, power=s,
+        q=field.q, m=field.m, t=t, base_degree=int(h.degree), power=s,
         dim_K=K.k, dim_gF=dim_sum - K.k, dim_sum=dim_sum,
         dim_K_mod_base=dim_mod, tau_vanishes=True,
     )
@@ -406,14 +399,13 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
         raise ValueError(
             "witness search needs degree >= 2; degree 1 cannot succeed"
         )
-    ring = QuotientRing(h)
-    idx = _norm_scan(ring, lam.code, _trace_form(ring), "startkey search")
+    idx = _norm_scan(h, lam.code, _trace_form(h), "startkey search")
     if idx is None:
         raise FalsificationError(
-            f"no witness in a ring of size {ring.size} for q={field.q} m={field.m} "
+            f"no witness in a ring of size {field.order**r} for q={field.q} m={field.m} "
             f"r={r} lambda={lam.code}"
         )
-    return ring.element_at(idx)
+    return Polynomial(field, digits(idx, field.order, r))
 
 
 @dataclass(frozen=True)
@@ -460,7 +452,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     t = int(g.degree)
     D = field.norm_exponent * t
 
-    idx = _norm_scan(QuotientRing(g), lam.code, psi, "decomposition search")
+    idx = _norm_scan(g, lam.code, psi, "decomposition search")
     if idx is None:
         raise FalsificationError(
             f"no decomposition witness among {field.order**t} candidates for "
@@ -468,8 +460,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
         )
     a = Polynomial(field, digits(idx, field.order, t))
     w = Polynomial.constant(field, lam.code) * a**field.norm_exponent
-    ring = QuotientRing(h)
-    tr = int(_trace(_trace_form(ring), field.subfield, flatten_poly(ring.reduce(w), r)))
+    tr = int(_trace(_trace_form(h), field.subfield, flatten_poly(w % h, r)))
     if tr == 0:
         raise FalsificationError(
             "independent witness has zero trace mod the base factor; "
@@ -538,7 +529,7 @@ def verify_dual_reformulation(field: Field, support: Sequence[int],
         dim_full=int(dim_full), dim_multiples=int(dim_mult),
         gap=int(dim_full - dim_mult), equal=bool(dim_full == dim_mult),
     )
-    decomp = irreducible_power(g)
+    decomp = _split_power(g)
     rootless = count_distinct_roots(g) == 0
     if rootless and not report.equal:
         raise FalsificationError(
@@ -578,9 +569,20 @@ def verify_trace_kernel_mod(field: Field, h: Polynomial,
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     r = int(h.degree)
-    ring = QuotientRing(h)
-    form = _trace_form(ring)
-    dim_reduced = _reduced_trace_kernel_dim(ring, form, mu_generators(field, power * r))
+    form = _trace_form(h)
+    reduced = [f % h for f in mu_generators(field, power * r)]
+    rows = np.array([flatten_poly(f, r) for f in reduced], dtype=np.int16)
+    traces = _trace(form, field.subfield, rows)
+    if traces.any():
+        bad = reduced[int(np.flatnonzero(traces)[0])]
+        raise FalsificationError(
+            f"K residue {bad.coeffs} mod base factor has nonzero trace"
+        )
+    dim_reduced = rank(MatrixGF(field.subfield, rows))
+    if dim_reduced != field.m * r - 1:
+        raise FalsificationError(
+            f"K mod base factor has dim {dim_reduced}, expected {field.m * r - 1}"
+        )
     # an F_q-linear functional to F_q is onto unless it is zero
     if not form.any():
         raise FalsificationError("absolute trace vanished on the whole ring")

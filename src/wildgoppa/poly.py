@@ -5,10 +5,6 @@ trailing zeros, so two polynomials are equal exactly when their coefficient
 tuples are. The zero polynomial has an empty tuple and degree minus infinity
 (``NEG_INF``), which makes the usual degree inequalities hold without
 special cases.
-
-Also provides quotient rings F[x]/(f) for residue arithmetic; when f is
-irreducible of degree r this realises the extension field of order
-``|F|**r`` without needing lookup tables for it.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from .gf import Field, FieldElement, digit_array, digits, mirror_row
 __all__ = [
     "NEG_INF",
     "Polynomial",
-    "QuotientRing",
     "gcd",
     "pow_mod",
     "batch_mul_mod",
@@ -731,35 +726,3 @@ def parse_poly_spec(field: Field, text: str) -> Polynomial:
         raise ValueError(f"bad coefficient list {text!r}") from None
     return Polynomial(field, codes)
 
-
-class QuotientRing:
-    """The residue ring F[x]/(modulus), modulus monic of degree >= 1.
-
-    Residues are represented by :class:`Polynomial` values of degree less
-    than the modulus degree. When the modulus is irreducible the ring is the
-    field with ``|F|**deg`` elements. ``element_at`` indexes residues in the
-    encoding order induced by reading the coefficient vector as a base-|F|
-    integer.
-    """
-
-    def __init__(self, modulus: Polynomial):
-        if modulus.degree is NEG_INF or modulus.degree < 1:
-            raise ValueError("modulus must have degree >= 1")
-        if not modulus.is_monic:
-            raise ValueError("modulus must be monic")
-        self.field = modulus.field
-        self.modulus = modulus
-        self.degree = int(modulus.degree)
-        self.size = self.field.order**self.degree
-
-    def __repr__(self) -> str:
-        return f"QuotientRing({self.modulus!r})"
-
-    def reduce(self, a: Polynomial) -> Polynomial:
-        a._check(self.modulus)
-        return a % self.modulus
-
-    def element_at(self, k: int) -> Polynomial:
-        if not 0 <= k < self.size:
-            raise ValueError(f"index {k} out of range")
-        return Polynomial._raw(self.field, digits(k, self.field.order, self.degree))

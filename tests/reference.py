@@ -63,7 +63,10 @@ The scalar element API that the library no longer carries lives here too:
 read from the tables; ``leading_coefficient`` and ``evaluate`` (Horner's
 rule at one point) of a polynomial; ``ext_gcd``, the extended Euclidean
 algorithm; and ``ring_mul``, ``ring_pow`` and ``ring_inv``, the product,
-power and inverse of ``QuotientRing`` residues.
+power and inverse of residues mod a monic modulus h, each reduced mod h.
+The residue helpers take h itself: a residue mod h is a ``Polynomial`` of
+degree below deg h, and residue k in index order is the one whose
+coefficients are the base-|F| digits of k.
 None of these is used by the library.
 """
 
@@ -79,7 +82,7 @@ from wildgoppa.gf import Field, FieldElement, build_tower, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
-    NEG_INF, Polynomial, QuotientRing, _adder, _as_code, _batch_rank, _lookup,
+    NEG_INF, Polynomial, _adder, _as_code, _batch_rank, _lookup,
     batch_mul_mod, batch_pow_mod, find_irreducible as searched_irreducible, gcd,
     pow_mod,
 )
@@ -173,13 +176,13 @@ def matmul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     return MatrixGF(field, C)
 
 
-def abs_trace(ring: QuotientRing, w: Polynomial) -> int:
+def abs_trace(h: Polynomial, w: Polynomial) -> int:
     """Absolute trace of w in F[x]/(h) to F_q: the sum of its q-power orbit
     of length m*deg(h), which must be a constant in F_q."""
-    field = ring.field
-    acc = cur = ring.reduce(w)
-    for _ in range(field.m * ring.degree - 1):
-        cur = ring_pow(ring, cur, field.q)
+    field = h.field
+    acc = cur = w % h
+    for _ in range(field.m * int(h.degree) - 1):
+        cur = ring_pow(h, cur, field.q)
         acc = acc + cur
     assert len(acc.coeffs) <= 1, f"non-constant trace {acc.coeffs}"
     code = acc.coeffs[0] if acc.coeffs else 0
@@ -187,16 +190,17 @@ def abs_trace(ring: QuotientRing, w: Polynomial) -> int:
     return code
 
 
-def power_rows(ring: QuotientRing, e: int) -> np.ndarray:
+def power_rows(h: Polynomial, e: int) -> np.ndarray:
     """(r, r) codes whose row l is x^(l e) mod h, one scalar ``ring_pow``
     and ``ring_mul`` at a time."""
-    field = ring.field
-    xe = ring_pow(ring, Polynomial.x(field), e)
-    table = np.zeros((ring.degree, ring.degree), dtype=_DT)
+    field = h.field
+    r = int(h.degree)
+    xe = ring_pow(h, Polynomial.x(field), e)
+    table = np.zeros((r, r), dtype=_DT)
     cur = Polynomial.one(field)
-    for l in range(ring.degree):
+    for l in range(r):
         table[l, : len(cur.coeffs)] = cur.coeffs
-        cur = ring_mul(ring, cur, xe)
+        cur = ring_mul(h, cur, xe)
     return table
 
 
@@ -382,19 +386,19 @@ def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Pol
     return None
 
 
-def trace_form(ring: QuotientRing) -> np.ndarray:
-    """Absolute traces of the basis residues z^j x^l, in slot order
-    l*m + j, each the sum of its q-power orbit taken one ``ring_pow`` at a
-    time."""
-    field = ring.field
-    q, m = field.q, field.m
-    steps = m * ring.degree
+def trace_form(h: Polynomial) -> np.ndarray:
+    """Absolute traces of the basis residues z^j x^l of F[x]/(h), in slot
+    order l*m + j, each the sum of its q-power orbit taken one ``ring_pow``
+    at a time."""
+    field = h.field
+    q, m, r = field.q, field.m, int(h.degree)
+    steps = m * r
     form = np.zeros(steps, dtype=_DT)
-    for l in range(ring.degree):
+    for l in range(r):
         for j in range(m):
             acc = cur = Polynomial.monomial(field, l, (field.gen**j).code)
             for _ in range(steps - 1):
-                cur = ring_pow(ring, cur, q)
+                cur = ring_pow(h, cur, q)
                 acc = acc + cur
             assert len(acc.coeffs) <= 1, f"non-constant trace {acc.coeffs}"
             code = acc.coeffs[0] if acc.coeffs else 0
@@ -406,13 +410,14 @@ def trace_form(ring: QuotientRing) -> np.ndarray:
 def startkey_search(field: Field, h: Polynomial, lam: int) -> Polynomial | None:
     """First residue alpha mod h, in index order, whose lam * alpha^N mod h
     has nonzero absolute trace; None when the ring has none."""
-    ring = QuotientRing(h.monic())
-    form = trace_form(ring)
+    h = h.monic()
+    r = int(h.degree)
+    form = trace_form(h)
     lam_poly = Polynomial.constant(field, lam)
-    for idx in range(ring.size):
-        alpha = ring.element_at(idx)
-        w = ring_mul(ring, lam_poly, ring_pow(ring, alpha, field.norm_exponent))
-        if trace_slots(form, field.subfield, flatten_poly(w, ring.degree)) != 0:
+    for idx in range(field.order**r):
+        alpha = Polynomial(field, digits(idx, field.order, r))
+        w = ring_mul(h, lam_poly, ring_pow(h, alpha, field.norm_exponent))
+        if trace_slots(form, field.subfield, flatten_poly(w, r)) != 0:
             return alpha
     return None
 
@@ -480,8 +485,7 @@ def find_decomposition(field: Field, g: Polynomial, lam: int):
     t = int(g.degree)
     e1 = field.norm_exponent
     D = e1 * t
-    ring = QuotientRing(h)
-    form = trace_form(ring)
+    form = trace_form(h)
     sub = field.subfield
     lam_poly = Polynomial.constant(field, lam)
     for idx in range(field.order**t):
@@ -489,7 +493,7 @@ def find_decomposition(field: Field, g: Polynomial, lam: int):
         w = lam_poly * a**e1
         if trace_slots(phi, sub, flatten_poly(w, D)) == 0:
             continue
-        tr = int(trace_slots(form, sub, flatten_poly(ring.reduce(w), ring.degree)))
+        tr = int(trace_slots(form, sub, flatten_poly(w % h, int(h.degree))))
         assert tr != 0, f"witness {idx} has zero trace mod the base factor"
         assert not tau(field, full_support(field), w).any(), f"tau on witness {idx}"
         report = DecompositionReport(
@@ -813,16 +817,16 @@ def ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polyn
     return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
 
 
-def ring_mul(ring: QuotientRing, a: Polynomial, b: Polynomial) -> Polynomial:
-    return (a * b) % ring.modulus
+def ring_mul(h: Polynomial, a: Polynomial, b: Polynomial) -> Polynomial:
+    return (a * b) % h
 
 
-def ring_pow(ring: QuotientRing, a: Polynomial, e: int) -> Polynomial:
-    return pow_mod(a, e, ring.modulus)
+def ring_pow(h: Polynomial, a: Polynomial, e: int) -> Polynomial:
+    return pow_mod(a, e, h)
 
 
-def ring_inv(ring: QuotientRing, a: Polynomial) -> Polynomial:
-    g, u, _ = ext_gcd(ring.reduce(a), ring.modulus)
+def ring_inv(h: Polynomial, a: Polynomial) -> Polynomial:
+    g, u, _ = ext_gcd(a % h, h)
     if g.degree != 0:
-        raise ZeroDivisionError(f"{a!r} is not invertible mod {ring.modulus!r}")
-    return ring.reduce(u)
+        raise ZeroDivisionError(f"{a!r} is not invertible mod {h!r}")
+    return u % h

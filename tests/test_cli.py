@@ -294,13 +294,16 @@ def test_cli_fuzz_defined_exit(argv):
     ("verify --p 2 --m 2 --g irreducible:2 --s 999", 0),
     ("verify --p 2 --m 2 --g irreducible:2 --s 16667", 4),
     ("dims --p 2 --m 3 --t 1 --n 6", 2),
+    ("dims --p 4 --m 2 --t 2", 2),
+    ("classes --p 4 --m 2", 2),
 ])
 def test_probe_defined_exit_fast(argv, want):
     # bad p, m = 1, g = 0 or 1, ^0, duplicate support, s = 0, a bad lambda,
     # the m = 10 cases, the F_1024 case, irreducible:300 over F_4, a chain
     # of 1,001 zero codes (g^j of degree up to 5,994 >= n = 4), one whose
     # top power g^50001 has degree 100,002, over SPEC_POWER_DEGREE_BUDGET,
-    # and a dims length below the parity rank (7 for q = 2, m = 3, t = 1)
+    # a dims length below the parity rank (7 for q = 2, m = 3, t = 1), and
+    # dims and classes on a non-prime p, which build no field
     code, _, err, elapsed = run_cli_bounded(argv.split())
     assert code == want, err
     assert "Traceback" not in err
@@ -362,9 +365,11 @@ def test_probe_dense_g_squarefree_gcd_charged(check, degree, want):
 
 def test_evidence_degree_120_power_refused_in_bounded_time():
     # g = h^3, h the degree-40 irreducible over F_4: irreducible_power raises
-    # x^(Q^dh) mod g to the Q-th power once per factor degree dh, and the run
-    # reaches the startkey scan's refusal in about 4 s in-process on 2 cores
-    # (7.4-8.9 s in a fresh process when every x^(Q^dh) was powered from x)
+    # x^(Q^dh) mod g to the Q-th power once per factor degree dh, about
+    # 0.18 s, once per run as every check shares the split, and the run
+    # reaches the startkey scan's refusal, about 3 s of 2^18 norms, in
+    # 3.2-3.8 s in a fresh process on 2 cores (3.2-4.2 s when three checks
+    # each split g)
     argv = ["evidence", "--p", "2", "--m", "2", "--g", "irreducible:40^3"]
     code, out, err, elapsed = run_cli_bounded(argv)
     assert code == 4, err

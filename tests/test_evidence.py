@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from wildgoppa import evidence, poly
+from wildgoppa import cli, evidence, poly
 from wildgoppa.codes import LinearCode
 from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
@@ -30,12 +30,11 @@ from wildgoppa.evidence import (
     verify_trace_kernel_mod,
 )
 from wildgoppa.cli import main
-from wildgoppa.gf import build_tower, prime_factors
+from wildgoppa.gf import build_tower, digits, prime_factors
 from wildgoppa.goppa import full_support, punctured_support
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
     Polynomial,
-    QuotientRing,
     _candidate_block,
     count_distinct_roots,
     find_irreducible,
@@ -316,17 +315,16 @@ def test_startkey_first_witness_oracle():
     lam = trace_zero_units(field)[0]
     alpha = startkey_search(field, h, lam)
 
-    ring = QuotientRing(h)
     e1 = field.norm_exponent
     lam_poly = Polynomial.constant(field, lam)
+    residues = [Polynomial(field, digits(k, field.order, 2)) for k in range(field.order**2)]
     hits = [
-        k for k in range(ring.size)
+        k for k, a in enumerate(residues)
         if reference.abs_trace(
-            ring, reference.ring_mul(
-                ring, lam_poly, reference.ring_pow(ring, ring.element_at(k), e1))) != 0
+            h, reference.ring_mul(h, lam_poly, reference.ring_pow(h, a, e1))) != 0
     ]
     assert hits, "oracle found no witness at all"
-    assert ring.element_at(hits[0]) == alpha
+    assert residues[hits[0]] == alpha
 
 
 def test_startkey_rejects_degree_one():
@@ -572,16 +570,16 @@ def test_twisted_norms_rows_against_powers(p, a, m, data):
     h = Polynomial(field, data.draw(st.lists(
         st.integers(0, field.order - 1), min_size=r, max_size=r)) + [1])
     assume(is_irreducible(h))
-    ring = QuotientRing(h ** data.draw(st.integers(1, 3)))
-    t = ring.degree
+    g = h ** data.draw(st.integers(1, 3))
+    t = int(g.degree)
     lam = data.draw(st.sampled_from(trace_zero_units(field)))
     start = data.draw(st.integers(0, field.order**t - 1))
     block = _candidate_block(start, data.draw(st.integers(1, 40)), field.order, t)
-    rows = _norm_map(ring, lam)(block)
+    rows = _norm_map(g, lam)(block)
     lam_poly = Polynomial.constant(field, lam)
     for row, coeffs in zip(rows, block.tolist()):
         w = reference.ring_mul(
-            ring, lam_poly, reference.ring_pow(ring, Polynomial(field, coeffs), field.norm_exponent))
+            g, lam_poly, reference.ring_pow(g, Polynomial(field, coeffs), field.norm_exponent))
         assert row.tolist() == (list(w.coeffs) + [0] * t)[:t]
 
 
@@ -600,7 +598,7 @@ def test_psi_mod_g_marks_the_phi_candidates(p, a, m, data):
     _, psi = _K_plus_gF(field, g)
     _, phi = reference.stack_phi(field, g)
     sub = field.subfield
-    reduced = _norm_map(QuotientRing(g), lam)(block)
+    reduced = _norm_map(g, lam)(block)
     by_psi = _trace(psi, sub, evidence._flatten_codes(field, reduced)) != 0
     unreduced = reference.twisted_norms(field, lam, block, field.norm_exponent * t)
     by_phi = reference.trace_slots(phi, sub, unreduced) != 0
@@ -648,9 +646,7 @@ def test_K_plus_gF_is_kernel_of_phi(p, a, m, deg):
         t = int(g.degree)
         K, psi = _K_plus_gF(field, g)
         assert K.k == field.m * t - 1 and psi.shape == (field.m * t,)
-        ring = QuotientRing(g)
-        rows = np.array([flatten_poly(ring.reduce(f), t)
-                         for f in mu_generators(field, t)])
+        rows = np.array([flatten_poly(f % g, t) for f in mu_generators(field, t)])
         assert not _trace(psi, sub, rows).any()
         assert rank(MatrixGF(sub, rows)) == field.m * t - 1
         assert psi.any()
@@ -695,18 +691,48 @@ def test_trace_kernel_mod(p, a, m, r, s):
     rep = verify_trace_kernel_mod(field, h, s)
     assert rep.dim_reduced == rep.expected == field.m * r - 1
     assert rep.trace_surjective
+    # pillar III of verify_K_properties is this check on g = h^s
+    assert verify_K_properties(field, h**s).dim_K_mod_base == rep.dim_reduced
 
 
 def test_trace_kernel_oracle_by_enumeration():
     # count the trace kernel directly in the residue ring and compare
     field = build_tower(2, 1, 2)
     h = find_irreducible(field, 2)
-    ring = QuotientRing(h)
-    kernel = [k for k in range(ring.size)
-              if reference.abs_trace(ring, ring.element_at(k)) == 0]
+    kernel = [k for k in range(field.order**2)
+              if reference.abs_trace(h, Polynomial(field, digits(k, field.order, 2))) == 0]
     assert len(kernel) == field.q ** (field.m * 2 - 1)
     rep = verify_trace_kernel_mod(field, h, 1)
     assert field.q**rep.dim_reduced == len(kernel)
+
+
+def test_evidence_run_derives_split_and_trace_form_once(monkeypatch, capsys):
+    # five checks of one run read the split g = h^s and the trace form of
+    # F[x]/(h); the sieve runs once on g and the q-power orbits are summed
+    # once, each orbit sum taking one _adder, however many checks read them
+    for fn in vars(evidence).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    sieved, orbit_sums = [], []
+
+    def counted(fn, log):
+        def wrapper(arg):
+            log.append(arg)
+            return fn(arg)
+        return wrapper
+
+    split = counted(evidence.irreducible_power, sieved)
+    for module in (cli, evidence):  # wherever a module binds the sieve
+        if hasattr(module, "irreducible_power"):
+            monkeypatch.setattr(module, "irreducible_power", split)
+    monkeypatch.setattr(evidence, "_adder", counted(evidence._adder, orbit_sums))
+    assert main(["evidence", "--p", "2", "--m", "2", "--g", "irreducible:2^2"]) == 0
+    out, _ = capsys.readouterr()
+    assert "decomposition witness" in out
+    field = build_tower(2, 1, 2)
+    h = find_irreducible(field, 2)
+    assert (len(sieved), len(orbit_sums)) == (1, 1)
+    assert sieved == [h**2] and orbit_sums == [field]
 
 
 # F_16/F_4, F_256/F_16, F_9/F_3, F_25/F_5, F_49/F_7, F_64/F_2
@@ -725,12 +751,13 @@ def test_trace_form_against_orbit_sum(p, a, m, r, data):
     residue = st.lists(st.integers(0, field.order - 1), min_size=r, max_size=r)
     h = Polynomial(field, data.draw(residue) + [1])
     assume(is_irreducible(h))
-    ring = QuotientRing(h)
-    form = _trace_form(ring)
+    form = _trace_form(h)
     ws = [Polynomial(field, c)
           for c in data.draw(st.lists(residue, min_size=1, max_size=4))]
-    assert form.tolist() == reference.trace_form(ring).tolist()
-    expected = [reference.abs_trace(ring, w) for w in ws]
+    # the form is shared by the checks of a run: cached and read-only
+    assert _trace_form(h) is form and not form.flags.writeable
+    assert form.tolist() == reference.trace_form(h).tolist()
+    expected = [reference.abs_trace(h, w) for w in ws]
     assert int(_trace(form, field.subfield, flatten_poly(ws[0], r))) == expected[0]
     rows = np.array([flatten_poly(w, r) for w in ws])
     assert _trace(form, field.subfield, rows).tolist() == expected
