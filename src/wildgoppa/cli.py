@@ -19,6 +19,7 @@ from .errors import BudgetExceeded, FalsificationError
 from .gf import build_tower, prime_factors
 from .codes import DEFAULT_DISTANCE_BUDGET
 from .cyclotomic import (
+    _charge_modulus,
     class_sum_dim,
     closed_form,
     cyclotomic_classes,
@@ -84,7 +85,13 @@ def _field_from(args):
 
 def _tower_q(args) -> int:
     """q = p^a for the subcommands that build no field, p checked as
-    build_tower checks it."""
+    build_tower checks it. A class modulus q^m - 1 over budget is refused
+    first, so no large p is factored and no large power formed."""
+    if args.a < 1:
+        raise ValueError("tower degrees must be >= 1")
+    if args.m < 2:
+        raise ValueError(f"need a proper extension m >= 2, got m={args.m}")
+    _charge_modulus(args.p, args.a * args.m)
     if prime_factors(args.p) != [args.p]:
         raise ValueError(f"p must be prime, got {args.p}")
     return args.p**args.a

@@ -25,9 +25,11 @@ The minimum distance routine is exact and budgeted: it returns the exact
 value, or None when the q^k - 1 nonzero codewords exceed the budget, never
 an estimate. Since wt(c*x) = wt(x), it visits only the (q^k - 1)/(q - 1)
 projective codewords, those whose message has last nonzero digit 1: the
-span of the low rows is built once as a block of at most 2^14 rows, and
-each word led by a higher row is that block plus one offset, one table
-pass per offset.
+span of the low rows is built once as a block of at most 2^17 cells
+(poly._CHUNK_CELLS, the working set of the candidate scans), and each word
+led by a higher row is that block plus one offset. A word x + o is zero
+where x = -o, so each offset's weights are one comparison of the block
+with -o into one reused block-sized mask, with no table pass.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from . import linalg
 from .gf import Field, digit_array
 from .linalg import MatrixGF
-from .poly import _adder
+from .poly import _CHUNK_CELLS, _adder
 
 __all__ = [
     "LinearCode",
@@ -49,8 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_DISTANCE_BUDGET = 10**7
-# min_distance keeps the span of its low rows as a block of at most 2^14 rows
-_BLOCK_ROWS = 1 << 14
 
 
 class LinearCode:
@@ -130,7 +130,7 @@ class LinearCode:
         """
         if self.k == 0:
             raise ValueError("minimum distance of the zero code is undefined")
-        field = self.field
+        field, n = self.field, self.n
         order = field.order
         if order**self.k - 1 > budget:
             return None
@@ -141,17 +141,19 @@ class LinearCode:
         G = self.generator
         scaled = mul[np.arange(order)[:, None, None], G[None]]  # (order, k, n)
         s = 1
-        while s < self.k and order ** (s + 1) <= _BLOCK_ROWS:
+        while s < self.k and order ** (s + 1) * n <= _CHUNK_CELLS:
             s += 1
-        best = self.n
-        block = np.zeros((1, self.n), dtype=np.int16)
+        best = n
+        block = np.zeros((1, n), dtype=np.int16)
         for j in range(s):
             levels = add(block[None], scaled[:, j, None])  # block + c*G[j]
             best = min(best, int(np.count_nonzero(levels[1], axis=1).min()))
-            block = levels.reshape(-1, self.n)
+            block = levels.reshape(-1, n)
+        nonzero = np.empty(block.shape, dtype=bool)
         for j in range(s, self.k):
             for offset in _span_offsets(add, G[j], scaled[:, s:j]):
-                best = min(best, int(np.count_nonzero(add(block, offset), axis=1).min()))
+                np.not_equal(block, field.neg_table[offset], out=nonzero)
+                best = min(best, int(nonzero.sum(axis=1).min()))
         return best
 
 

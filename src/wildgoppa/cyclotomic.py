@@ -37,10 +37,26 @@ CLASS_MODULUS_BUDGET = 1 << 22
 
 
 def _validate_qm(q: int, m: int) -> None:
-    if len(prime_factors(q)) != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
     if m < 2:
         raise ValueError(f"need a proper extension m >= 2, got m={m}")
+    if len(prime_factors(q)) != 1:
+        raise ValueError(f"q must be a prime power, got {q}")
+
+
+def _charge_modulus(base: int, e: int) -> None:
+    """BudgetExceeded when the class modulus base^e - 1 exceeds
+    CLASS_MODULUS_BUDGET, judged before base is factored: base^e is at
+    least 2^((bits of base - 1) e) and is formed only when that bound is at
+    most 2^64. A base or exponent below 2 is left to the input checks."""
+    if base < 2 or e < 2:
+        return
+    power = base**e if (base.bit_length() - 1) * e <= 64 else None
+    if power is None or power - 1 > CLASS_MODULUS_BUDGET:
+        modulus = f"{base}^{e} - 1" if power is None else power - 1
+        raise BudgetExceeded(
+            f"classes modulo {modulus} exceed the budget of "
+            f"{CLASS_MODULUS_BUDGET} residues"
+        )
 
 
 def norm_exponent(q: int, m: int) -> int:
@@ -78,13 +94,9 @@ class ClassDecomposition:
 def cyclotomic_classes(q: int, m: int) -> ClassDecomposition:
     """All multiplication-by-q classes modulo q^m - 1, reps ascending;
     BudgetExceeded before any work when q^m - 1 > CLASS_MODULUS_BUDGET."""
+    _charge_modulus(q, m)
     _validate_qm(q, m)
     modulus = q**m - 1
-    if modulus > CLASS_MODULUS_BUDGET:
-        raise BudgetExceeded(
-            f"classes modulo {modulus} exceed the budget of "
-            f"{CLASS_MODULUS_BUDGET} residues"
-        )
     seen = [False] * modulus
     out = []
     for b in range(modulus):
@@ -108,7 +120,10 @@ def class_sum_dim(q: int, m: int, t: int, n: int | None = None) -> int:
     count m*(|I_b intersect A| - 1) + m - |I_b| is added to n - m*t*(e+1).
     Valid for t*(e+1) <= q^m - 1 and n at least the parity rank
     m*t*(e+1) minus those counts; n defaults to the canonical length.
+    BudgetExceeded, before any other check, when the classes are over
+    budget (see cyclotomic_classes).
     """
+    _charge_modulus(q, m)
     _validate_qm(q, m)
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")

@@ -29,10 +29,11 @@ candidate-by-candidate scan finds.  A scan gives up after
 WITNESS_SCAN_BUDGET candidates.  Every matrix product is linalg.matmul.
 
 The checks of one run share what they derive, each cached per modulus:
-the split g = h^s (_split_power), the q-power table of each modulus
-(_ring_frobenius), the trace form of F[x]/(h) (_trace_form) and (K, psi)
-for g (_K_plus_gF).  Pillar III of verify_K_properties is
-verify_trace_kernel_mod on (h, s).
+the split g = h^s (_split_power), the irreducibility of h
+(_require_irreducible), the q-power table of each modulus
+(_ring_frobenius), the trace form of F[x]/(h) (_trace_form), (K, psi)
+for g (_K_plus_gF) and the trace-kernel report of (h, s)
+(verify_trace_kernel_mod, which is pillar III of verify_K_properties).
 """
 
 from __future__ import annotations
@@ -162,6 +163,14 @@ def _require_prime_power_factor(g: Polynomial):
             "polynomial must be a power of a single irreducible"
         )
     return decomp
+
+
+@functools.lru_cache(maxsize=16)
+def _require_irreducible(h: Polynomial) -> None:
+    """ValueError unless the monic h is irreducible over the top field.
+    Cached, as the checks of one run share h."""
+    if not is_irreducible(h):
+        raise ValueError("modulus must be irreducible over the top field")
 
 
 def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
@@ -392,8 +401,7 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
     """
     lam = _require_trace_zero_unit(field, lam)
     h = h.monic()
-    if not is_irreducible(h):
-        raise ValueError("modulus must be irreducible over the top field")
+    _require_irreducible(h)
     r = int(h.degree)
     if r < 2:
         raise ValueError(
@@ -555,17 +563,18 @@ class TraceKernelReport:
     trace_surjective: bool
 
 
+@functools.lru_cache(maxsize=16)
 def verify_trace_kernel_mod(field: Field, h: Polynomial,
                             power: int = 1) -> TraceKernelReport:
     """Check K for t = power*deg(h) reduces onto the trace kernel mod h.
 
     Every reduced generator must have absolute trace zero and together
     they must span m*r - 1 dimensions, exactly the kernel of the (checked
-    surjective) absolute trace on F[x]/(h).
+    surjective) absolute trace on F[x]/(h).  Cached: pillar III of
+    verify_K_properties and the evidence report share one check.
     """
     h = h.monic()
-    if not is_irreducible(h):
-        raise ValueError("modulus must be irreducible over the top field")
+    _require_irreducible(h)
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
     r = int(h.degree)

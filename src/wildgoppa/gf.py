@@ -142,16 +142,18 @@ class Field:
     """
 
     def __init__(self, p: int, a: int, m: int):
-        if prime_factors(p) != [p]:
-            raise ValueError(f"p must be prime, got {p}")
         if a < 1 or m < 1:
             raise ValueError("tower degrees must be >= 1")
-        order = p ** (a * m)
-        if order > ORDER_CAP:
+        # sized before p is factored: p^(a m) >= 2^((bits of p - 1) a m) is
+        # formed only when that bound is at most 2^64, so it stays small
+        order = p ** (a * m) if (p.bit_length() - 1) * a * m <= 64 else None
+        if p > 1 and (order is None or order > ORDER_CAP):
             raise ValueError(
-                f"field with {order} elements exceeds the table-backed "
-                f"cap of {ORDER_CAP}"
+                f"field with {order or f'{p}^{a * m}'} elements exceeds the "
+                f"table-backed cap of {ORDER_CAP}"
             )
+        if prime_factors(p) != [p]:
+            raise ValueError(f"p must be prime, got {p}")
         self.p = p
         self.a = a
         self.m = m

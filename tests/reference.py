@@ -29,7 +29,8 @@ sieve and no budget. ``count_distinct_roots`` is the original root count,
 deg gcd(g, x^Q - x). ``root_free`` is the original root sieve of
 ``poly._sieve``: Horner's rule at every element, for every candidate.
 ``one_distinct_factor`` is the original Berlekamp sieve, with x^Q mod f by
-square and multiply (``batch_pow_mod``) in every field. ``irreducible_power``
+square and multiply (``batch_pow_mod``) in every field and each B - I
+ranked on its own by ``rref_array``. ``irreducible_power``
 is the original distinct-degree sieve, each x^(Q^dh) mod g powered from x.
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
@@ -82,7 +83,7 @@ from wildgoppa.gf import Field, FieldElement, build_tower, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
-    NEG_INF, Polynomial, _adder, _as_code, _batch_rank, _lookup,
+    NEG_INF, Polynomial, _adder, _as_code, _lookup,
     batch_mul_mod, batch_pow_mod, find_irreducible as searched_irreducible, gcd,
     pow_mod,
 )
@@ -239,7 +240,7 @@ def min_distance(code: LinearCode, budget: int) -> int | None:
     add, mul = field.add_table, field.mul_table
     G = code.generator
     best = code.n + 1
-    batch = max(1, min(total, 1 << 16))
+    batch = max(1, min(total, (1 << 20) // code.n))  # at most 2^20 cells
     for start in range(0, total, batch):
         idx = np.arange(start, min(start + batch, total))
         cw = np.zeros((idx.size, code.n), dtype=_DT)
@@ -370,7 +371,7 @@ def one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
         M[:, j] = batch_mul_mod(field, M[:, j - 1], xq, moduli)
     diag = np.arange(1, d)
     M[:, diag - 1, diag] = _adder(field)(M[:, diag - 1, diag], field.neg_table[1])
-    return _batch_rank(field, M) == d - 1
+    return np.array([rref_array(field, B.copy())[1] == d - 1 for B in M], dtype=bool)
 
 
 def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Polynomial | None:

@@ -296,14 +296,22 @@ def test_cli_fuzz_defined_exit(argv):
     ("dims --p 2 --m 3 --t 1 --n 6", 2),
     ("dims --p 4 --m 2 --t 2", 2),
     ("classes --p 4 --m 2", 2),
+    ("verify --p 2305843009213693951 --m 2 --g irreducible:2", 2),
+    ("dims --p 2305843009213693951 --m 2 --t 1", 4),
+    ("verify --p 2 --a 1000000000 --m 2 --g irreducible:2", 2),
+    ("dims --p 2 --a 1000000000 --m 2 --t 1", 4),
+    ("classes --p 3 --m 100000000", 4),
 ])
 def test_probe_defined_exit_fast(argv, want):
     # bad p, m = 1, g = 0 or 1, ^0, duplicate support, s = 0, a bad lambda,
     # the m = 10 cases, the F_1024 case, irreducible:300 over F_4, a chain
     # of 1,001 zero codes (g^j of degree up to 5,994 >= n = 4), one whose
     # top power g^50001 has degree 100,002, over SPEC_POWER_DEGREE_BUDGET,
-    # a dims length below the parity rank (7 for q = 2, m = 3, t = 1), and
-    # dims and classes on a non-prime p, which build no field
+    # a dims length below the parity rank (7 for q = 2, m = 3, t = 1),
+    # dims and classes on a non-prime p, which build no field, and towers
+    # sized from bit lengths before the prime 2^61 - 1 is factored or
+    # 2^(2 * 10^9) or 3^(10^8) formed: over ORDER_CAP (exit 2) or over
+    # CLASS_MODULUS_BUDGET (exit 4)
     code, _, err, elapsed = run_cli_bounded(argv.split())
     assert code == want, err
     assert "Traceback" not in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 import reference
 from wildgoppa.codes import (
-    _BLOCK_ROWS, LinearCode, alternant_kernel, expand_over_subfield, restrict_alternant,
-    subfield_kernel,
+    LinearCode, alternant_kernel, expand_over_subfield, restrict_alternant, subfield_kernel,
 )
 from wildgoppa.gf import build_tower
+from wildgoppa.poly import _CHUNK_CELLS
 
 F2 = build_tower(2, 1, 1)
 F3 = build_tower(3, 1, 1)
@@ -352,41 +353,65 @@ def test_min_distance_against_full_enumeration(field, data):
     assert C.min_distance() == reference.min_distance(C, 10**7)
 
 
-# (field, s): s low rows fill min_distance's block of at most 2^14 rows
+# (field, n, s): at length n, min_distance keeps the span of its s low rows
+# as its block, the most rows with order^s * n <= _CHUNK_CELLS cells and at
+# least one; F_2 at n = 40000 and F_9 at n = 2000 leave s = 1
 BLOCK_SPLITS = [
-    (F2, 14), (F3, 8), (F4, 7), (F9, 4), (build_tower(2, 2, 2).subfield, 7),
+    (F2, 40, 11), (F2, 1024, 7), (F2, 40000, 1), (F3, 40, 7), (F4, 40, 5),
+    (F9, 40, 3), (F9, 2000, 1), (build_tower(2, 2, 2).subfield, 64, 5),
 ]
 
 
-@pytest.mark.parametrize("field,s", BLOCK_SPLITS,
-                         ids=lambda v: str(v.params) if hasattr(v, "params") else str(v))
+def _split_id(v):
+    return str(v.params) if hasattr(v, "params") else str(v)
+
+
+@pytest.mark.parametrize("field,n,s", BLOCK_SPLITS, ids=_split_id)
 @pytest.mark.parametrize("extra", [0, 1, 2])
-def test_min_distance_at_the_block_split(field, s, extra):
+def test_min_distance_at_the_block_split(field, n, s, extra):
     # s low rows fill min_distance's block; k = s puts every row in the
     # block, k = s + 1 leaves one leading row for the offsets, and k = s + 2
     # a leading row whose offsets span the row below it
-    assert field.order**s <= _BLOCK_ROWS < field.order ** (s + 1)
+    assert field.order**s * n <= _CHUNK_CELLS < field.order ** (s + 1) * n
     k = s + extra
-    C = _shaped_code(field, k + 6, k, seed=k)
+    C = _shaped_code(field, n, k, seed=k)
     assert C.k == k
     assert C.min_distance() == reference.min_distance(C, 10**7)
 
 
-@pytest.mark.parametrize("field,s", BLOCK_SPLITS,
-                         ids=lambda v: str(v.params) if hasattr(v, "params") else str(v))
-def test_min_distance_finds_each_planted_word(field, s):
-    # systematic [I | P] with k = s + 2 and 24 random parity columns; P[j] is
-    # set so that the message e_j + c*e_i (or e_j alone) has no parity part,
-    # a word of weight 2 (or 1) among heavy ones, led by a low or a high row
+@pytest.mark.parametrize("field,n,s", BLOCK_SPLITS, ids=_split_id)
+def test_min_distance_finds_each_planted_word(field, n, s):
+    # systematic [I | P] with k = s + 2 and n - k >= 24 random parity
+    # columns; P[j] is set so that the message e_j + c*e_i (or e_j alone)
+    # has no parity part, a word of weight 2 (or 1) among heavy ones, led by
+    # a low or a high row (at s = 1 the low pair (s - 1, 0) is no pair)
     k = s + 2
     c = field.order - 1
     for j, i in [(k - 1, None), (k - 1, k - 2), (k - 1, 0), (k - 2, None),
                  (k - 2, 0), (s - 1, 0), (0, None)]:
+        if j == i:
+            continue
         rng = np.random.default_rng(j)
-        P = rng.integers(0, field.order, size=(k, 24))
+        P = rng.integers(0, field.order, size=(k, n - k))
         P[j] = 0 if i is None else field.neg_table[field.mul_table[c, P[i]]]
         C = reference.span(field, np.hstack([np.eye(k, dtype=np.int64), P]))
         assert C.min_distance() == (1 if i is None else 2), (j, i)
+
+
+def test_min_distance_long_binary_code_in_a_small_working_set():
+    # a [1024, 14] binary code: the block is 2^7 rows of 1024 cells and each
+    # offset is weighed in one reused mask, so the traced peak stays under
+    # 4 MB, where a block of 2^14 rows would take 32 MB
+    C = _shaped_code(F2, 1024, 14, seed=1024)
+    assert C.k == 14
+    tracemalloc.start()
+    try:
+        d = C.min_distance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert d == reference.min_distance(C, 10**7)
 
 
 @pytest.mark.parametrize("field", DISTANCE_FIELDS, ids=lambda f: str(f.params))

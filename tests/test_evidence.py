@@ -709,11 +709,13 @@ def test_trace_kernel_oracle_by_enumeration():
 def test_evidence_run_derives_split_and_trace_form_once(monkeypatch, capsys):
     # five checks of one run read the split g = h^s and the trace form of
     # F[x]/(h); the sieve runs once on g and the q-power orbits are summed
-    # once, each orbit sum taking one _adder, however many checks read them
+    # once, each orbit sum taking one _adder, however many checks read them;
+    # h is tested for irreducibility once and its trace kernel checked once,
+    # for pillar III and the report alike
     for fn in vars(evidence).values():
         if hasattr(fn, "cache_clear"):
             fn.cache_clear()
-    sieved, orbit_sums = [], []
+    sieved, orbit_sums, tested = [], [], []
 
     def counted(fn, log):
         def wrapper(arg):
@@ -726,13 +728,19 @@ def test_evidence_run_derives_split_and_trace_form_once(monkeypatch, capsys):
         if hasattr(module, "irreducible_power"):
             monkeypatch.setattr(module, "irreducible_power", split)
     monkeypatch.setattr(evidence, "_adder", counted(evidence._adder, orbit_sums))
+    monkeypatch.setattr(evidence, "is_irreducible", counted(evidence.is_irreducible, tested))
+    trace_kernels = []
+    real_rank = evidence.rank
+    monkeypatch.setattr(evidence, "rank", lambda M: trace_kernels.append(M.shape) or real_rank(M))
     assert main(["evidence", "--p", "2", "--m", "2", "--g", "irreducible:2^2"]) == 0
     out, _ = capsys.readouterr()
-    assert "decomposition witness" in out
+    assert "decomposition witness" in out and "trace kernel: dim 3" in out
     field = build_tower(2, 1, 2)
     h = find_irreducible(field, 2)
-    assert (len(sieved), len(orbit_sums)) == (1, 1)
-    assert sieved == [h**2] and orbit_sums == [field]
+    assert (len(sieved), len(orbit_sums), len(tested), len(trace_kernels)) == (1, 1, 1, 1)
+    assert sieved == [h**2] and orbit_sums == [field] and tested == [h]
+    # the m t = 8 generators of K for t = 2 deg h, reduced below deg h
+    assert trace_kernels == [(8, 4)]
 
 
 # F_16/F_4, F_256/F_16, F_9/F_3, F_25/F_5, F_49/F_7, F_64/F_2
