@@ -37,8 +37,17 @@ CLASS_MODULUS_BUDGET = 1 << 22
 
 
 def _validate_qm(q: int, m: int) -> None:
+    """ValueError unless m >= 2 and q is a prime power. Trial division of q
+    tests divisors up to sqrt(q) < 2^(bits of q / 2), so q is sized from its
+    bit length first: BudgetExceeded, unfactored, when that bound passes
+    CLASS_MODULUS_BUDGET divisors."""
     if m < 2:
         raise ValueError(f"need a proper extension m >= 2, got m={m}")
+    if q.bit_length() > 2 * (CLASS_MODULUS_BUDGET.bit_length() - 1):
+        raise BudgetExceeded(
+            f"q = {q} is not factored: trial division to its square root "
+            f"would test over CLASS_MODULUS_BUDGET = {CLASS_MODULUS_BUDGET} divisors"
+        )
     if len(prime_factors(q)) != 1:
         raise ValueError(f"q must be a prime power, got {q}")
 

@@ -23,10 +23,17 @@ raised to q^i (the field's Frobenius table) and x sent to x^(q^i), so a^N
 is the product of the m Frobenius images, formed for a whole chunk of
 candidates at once by products with the table of x^(l q) mod the modulus
 (poly._power_rows), the same q-power map that sums the trace form's
-orbits.  Chunks come in index order and each is tested by one F_q dot
-product per candidate, so the first hit is the one a
-candidate-by-candidate scan finds.  A scan gives up after
-WITNESS_SCAN_BUDGET candidates.  Every matrix product is linalg.matmul.
+orbits.  A scan goes layer by layer, layer d holding the residues of
+degree d.  The test on a residue of degree <= d is a form of degree m in
+its F_q-coordinates, so a certificate on the (m (d+1))^m tuples of basis
+residues, exponents folded by c^q = c, decides exactly whether the layer
+holds a witness (_holds_witness); where it costs less than a scan, it
+follows a test of the layer's first residue, and a layer it clears is
+skipped.  Any other layer is scanned in index order, a chunk at a time
+with one F_q dot product per candidate, so the first hit is the one a
+candidate-by-candidate scan finds.  A scan gives up when
+WITNESS_SCAN_BUDGET, charged with scanned candidates and certificate
+tuples, is spent.  Every matrix product is linalg.matmul.
 
 The checks of one run share what they derive, each cached per modulus:
 the split g = h^s (_split_power), the irreducibility of h
@@ -48,10 +55,11 @@ from .codes import LinearCode, alternant_kernel
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, charge_elimination, kernel, matmul, rank
+from . import poly
 from .poly import (
     Polynomial,
     _adder,
-    _candidate_chunks,
+    _candidate_block,
     _power_rows,
     batch_mul_mod,
     count_distinct_roots,
@@ -76,9 +84,11 @@ __all__ = [
     "verify_trace_kernel_mod",
 ]
 
-# Candidates one witness scan may test before it raises BudgetExceeded. The
-# largest first hit that the tests, the benchmark workloads and the README
-# examples reach is index 117,649 (q = 7, m = 3, g of degree 3).
+# Work one witness scan may do before it raises BudgetExceeded: candidates
+# scanned plus tuples of the certificates that clear layers, each charged
+# before its work. Certificates keep far first hits cheap: x^2 over F_343
+# (index 117,649) and over F_729 (index 531,441) each cost 27 + 216 + 729
+# tuples and one candidate.
 WITNESS_SCAN_BUDGET = 2**18
 
 
@@ -231,6 +241,13 @@ def _ring_frobenius(h: Polynomial) -> np.ndarray:
     return table
 
 
+def _ring_basis(field: Field, r: int) -> np.ndarray:
+    """The F_q-basis z^j x^l (z^j has code q^j) of residues of degree < r,
+    as (m r, r) codes in flatten_poly's slot order l*m + j."""
+    z = field.q ** np.arange(field.m, dtype=np.int16)
+    return np.eye(r, dtype=np.int16).repeat(field.m, axis=0) * np.tile(z, r)[:, None]
+
+
 @functools.lru_cache(maxsize=16)
 def _trace_form(h: Polynomial) -> np.ndarray:
     """Absolute traces down to F_q of the basis residues z^j x^l of
@@ -244,12 +261,9 @@ def _trace_form(h: Polynomial) -> np.ndarray:
     """
     field = h.field
     m, r = field.m, int(h.degree)
-    basis = np.zeros((m * r, r), dtype=np.int16)
-    for l in range(r):
-        basis[l * m : (l + 1) * m, l] = [(field.gen**j).code for j in range(m)]
     table = _ring_frobenius(h)
     add = _adder(field)
-    acc = cur = basis
+    acc = cur = _ring_basis(field, r)
     for _ in range(m * r - 1):
         cur = matmul(field, field.frobenius_table[cur], table)
         acc = add(acc, cur)
@@ -271,34 +285,12 @@ def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
     return matmul(sub, flat.reshape(-1, form.size), form[:, None]).reshape(flat.shape[:-1])
 
 
-def _first_witness(field: Field, degree: int, width: int, hits,
-                   what: str) -> Optional[int]:
-    """Index of the first candidate, in index order over the coefficient
-    vectors of length ``degree``, that ``hits`` marks; None when there is
-    none.
-
-    ``hits`` maps a chunk of candidate rows to one bool per row; ``width``
-    is its working cells per candidate. Raises BudgetExceeded when
-    WITNESS_SCAN_BUDGET candidates, fewer than all, give no hit.
-    """
-    total = field.order**degree
-    limit = min(total, WITNESS_SCAN_BUDGET)
-    for start, block in _candidate_chunks(field.order, degree, limit, width):
-        found = np.flatnonzero(hits(block))
-        if found.size:
-            return start + int(found[0])
-    if limit < total:
-        raise BudgetExceeded(
-            f"{what}: no witness among the first WITNESS_SCAN_BUDGET = "
-            f"{WITNESS_SCAN_BUDGET} of {total} candidates"
-        )
-    return None
-
-
 def _norm_map(h: Polynomial, lam: int):
     """The map from an (N, r) block of residues a mod the monic h
     (coefficient codes, low degree first) to the residues lam * a^N, N the
-    norm exponent, in the same form.
+    norm exponent, in the same form.  Given picks, an (M, m) array of row
+    indices, it maps to the M residues lam * prod_i sigma^i(a_(picks[:, i]))
+    instead, sigma the q-power map.
 
     a^N is the product of the Frobenius images a^(q^i), i < m, each one
     product with the q-power table from the last; h need not be
@@ -308,30 +300,106 @@ def _norm_map(h: Polynomial, lam: int):
     table = _ring_frobenius(h)
     modulus = np.array(h.coeffs[:-1], dtype=np.int16)
 
-    def norms(block):
-        moduli = np.broadcast_to(modulus, block.shape)
-        norm = cur = block
-        for _ in range(field.m - 1):
+    def norms(block, picks=None):
+        cur, norm = block, block if picks is None else block[picks[:, 0]]
+        moduli = np.broadcast_to(modulus, norm.shape)
+        for i in range(1, field.m):
             cur = matmul(field, field.frobenius_table[cur], table)
-            norm = batch_mul_mod(field, norm, cur, moduli)
+            norm = batch_mul_mod(field, norm, cur if picks is None else cur[picks[:, i]], moduli)
         return field.mul_table[lam][norm]
 
     return norms
+
+
+def _holds_witness(h: Polynomial, lam: int, form: np.ndarray, d: int) -> bool:
+    """Whether some residue a mod the monic h of degree <= d has lam * a^N
+    off the kernel of form, decided without a scan.
+
+    In the F_q-coordinates c_k of a over the basis b_k = z^j x^l, l <= d,
+    the test is the form of degree m sum over m-tuples of
+    T(k_0..k_(m-1)) c_(k_0)...c_(k_(m-1)), T = form(lam * prod_i
+    sigma^i(b_(k_i))).  The tuples of one multiset give one monomial, and
+    exponents fold by c^q = c.  A function F_q^K -> F_q has one polynomial
+    of degree < q in each variable, so a witness exists exactly when a
+    folded coefficient is nonzero.
+    """
+    field = h.field
+    m, k = field.m, field.m * (d + 1)
+    t = np.indices((k,) * m).reshape(m, -1).T
+    basis, norms = _ring_basis(field, int(h.degree))[:k], _norm_map(h, lam)
+    # tuples a chunk at a time, each within the scans' working set
+    step = max(1, poly._CHUNK_CELLS // (m * int(h.degree)))
+    values = np.concatenate([
+        _trace(form, field.subfield, _flatten_codes(field, norms(basis, t[i : i + step])))
+        for i in range(0, len(t), step)])
+    # entry j of a tuple precedes entry i in its sorted multiset when
+    # (t_j, j) < (t_i, i); of each e equal entries the first
+    # (e - 1) % (q - 1) + 1 are kept, and the kept ones, as digits t + 1
+    # at their sorted places, key the folded monomial below (k + 1)^m
+    same = t[:, None, :] == t[:, :, None]
+    first = (t[:, None, :] < t[:, :, None]) | same & np.tri(m, k=-1, dtype=bool)
+    keep = (first & same).sum(axis=2) < (same.sum(axis=2) - 1) % (field.q - 1) + 1
+    place = (k + 1) ** (first & keep[:, None, :]).sum(axis=2)
+    # F_q sums digitwise mod p (int64 throughout: add.at would cast int16)
+    sums = np.zeros(((k + 1) ** m, field.a), dtype=np.int64)
+    digs = digit_array(values.astype(np.int64), field.p, field.a)
+    np.add.at(sums, (keep * (t + 1) * place).sum(axis=1), digs)
+    return bool((sums % field.p).any())
 
 
 def _norm_scan(h: Polynomial, lam: int, form: np.ndarray,
                what: str) -> Optional[int]:
     """Index of the first residue a mod the monic h, in code order, whose
     lam * a^N flattened has a nonzero F_q dot product with form; None when
-    there is none.  Raises BudgetExceeded as _first_witness does."""
+    there is none.
+
+    Layer d holds the residues of degree d, indices [Q^d, Q^(d+1)) (from 0
+    for d = 0).  Layers go in order, so when layer d comes no lower one
+    holds a hit, and _holds_witness on degree <= d decides layer d.  That
+    certificate is computed when its (m (d+1))^m tuples are fewer than the
+    candidates a scan of the rest of the layer could test, after the
+    layer's first residue x^d alone: the test is a nonzero function on a
+    layer that holds a witness, true on about 1 - 1/q of it, so x^d often
+    settles the layer for the price of one candidate.  A layer the
+    certificate clears is skipped; the rest of any other is scanned in
+    index order, in chunks that double across layers and end at each
+    layer a certificate may skip.  Tuples and candidates are charged
+    before their work; BudgetExceeded comes when WITNESS_SCAN_BUDGET is
+    spent with candidates left, so every one of the first
+    WITNESS_SCAN_BUDGET is ruled out.
+    """
     field = h.field
-    r = int(h.degree)
+    Q, m, r = field.order, field.m, int(h.degree)
     norms = _norm_map(h, lam)
-
-    def hits(block):
-        return _trace(form, field.subfield, _flatten_codes(field, norms(block))) != 0
-
-    return _first_witness(field, r, field.m * r, hits, what)
+    cap = max(poly._FIRST_CHUNK, poly._CHUNK_CELLS // (m * r))
+    # candidates grow Q-fold per layer and tuples at most 2^m-fold, so from
+    # the first layer d0 whose tuples are fewer than its candidates on,
+    # every layer's are; the layers below d0 are scanned as one run
+    d0 = next((d for d in range(r) if (m * (d + 1)) ** m < Q ** (d + 1) - (Q**d if d else 0)), r)
+    start, size, charged = 0, poly._FIRST_CHUNK, 0
+    for d in range(r):
+        stop = Q ** max(d + 1, d0)
+        tuples = (m * (d + 1)) ** m
+        probe = d >= d0 and tuples < min(stop - start, WITNESS_SCAN_BUDGET - charged) - 1
+        while start < stop:
+            count = 1 if probe else min(size, stop - start, WITNESS_SCAN_BUDGET - charged)
+            if count == 0:
+                raise BudgetExceeded(
+                    f"{what}: no witness among the first WITNESS_SCAN_BUDGET = "
+                    f"{WITNESS_SCAN_BUDGET} of {Q**r} candidates"
+                )
+            block = _candidate_block(start, count, Q, r)
+            found = np.flatnonzero(_trace(form, field.subfield, _flatten_codes(field, norms(block))))
+            if found.size:
+                return start + int(found[0])
+            start, charged = start + len(block), charged + len(block)
+            if probe:
+                probe, charged = False, charged + tuples
+                if not _holds_witness(h, lam, form, d):
+                    start = stop
+            else:
+                size = min(2 * size, cap)
+    return None
 
 
 @dataclass(frozen=True)
@@ -391,10 +459,10 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
 
     h must be irreducible of degree r >= 2 over the top field and lam a
     nonzero trace-zero element.  Scans F[x]/(h) in code order for alpha
-    with absolute trace of lam * alpha^(e+1) nonzero, a chunk of residues
-    at a time; exhausting the ring without a hit falsifies the existence
-    claim, so that raises, and WITNESS_SCAN_BUDGET residues without a hit
-    raise BudgetExceeded.
+    with absolute trace of lam * alpha^(e+1) nonzero, skipping the degree
+    layers a certificate clears (_norm_scan); exhausting the ring without
+    a hit falsifies the existence claim, so that raises, and spending
+    WITNESS_SCAN_BUDGET without a hit raises BudgetExceeded.
 
     Degree 1 is rejected: there alpha^(e+1) is a subfield norm and the
     trace factors through trace(lam) = 0, so no witness can exist.
@@ -445,8 +513,8 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     trace (the one-functional criterion), and tau must kill it on the full
     evaluation set.  Returns (a, report).
 
-    The candidates are tested a chunk at a time, and WITNESS_SCAN_BUDGET of
-    them without a hit raise BudgetExceeded.
+    The candidates are tested as in startkey_search, layer by layer, and
+    spending WITNESS_SCAN_BUDGET without a hit raises BudgetExceeded.
     """
     g = g.monic()
     lam = _require_trace_zero_unit(field, lam)

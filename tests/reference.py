@@ -230,24 +230,36 @@ def codewords(code: LinearCode) -> np.ndarray:
 
 def min_distance(code: LinearCode, budget: int) -> int | None:
     """Minimum nonzero weight over all order^k codewords, or None when
-    order^k - 1 exceeds the budget."""
+    order^k - 1 exceeds the budget.
+
+    Codewords are formed in batches of consecutive indices, digit by digit:
+    each generator row is scaled by every field element once, the scaled
+    row of a digit is gathered per codeword, and sums go through one flat
+    take of the add table (XOR in characteristic 2)."""
     if code.k == 0:
         raise ValueError("minimum distance of the zero code is undefined")
     field = code.field
-    total = field.order**code.k
+    order = field.order
+    total = order**code.k
     if total - 1 > budget:
         return None
-    add, mul = field.add_table, field.mul_table
-    G = code.generator
+    if field.p == 2:
+        add = np.bitwise_xor
+    else:
+        flat = field.add_table.ravel()
+
+        def add(x, y):
+            return flat.take(np.multiply(x, order, dtype=np.intp) + y)
+
+    scaled = field.mul_table[:, code.generator]  # (order, k, n): c * row j
     best = code.n + 1
     batch = max(1, min(total, (1 << 20) // code.n))  # at most 2^20 cells
     for start in range(0, total, batch):
         idx = np.arange(start, min(start + batch, total))
         cw = np.zeros((idx.size, code.n), dtype=_DT)
         for j in range(code.k):
-            digit = ((idx // field.order**j) % field.order).astype(_DT)
-            cw = add[cw, mul[digit[:, None], G[j][None, :]]]
-        w = (cw != 0).sum(axis=1)
+            cw = add(cw, scaled[(idx // order**j) % order, j])
+        w = np.count_nonzero(cw, axis=1)
         if start == 0:
             w = w[1:]  # drop the zero codeword
         if w.size:

@@ -377,7 +377,8 @@ def test_evidence_degree_120_power_refused_in_bounded_time():
     # 0.18 s, once per run as every check shares the split, and the run
     # reaches the startkey scan's refusal, about 3 s of 2^18 norms, in
     # 3.2-3.8 s in a fresh process on 2 cores (3.2-4.2 s when three checks
-    # each split g)
+    # each split g); certificates clear layers 2-12 of F[x]/(h) and find
+    # layer 13 nonempty, so its scan spends the rest of the budget
     argv = ["evidence", "--p", "2", "--m", "2", "--g", "irreducible:40^3"]
     code, out, err, elapsed = run_cli_bounded(argv)
     assert code == 4, err
@@ -497,14 +498,18 @@ def test_evidence_rejects_bad_lam(capsys, g, lam, msg):
 
 
 def test_evidence_scan_budget_exit_4(capsys, monkeypatch):
-    # over F_16/F_4 the first witness of irreducible:2 is candidate 16
-    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 16)
-    code, out, err = run_main(
-        capsys, "evidence", "--p", "2", "--a", "2", "--m", "2",
-        "--g", "irreducible:2",
-    )
+    # over F_16/F_4 the first witness of irreducible:2 is candidate 16, the
+    # first of layer 1; residue 0 and a certificate of 4 tuples clear layer
+    # 0, so the scan is charged 1 + 4 + 1 and a cap of 5 leaves layer 0 to
+    # a scan
+    argv = ["evidence", "--p", "2", "--a", "2", "--m", "2", "--g", "irreducible:2"]
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 5)
+    code, out, err = run_main(capsys, *argv)
     assert code == 4
-    assert out == "" and "WITNESS_SCAN_BUDGET = 16" in err
+    assert out == "" and "WITNESS_SCAN_BUDGET = 5" in err
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 6)
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0 and "startkey residue coeffs [0, 1]" in out
 
 
 def test_evidence_far_witness_fast(capsys):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from wildgoppa.cyclotomic import (
+    CLASS_MODULUS_BUDGET,
     ClassDecomposition,
     class_sum_dim,
     closed_form,
@@ -12,6 +15,7 @@ from wildgoppa.cyclotomic import (
     default_length,
     norm_exponent,
 )
+from wildgoppa.errors import BudgetExceeded
 
 
 class TestClasses:
@@ -56,6 +60,30 @@ class TestNormExponent:
         assert norm_exponent(5, 3) == 31
         assert norm_exponent(7, 3) == 57
         assert norm_exponent(8, 3) == 73
+
+    @pytest.mark.parametrize("call", [
+        lambda: norm_exponent(2305843009213693951, 2),
+        lambda: closed_form(2305843009213693951, 2, 2),
+    ], ids=["norm_exponent", "closed_form"])
+    def test_large_prime_q_refused_in_bounded_time(self, call):
+        # q = 2^61 - 1 is sized from its bit length and refused unfactored;
+        # trial division to its square root would take about 2^29 steps
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceeded, match="CLASS_MODULUS_BUDGET"):
+            call()
+        assert time.monotonic() - t0 < 1.0
+
+    def test_trial_division_bound(self):
+        # below 2^44 a q is factored as before, and a prime q is accepted
+        # (2^44 - 17 is prime); from 2^44 on it is refused
+        assert (2 * (CLASS_MODULUS_BUDGET.bit_length() - 1)) == 44
+        q = 2**44 - 17
+        assert norm_exponent(q, 2) == q + 1
+        assert closed_form(2**43, 2, 2) == 2**86 - (4 * (2**43 + 1) - 8)
+        with pytest.raises(ValueError, match="prime power"):
+            norm_exponent(2**43 - 1, 2)
+        with pytest.raises(BudgetExceeded):
+            norm_exponent(2**44, 2)
 
     def test_default_length(self):
         assert default_length(4, 3, 1) == 63

@@ -15,8 +15,9 @@ from wildgoppa.errors import BudgetExceeded, FalsificationError
 from wildgoppa.evidence import (
     _K_plus_gF,
     _tau_span_dim,
-    _first_witness,
+    _holds_witness,
     _norm_map,
+    _norm_scan,
     _trace,
     _trace_form,
     build_K,
@@ -32,7 +33,7 @@ from wildgoppa.evidence import (
 from wildgoppa.cli import main
 from wildgoppa.gf import build_tower, digits, prime_factors
 from wildgoppa.goppa import full_support, punctured_support
-from wildgoppa.linalg import MatrixGF, rank, rref
+from wildgoppa.linalg import MatrixGF, kernel, matmul, rank, rref
 from wildgoppa.poly import (
     Polynomial,
     _candidate_block,
@@ -540,23 +541,52 @@ def test_scans_hit_at_chunk_boundaries(tower, h, s, lam, index):
 
 
 @pytest.mark.parametrize("target", [0, 15, 16, 17, 47, 48, 49, 1023, None])
-def test_first_witness_chunk_boundaries(target):
-    # a predicate that marks one index: _first_witness finds it wherever it
-    # falls among the chunks of 16, 32, 64, ... candidates
+def test_first_witness_chunk_boundaries(monkeypatch, target):
+    # a norm map that marks one index: the scan finds it wherever it falls
+    # among chunks of 16, 32, 64, ... candidates over F_4 with residues of
+    # degree < 5, every certificate finding its layer nonempty.  Layers 0
+    # and 1 (16 candidates) are one run, as no certificate pays there; from
+    # d = 2 on, each layer's first residue 4^d is tested alone before its
+    # certificate, chunks end at each layer boundary, and the doubling goes
+    # on across them
     field = build_tower(2, 1, 2)
-    seen = []
+    powers = field.order ** np.arange(5)
+    chunks, certified = [], []
 
-    def hits(block):
-        idx = (block.astype(np.int64) * field.order ** np.arange(5)).sum(axis=1)
-        seen.extend(idx.tolist())
-        return idx == target
+    def norm_map(h, lam):
+        def norms(block):
+            idx = block.astype(np.int64) @ powers
+            chunks.append(idx.tolist())
+            return (idx == target)[:, None] * np.eye(1, 5, dtype=np.int16)
+        return norms
 
-    assert _first_witness(field, 5, 1, hits, "test") == target
+    def holds_witness(h, lam, form, d):
+        certified.append(d)
+        return True
+
+    monkeypatch.setattr(evidence, "_norm_map", norm_map)
+    monkeypatch.setattr(evidence, "_holds_witness", holds_witness)
+    form = np.ones(10, dtype=np.int16)
+    x5 = Polynomial.monomial(field, 5, 1)
+    assert _norm_scan(x5, 1, form, "test") == target
     # each candidate once, in index order, up to the end of the hit's chunk
-    # (chunk k starts at 16 * (2^k - 1), so it ends before 2 * start + 16)
     last = 1023 if target is None else target
-    assert seen == list(range(len(seen)))
-    assert last < len(seen) <= 2 * last + 16
+    seen = [i for chunk in chunks for i in chunk]
+    assert seen == list(range(len(seen))) and last < len(seen)
+    expected, start, size = [], 0, 16
+    while start <= last:
+        if start in (16, 64, 256):
+            stop = start + 1
+        else:
+            stop = min(start + size, next(4**d for d in range(2, 6) if 4**d > start))
+            size *= 2
+        expected.append(list(range(start, stop)))
+        start = stop
+    assert chunks == expected
+    # a certificate is asked for where its (2 (d+1))^2 tuples are fewer than
+    # the layer's 3 * 4^d - 1 candidates after its first: from d = 2 on, for
+    # the layers reached past their first residue
+    assert certified == [d for d in range(2, 5) if 4**d < last]
 
 
 @pytest.mark.parametrize("p,a,m", SCAN_TOWERS)
@@ -606,18 +636,118 @@ def test_psi_mod_g_marks_the_phi_candidates(p, a, m, data):
 
 
 def test_scans_raise_budget_exceeded_at_the_cap(monkeypatch):
-    # F_16/F_4 with its minimal quadratic: both scans first hit index 16,
-    # so a cap of 16 candidates stops them and a cap of 17 does not
+    # both scans first hit x, index Q, the first residue of layer 1.  Over
+    # F_4 no layer is certified (4 tuples against 4 candidates in layer 0),
+    # so the charge is the Q + 1 candidates scanned.  Over F_16/F_4 layer 0
+    # is cleared by its first residue and a certificate of m^m = 4 tuples
+    # against its other 15 candidates, and layer 1's first residue hits: a
+    # charge of 1 + 4 + 1.  A cap of charge - 1 leaves layer 0 to the scan,
+    # which spends it on constants
+    for tower, charge in [((2, 1, 2), 4 + 1), ((2, 2, 2), 1 + 2**2 + 1)]:
+        field = build_tower(*tower)
+        h = find_irreducible(field, 2)
+        monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", charge - 1)
+        refusal = f"WITNESS_SCAN_BUDGET = {charge - 1} of {field.order**2}"
+        with pytest.raises(BudgetExceeded, match=refusal):
+            startkey_search(field, h, 1)
+        with pytest.raises(BudgetExceeded, match=refusal):
+            find_decomposition(field, h, 1)
+        monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", charge)
+        assert startkey_search(field, h, 1) == Polynomial.x(field)
+        assert find_decomposition(field, h, 1)[1].candidate_index == field.order
+
+
+def test_ring_certified_empty_falsifies_after_two_residues(monkeypatch):
+    # with every trace forced to zero, F_16/F_4 mod a quadratic is cleared
+    # layer by layer: the first residue of each (1 and x) is tested, then
+    # certificates of 4 and 16 tuples clear the rest, so both scans
+    # falsify after 2 of the 256 candidates
     field = build_tower(2, 2, 2)
     h = find_irreducible(field, 2)
-    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 16)
-    with pytest.raises(BudgetExceeded, match="WITNESS_SCAN_BUDGET = 16 of 256"):
+    blocks = []
+
+    def candidate_block(start, count, order, degree):
+        blocks.append((start, count))
+        return _candidate_block(start, count, order, degree)
+
+    monkeypatch.setattr(evidence, "_candidate_block", candidate_block)
+    monkeypatch.setattr(evidence, "_trace",
+                        lambda form, sub, flat: np.zeros(flat.shape[:-1], dtype=np.int16))
+    with pytest.raises(FalsificationError, match="ring of size 256"):
         startkey_search(field, h, 1)
-    with pytest.raises(BudgetExceeded, match="WITNESS_SCAN_BUDGET = 16 of 256"):
+    with pytest.raises(FalsificationError, match="among 256 candidates"):
         find_decomposition(field, h, 1)
-    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 17)
-    assert startkey_search(field, h, 1) == Polynomial.x(field)
-    assert find_decomposition(field, h, 1)[1].candidate_index == 16
+    assert blocks == [(0, 1), (16, 1)] * 2
+
+
+@pytest.mark.parametrize("patterns,holds", [
+    ([[0, 0, 1], [0, 1, 1]], False),
+    ([[0, 0, 1]], True),
+    ([[0, 0, 0], [0, 1, 2]], True),
+])
+def test_certificate_folds_exponents(monkeypatch, patterns, holds):
+    # over F_8/F_2 (q = 2, m = 3) on the constants (k = 3 coordinates),
+    # with T forced to 1 on the orderings of the given multisets: (0, 0, 1)
+    # and (0, 1, 1) give c0^2 c1 and c0 c1^2 three times each, which fold
+    # by c^2 = c into c0 c1 twice, 0 over F_2; either alone leaves c0 c1
+    field = build_tower(2, 1, 3)
+    h = find_irreducible(field, 2)
+    tuples = np.indices((3,) * 3).reshape(3, -1).T.tolist()
+    values = np.array([sorted(row) in patterns for row in tuples], dtype=np.int16)
+    monkeypatch.setattr(evidence, "_trace", lambda form, sub, flat: values[: len(flat)])
+    assert _holds_witness(h, 1, _trace_form(h), 0) is holds
+
+
+CERT_TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2),
+               (3, 1, 3), (2, 1, 5), (7, 1, 2), (2, 2, 3), (2, 3, 2), (2, 1, 6),
+               (2, 4, 2), (3, 1, 4), (3, 1, 5)]
+
+
+@pytest.mark.parametrize("p,a,m", CERT_TOWERS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_certificate_against_brute_force(p, a, m, data):
+    # the certificate's verdict on degree <= d is whether some residue of
+    # degree <= d has lam * a^N off the form's kernel, by the shared norm
+    # map on every such residue: for the trace form mod h, psi mod g = h^s
+    # (s <= 3), a drawn form, the zero form, and a form drawn from the
+    # forms that vanish on every such norm, which the certificate must
+    # clear; towers with q <= m fold exponents by c^q = c
+    field = build_tower(p, a, m)
+    r = data.draw(st.sampled_from([2, 3]))
+    h = Polynomial(field, data.draw(st.lists(
+        st.integers(0, field.order - 1), min_size=r, max_size=r)) + [1])
+    assume(is_irreducible(h))
+    s = data.draw(st.integers(1, 3))
+    g = h**s
+    t = int(g.degree)
+    kind = data.draw(st.sampled_from(["trace", "psi", "drawn", "zero", "vanishing"]))
+    modulus, form = {
+        "trace": lambda: (h, _trace_form(h)),
+        "psi": lambda: (g, _K_plus_gF(field, g)[1]),
+        "drawn": lambda: (g, np.array(data.draw(st.lists(
+            st.integers(0, field.q - 1), min_size=m * t, max_size=m * t)), dtype=np.int16)),
+        "zero": lambda: (g, np.zeros(m * t, dtype=np.int16)),
+        "vanishing": lambda: (g, None),
+    }[kind]()
+    width = int(modulus.degree)
+    fits = [d for d in range(width)
+            if field.order ** (d + 1) <= 2**14 and (m * (d + 1)) ** m <= 2**16]
+    assume(fits)
+    d = data.draw(st.sampled_from(fits))
+    lam = data.draw(st.integers(1, field.order - 1))
+    block = _candidate_block(0, field.order ** (d + 1), field.order, width)
+    flat = evidence._flatten_codes(field, _norm_map(modulus, lam)(block))
+    if kind == "vanishing":
+        forms = kernel(MatrixGF(field.subfield, flat)).array
+        assume(forms.shape[0])
+        mix = np.array([data.draw(st.lists(st.integers(0, field.q - 1),
+                                           min_size=len(forms), max_size=len(forms)))])
+        form = matmul(field.subfield, mix.astype(np.int16), forms)[0]
+    brute = bool(_trace(form, field.subfield, flat).any())
+    assert _holds_witness(modulus, lam, form, d) == brute
+    if kind in ("zero", "vanishing"):
+        assert not brute
 
 
 @pytest.mark.parametrize("cap,error", [(2**18, FalsificationError), (15, BudgetExceeded)])
