@@ -281,6 +281,18 @@ class Field:
     _neg_py = functools.cached_property(lambda self: self.neg_table.tolist())
     _inv_py = functools.cached_property(lambda self: self.inv_table.tolist())
 
+    @functools.cached_property
+    def _lanes(self) -> tuple:
+        """(dtype, mul, neg, add) in the lanes of ``linalg``'s elimination:
+        uint8 when a lane value, a code or over a prime field a sum of two
+        (up to 2p - 2), fits a byte, else uint16. ``add``, flat, only for an
+        odd extension field, which adds by a take (else None)."""
+        prime = self.a * self.m == 1
+        top = 2 * self.p - 2 if prime else self.order - 1
+        dt = np.uint8 if top <= 0xFF else np.uint16
+        add = None if prime or self.p == 2 else self.add_table.astype(dt).ravel()
+        return dt, self.mul_table.astype(dt), self.neg_table.astype(dt), add
+
     # -- identity ----------------------------------------------------------
 
     @property

@@ -20,9 +20,15 @@ a bound on what its row operations write, and raises BudgetExceeded before
 its first pivot when that is over the budget; only then does it set the
 zero rows aside. A caller applies the same ``charge_elimination`` before it
 builds a large matrix, and ``charge_cells`` to the same budget before a
-large product. Over F_2 a pivot clears its column by XOR with the pivot
-row alone; in odd characteristic the row update adds through one flat
-take of the add table.
+large product.
+
+The elimination copies the live rows once into unsigned lanes (bytes, or
+16 bits where a lane value can pass 255; ``Field._lanes``), each row padded
+to whole 64-bit words. A pivot takes its row's multiples from the mul table
+and adds them to the rows it clears, in one block when at least half of
+them change: by XOR of 64-bit words in characteristic 2, over a prime field
+by a lane-wise add less p in the lanes >= p (a sum stays below 2p), and
+over an odd extension field through one flat take of the add table.
 ``matmul`` is the package's one matrix product over a field.
 """
 
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf import Field
+from .gf import Field, FieldElement
 from .poly import _CHUNK_CELLS, _adder, _lookup
 
 __all__ = [
@@ -59,7 +65,16 @@ ELIMINATION_CELL_BUDGET = 1_500_000_000
 
 
 def _as_array(field: Field, rows) -> np.ndarray:
-    arr = np.array(rows, dtype=np.int64)
+    arr = np.asarray(rows)
+    # a cast would truncate a float and parse a string; ints past int64 and
+    # FieldElements arrive as objects
+    if arr.size and arr.dtype.kind not in "iub" and not (arr.dtype.kind == "O" and all(
+            isinstance(x, (int, np.integer, FieldElement)) for x in arr.flat)):
+        raise ValueError(f"matrix entries must be integer codes, got {arr.dtype} entries")
+    try:
+        arr = arr.astype(np.int64)
+    except OverflowError:
+        raise ValueError(f"entry out of range for {field!r}") from None
     if arr.ndim == 1:
         arr = arr.reshape(1, -1) if arr.size else arr.reshape(0, 0)
     if arr.ndim != 2:
@@ -143,57 +158,84 @@ def _rref_array(field: Field, W: np.ndarray) -> tuple[np.ndarray, int, tuple[int
     # zero rows never pivot and stay zero: eliminate the others, in order,
     # and put them back on top
     live = np.flatnonzero(W.any(axis=1))
-    V = W if live.size == nrows else W[live]
-    order, mul = field.order, field.mul_table
-    flat_add, flat_mul = field.add_table.ravel(), mul.ravel()
-    neg, inv = field.neg_table, field.inv_table
-    xor = field.p == 2
+    n = live.size
+    if n == 0:
+        return W, 0, ()
+    dt, mul, neg, add = field._lanes
+    order, p, inv = field.order, field.p, field.inv_table
+    per = 8 // np.dtype(dt).itemsize  # lanes per 64-bit word
+    V = np.zeros((n, -(-ncols // per) * per), dtype=dt)
+    V[:, :ncols] = W if n == nrows else W[live]
+    V64 = V.view(np.uint64)
     r = col = 0
     pivots: list[int] = []
-    while r < live.size and col < ncols:
-        nz = np.nonzero(V[r:, col])[0]
-        if nz.size == 0:
-            # a column zero in rows r and below stays zero there, since so is
-            # every pivot row added to them: jump to the next nonzero column
-            ahead = np.flatnonzero(V[r:, col:].any(axis=0))
-            if ahead.size == 0:
-                break
-            col += int(ahead[0])
-            nz = np.nonzero(V[r:, col])[0]
-        # rows r and below are zero left of col, so only columns col: change
-        pr = r + int(nz[0])
-        if pr != r:
-            V[[r, pr], col:] = V[[pr, r], col:]
-        pv = int(V[r, col])
+    while r < n and col < ncols:
+        c = V[:, col].copy()
+        if not c[r]:
+            below = c[r:] != 0
+            i = int(below.argmax())
+            if not below[i]:
+                # a column zero in rows r and below stays zero there, since so
+                # is every pivot row added to them: jump to the next nonzero one
+                ahead = np.flatnonzero(V[r:, col:ncols].any(axis=0))
+                if ahead.size == 0:
+                    break
+                col += int(ahead[0])
+                c = V[:, col].copy()
+                i = int((c[r:] != 0).argmax())
+            if i:
+                pr = r + i
+                V64[[r, pr], col // per :] = V64[[pr, r], col // per :]
+                c[r], c[pr] = c[pr], c[r]
+        # rows r and below are zero left of col, so the pivot row is zero in
+        # the lanes of its first word left of col: only words from there on
+        # change, and a multiple of the pivot row adds zero to the others
+        w0 = col // per
+        c0 = w0 * per
+        prow = V[r, c0:]
+        pv = int(c[r])
         if pv != 1:
-            # the flat index in intp: code * order overflows int16 from 256
-            V[r, col:] = flat_mul[np.add(V[r, col:], int(inv[pv]) * order, dtype=np.intp)]
-        colvals = V[:, col].copy()
-        colvals[r] = 0
-        rows_nz = np.nonzero(colvals)[0]
-        if rows_nz.size:
-            prow = V[r, col:]
-            if order == 2:
-                V[rows_nz, col:] ^= prow
+            prow[...] = mul[int(inv[pv])].take(prow)
+        c[r] = 0
+        k = np.count_nonzero(c)
+        if k:
+            # every row in one block when at least half of them change
+            rows = None if 2 * k >= n else c.nonzero()[0]
+            factors = c if rows is None else c.take(rows)
+            if p != 2:
+                factors = neg.take(factors)
+            # the smaller temporary: with more rows than field elements, every
+            # element's multiple of the pivot row (a row take, as mul is
+            # symmetric), else each row's
+            if factors.size > order:
+                S = np.ascontiguousarray(mul.take(prow, axis=0).T).take(factors, axis=0)
             else:
-                factors = neg[colvals[rows_nz]]
-                # the smaller temporary: one row per field element, or per row
-                if rows_nz.size > order:
-                    scaled = mul[:, prow][factors]
+                S = mul.take(factors, axis=0).take(prow, axis=1)
+            if p == 2:
+                S = S.view(np.uint64)
+                if rows is None:
+                    U = V64[:, w0:]
+                    np.bitwise_xor(U, S, out=U)
                 else:
-                    scaled = mul[factors[:, None], prow[None, :]]
-                if xor:
-                    V[rows_nz, col:] ^= scaled
+                    V64[rows, w0:] ^= S
+            else:
+                U = V[:, c0:] if rows is None else V[rows, c0:]
+                if add is None:
+                    # U + S < 2p fits a lane, and U - p wraps round to above U
+                    # exactly where U < p: the smaller is the sum mod p
+                    np.add(U, S, out=U)
+                    np.minimum(U, np.subtract(U, p, out=S), out=U)
                 else:
-                    idx = np.multiply(V[rows_nz, col:], order, dtype=np.intp)
-                    idx += scaled
-                    V[rows_nz, col:] = flat_add.take(idx)
+                    idx = np.multiply(U, order, dtype=np.intp)
+                    idx += S
+                    add.take(idx, out=U)
+                if rows is not None:
+                    V[rows, c0:] = U
         pivots.append(col)
         r += 1
         col += 1
-    if V is not W:
-        W[: live.size] = V
-        W[live.size:] = 0
+    W[:n] = V[:, :ncols]
+    W[n:] = 0
     return W, r, tuple(pivots)
 
 
@@ -226,15 +268,21 @@ def kernel(M: MatrixGF) -> MatrixGF:
 def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A B over the field, for int16 code arrays A (r x k) and B (k x c).
 
-    When the inner axis is the longest and a row's k c terms fit in
-    _CHUNK_CELLS, chunks of rows gather all their terms from the mul table
-    and sum over k (XOR in characteristic 2, else a pairwise fold). Else a
-    loop adds the outer products A[:, j] B[j], each gathered through the
-    smaller temporary, a row per field element or one per row of A.
+    Over a prime field the codes are the integers mod p, so the product is
+    one float64 product reduced mod p, exact while its sums k (p - 1)^2 stay
+    below 2^53. Over an extension field, when the inner axis is the longest
+    and a row's k c terms fit in _CHUNK_CELLS, chunks of rows gather all
+    their terms from the mul table and sum over k (XOR in characteristic 2,
+    else a pairwise fold). Else a loop adds the outer products A[:, j] B[j],
+    each gathered through the smaller temporary, a row per field element or
+    one per row of A.
     """
     (r, k), c = A.shape, B.shape[1]
     if r * k * c == 0:
         return np.zeros((r, c), dtype=_DT)
+    p = field.p
+    if field.a * field.m == 1 and k * (p - 1) ** 2 < 2**53:
+        return (np.matmul(A, B, dtype=np.float64).astype(np.int64) % p).astype(_DT)
     add, mul = _adder(field), _lookup(field.mul_table)
     if k > min(r, c) and k * c <= _CHUNK_CELLS:
         out = np.empty((r, c), dtype=_DT)

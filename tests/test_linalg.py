@@ -23,7 +23,13 @@ from wildgoppa.linalg import (
 )
 
 F2 = build_tower(2, 1, 1)
+F3 = build_tower(3, 1, 1)
 F4 = build_tower(2, 1, 2)
+F7 = build_tower(7, 1, 1)
+F127 = build_tower(127, 1, 1)
+F131 = build_tower(131, 1, 1)
+F257 = build_tower(257, 1, 1)
+F1021 = build_tower(1021, 1, 1)
 F8 = build_tower(2, 1, 3)
 F9 = build_tower(3, 1, 2)
 F1024 = build_tower(2, 5, 2)
@@ -32,9 +38,13 @@ F81 = build_tower(3, 2, 2)
 F289 = build_tower(17, 1, 2)
 F729 = build_tower(3, 2, 3)
 
-# F_2 (the pivot-row XOR), characteristic 2 (the XOR path) and odd
-# characteristic, where code * order overflows int16 from order 256 on
-REFERENCE_FIELDS = [F2, F4, F1024.subfield, F1024, F9, F49, F81, F289, F729]
+# characteristic 2 (XOR on 64-bit words, byte lanes up to order 256 and
+# 16-bit ones above), prime fields (a lane-wise add reduced mod p, in byte
+# lanes while 2p - 2 fits a byte: up to F_127, F_131 past it, F_257 past the
+# byte codes) and odd extension fields (the add table, whose flat index
+# code * order overflows int16 from order 256 on)
+REFERENCE_FIELDS = [F2, F4, F1024.subfield, F1024, F3, F7, F127, F131, F257,
+                    F9, F49, F81, F289, F729]
 
 # every tower of order <= 256, prime fields included, so F_9, F_27 and F_81
 # in each of their presentations
@@ -119,6 +129,29 @@ class TestRref:
     def test_entry_range_checked(self):
         with pytest.raises(ValueError):
             MatrixGF(F2, [[0, 2]])
+        with pytest.raises(ValueError, match="out of range"):
+            MatrixGF(F2, [[0, 2**70]])
+
+    @pytest.mark.parametrize("rows", [[[1.7, 2.2]], [[1, 0.5]], np.ones((2, 2)),
+                                      [["1", "2"]], [[1, None]], [[F4.one, 1.5]]],
+                             ids=["floats", "an int and a float", "float array",
+                                  "strings", "None", "an element and a float"])
+    def test_non_integer_entries_rejected(self, rows):
+        # a cast to int64 would truncate 1.7 to 1 and parse "2" as 2
+        with pytest.raises(ValueError, match="integer codes"):
+            MatrixGF(F4, rows)
+
+    def test_code_from_float_rows_rejected(self):
+        with pytest.raises(ValueError, match="integer codes"):
+            LinearCode(F2, 2, [[1.9, 0.5]])
+
+    def test_integer_bool_element_and_empty_entries_accepted(self):
+        want = np.array([[1, 0]], dtype=np.int16)
+        for rows in ([[1, 0]], [[True, False]], np.array([[1, 0]], dtype=np.uint8),
+                     [[F4.one, F4.zero]]):
+            assert_same_array(MatrixGF(F4, rows).array, want)
+        assert MatrixGF(F4, []).shape == (0, 0)
+        assert MatrixGF(F4, np.zeros((0, 3))).shape == (0, 3)
 
 
 class TestKernel:
@@ -241,10 +274,25 @@ class TestMatmul:
         field, A, B = operands
         assert_same_array(linalg.matmul(field, A, B), reference_product(field, A, B))
 
+    @pytest.mark.parametrize("field", [F2, F3, F7, F127, F1021], ids=lambda f: f"GF{f.order}")
+    @pytest.mark.parametrize("shape", [(5, 40, 3), (300, 4, 50)], ids=["inner", "outer"])
+    def test_prime_field_product(self, field, shape):
+        # a prime field takes the float64 product on the shapes that an
+        # extension field sums by row chunks (the inner axis longest) and by
+        # outer products
+        r, k, c = shape
+        rng = np.random.default_rng(field.order)
+        A = rng.integers(0, field.order, size=(r, k)).astype(np.int16)
+        A[: r // 2] = field.order - 1  # the largest sums, k (p - 1)^2
+        B = rng.integers(0, field.order, size=(k, c)).astype(np.int16)
+        B[:, : c // 2] = field.order - 1
+        assert_same_array(linalg.matmul(field, A, B), reference_product(field, A, B))
+
     @pytest.mark.parametrize("field", [F2, F9, F1024, F729], ids=lambda f: f"GF{f.order}")
     def test_narrow_product_in_row_chunks(self, field):
-        # a narrow product over more than _CHUNK_CELLS terms takes several
-        # row chunks, the last one short
+        # over an extension field, a narrow product over more than
+        # _CHUNK_CELLS terms takes several row chunks, the last one short;
+        # over F_2 it is one float64 product
         rng = np.random.default_rng(field.order)
         A = rng.integers(0, field.order, size=(3001, 60)).astype(np.int16)
         for c in (1, 7):
@@ -300,15 +348,19 @@ def test_elimination_budget(monkeypatch, name, shape):
 
 
 @st.composite
-def edge_matrices(draw, field, ncols=None, max_rows=12, max_cols=9):
+def edge_matrices(draw, field, ncols=None, max_rows=12, max_cols=40):
     """Random matrices, some with no rows, zero rows, zero columns, repeated
-    rows or full rank."""
+    rows or full rank; rows up to 40 wide span several 64-bit words of
+    lanes, so pivots start inside a word."""
     nrows = draw(st.integers(0, max_rows))
     if ncols is None:
         ncols = draw(st.integers(1, max_cols))
-    entry = st.one_of(st.integers(0, 1), st.integers(0, field.order - 1))
-    flat = draw(st.lists(entry, min_size=nrows * ncols, max_size=nrows * ncols))
-    A = np.array(flat, dtype=np.int64).reshape(nrows, ncols)
+    # entries from numpy, half of them 0 or 1: drawing up to 480 of them one
+    # at a time would spend the time budget on generation
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(0, field.order, size=(nrows, ncols))
+    small = rng.random(A.shape) < 0.5
+    A[small] = rng.integers(0, 2, size=int(small.sum()))
     shape = draw(st.sampled_from(["random", "zero_rows", "zero_columns", "repeated_rows",
                                   "full_rank"]))
     if shape == "zero_rows" and nrows:
@@ -413,6 +465,22 @@ class TestAgainstReference:
         assert_same_array(W, W_ref)
         wide = MatrixGF(field, M.array[:20].T)
         assert_same_array(kernel(wide).array, reference.kernel(wide).array)
+
+
+@pytest.mark.parametrize("field", [F127, F131], ids=lambda f: f"GF{f.order}")
+def test_largest_lane_sums(field):
+    # every entry p - 1: clearing the first column adds 1 to p - 1, a lane
+    # sum of p. With the first row and column 1, it adds -1 to p - 1
+    # instead, the largest lane sum, 2p - 2.
+    top = field.p - 1
+    full = np.full((6, 40), top)
+    ones = full.copy()
+    ones[0] = ones[:, 0] = 1
+    for A in (full, ones):
+        W, rk, piv = _rref_array(field, A.astype(np.int16))
+        W_ref, rk_ref, piv_ref = reference.rref_array(field, A.astype(np.int16))
+        assert (rk, piv) == (rk_ref, piv_ref)
+        assert_same_array(W, W_ref)
 
 
 @pytest.mark.parametrize(
