@@ -16,24 +16,20 @@ it sums q-power orbits only for the m*deg(h) basis residues z^j x^l, once,
 and the trace of any residue is the F_q dot product of that trace form
 with the residue flattened below deg(h), one product with the form.
 
-Both witness scans test a form on lam * a^N mod a modulus, N = 1 + q + ...
-+ q^(m-1): psi mod g in find_decomposition, the trace form mod h in
+Both witness searches test a form on lam * a^N mod a modulus, N = 1 + q +
+... + q^(m-1): psi mod g in find_decomposition, the trace form mod h in
 startkey_search.  In characteristic p, a^(q^i) is a with each coefficient
 raised to q^i (the field's Frobenius table) and x sent to x^(q^i), so a^N
 is the product of the m Frobenius images, formed for a whole chunk of
 candidates at once by products with the table of x^(l q) mod the modulus
 (poly._power_rows), the same q-power map that sums the trace form's
-orbits.  A scan goes layer by layer, layer d holding the residues of
-degree d.  The test on a residue of degree <= d is a form of degree m in
-its F_q-coordinates, so a certificate on the (m (d+1))^m tuples of basis
-residues, exponents folded by c^q = c, decides exactly whether the layer
-holds a witness (_holds_witness); where it costs less than a scan, it
-follows a test of the layer's first residue, and a layer it clears is
-skipped.  Any other layer is scanned in index order, a chunk at a time
-with one F_q dot product per candidate, so the first hit is the one a
-candidate-by-candidate scan finds.  A scan gives up when
-WITNESS_SCAN_BUDGET, charged with scanned candidates and certificate
-tuples, is spent.  Every matrix product is linalg.matmul.
+orbits.  On a coset a0 + span of n basis residues (n F_q-digits of the
+index) the test is a form of degree m, so a certificate on (n + 1)^m
+tuples decides whether it holds a witness (_holds_witness), and one
+search walks such cosets in index order, scanning, passing or entering
+each (_first_witness): the first hit is the one a candidate-by-candidate
+scan finds, within WITNESS_SCAN_BUDGET candidates plus tuples.
+Every matrix product is linalg.matmul.
 
 The checks of one run share what they derive, each cached per modulus:
 the split g = h^s (_split_power), the irreducibility of h
@@ -55,11 +51,11 @@ from .codes import LinearCode, alternant_kernel
 from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, charge_elimination, kernel, matmul, rank
-from . import poly
 from .poly import (
     Polynomial,
     _adder,
-    _candidate_block,
+    _candidate_chunks,
+    _fold_mod,
     _power_rows,
     batch_mul_mod,
     count_distinct_roots,
@@ -84,11 +80,8 @@ __all__ = [
     "verify_trace_kernel_mod",
 ]
 
-# Work one witness scan may do before it raises BudgetExceeded: candidates
-# scanned plus tuples of the certificates that clear layers, each charged
-# before its work. Certificates keep far first hits cheap: x^2 over F_343
-# (index 117,649) and over F_729 (index 531,441) each cost 27 + 216 + 729
-# tuples and one candidate.
+# Work one witness search may do before it raises BudgetExceeded: candidates
+# scanned plus certificate tuples, each charged before its work.
 WITNESS_SCAN_BUDGET = 2**18
 
 
@@ -285,120 +278,127 @@ def _trace(form: np.ndarray, sub: Field, flat: np.ndarray) -> np.ndarray:
     return matmul(sub, flat.reshape(-1, form.size), form[:, None]).reshape(flat.shape[:-1])
 
 
-def _norm_map(h: Polynomial, lam: int):
-    """The map from an (N, r) block of residues a mod the monic h
-    (coefficient codes, low degree first) to the residues lam * a^N, N the
-    norm exponent, in the same form.  Given picks, an (M, m) array of row
-    indices, it maps to the M residues lam * prod_i sigma^i(a_(picks[:, i]))
-    instead, sigma the q-power map.
-
-    a^N is the product of the Frobenius images a^(q^i), i < m, each one
-    product with the q-power table from the last; h need not be
-    irreducible.
-    """
-    field = h.field
-    table = _ring_frobenius(h)
-    modulus = np.array(h.coeffs[:-1], dtype=np.int16)
-
-    def norms(block, picks=None):
-        cur, norm = block, block if picks is None else block[picks[:, 0]]
-        moduli = np.broadcast_to(modulus, norm.shape)
-        for i in range(1, field.m):
-            cur = matmul(field, field.frobenius_table[cur], table)
-            norm = batch_mul_mod(field, norm, cur if picks is None else cur[picks[:, i]], moduli)
-        return field.mul_table[lam][norm]
-
-    return norms
+def _norms(h: Polynomial, lam: int, block: np.ndarray) -> np.ndarray:
+    """lam * a^N for an (N, r) block of residues a mod the monic h, codes low
+    degree first: a^N is the product of the Frobenius images a^(q^i), i < m,
+    each one product with the q-power table from the last."""
+    field, cur = h.field, block
+    moduli = np.broadcast_to(np.array(h.coeffs[:-1], dtype=np.int16), block.shape)
+    for _ in range(1, field.m):
+        cur = matmul(field, field.frobenius_table[cur], _ring_frobenius(h))
+        block = batch_mul_mod(field, block, cur, moduli)
+    return field.mul_table[lam][block]
 
 
-def _holds_witness(h: Polynomial, lam: int, form: np.ndarray, d: int) -> bool:
-    """Whether some residue a mod the monic h of degree <= d has lam * a^N
-    off the kernel of form, decided without a scan.
+def _pairing(h: Polynomial, form: np.ndarray) -> np.ndarray:
+    """P[s, s'] = form(e_s e_s') on the basis e_s = z^i x^l, s = l m + i, of
+    F[x]/(h), h monic: form(u w) = flat(u) P flat(w), F_q-bilinear."""
+    field, m, r = h.field, h.field.m, int(h.degree)
+    z = [(field.gen**u).code for u in range(2 * m - 1)]
+    xs = _fold_mod(field, np.eye(2 * r - 1, dtype=np.int16), np.array([h.coeffs[:-1]]))
+    vals = _trace(form, field.subfield, _flatten_codes(field, field.mul_table[z][:, xs]))
+    l, i = np.divmod(np.arange(m * r), m)
+    return vals[i[:, None] + i, l[:, None] + l]
 
-    In the F_q-coordinates c_k of a over the basis b_k = z^j x^l, l <= d,
-    the test is the form of degree m sum over m-tuples of
-    T(k_0..k_(m-1)) c_(k_0)...c_(k_(m-1)), T = form(lam * prod_i
-    sigma^i(b_(k_i))).  The tuples of one multiset give one monomial, and
-    exponents fold by c^q = c.  A function F_q^K -> F_q has one polynomial
-    of degree < q in each variable, so a witness exists exactly when a
-    folded coefficient is nonzero.
-    """
-    field = h.field
-    m, k = field.m, field.m * (d + 1)
+
+@functools.lru_cache(maxsize=16)
+def _monomial_keys(k: int, m: int, q: int) -> np.ndarray:
+    """Key below (k + 1)^m of the monomial of each m-tuple t of k coordinates
+    (last index fastest), exponents folded by c^q = c, coordinate 0 left
+    out: of e equal entries the first (e - 1) % (q - 1) + 1 in (t_j, j)
+    order are kept, as digits t + 1 at their sorted places.  Cached."""
     t = np.indices((k,) * m).reshape(m, -1).T
-    basis, norms = _ring_basis(field, int(h.degree))[:k], _norm_map(h, lam)
-    # tuples a chunk at a time, each within the scans' working set
-    step = max(1, poly._CHUNK_CELLS // (m * int(h.degree)))
-    values = np.concatenate([
-        _trace(form, field.subfield, _flatten_codes(field, norms(basis, t[i : i + step])))
-        for i in range(0, len(t), step)])
-    # entry j of a tuple precedes entry i in its sorted multiset when
-    # (t_j, j) < (t_i, i); of each e equal entries the first
-    # (e - 1) % (q - 1) + 1 are kept, and the kept ones, as digits t + 1
-    # at their sorted places, key the folded monomial below (k + 1)^m
     same = t[:, None, :] == t[:, :, None]
     first = (t[:, None, :] < t[:, :, None]) | same & np.tri(m, k=-1, dtype=bool)
-    keep = (first & same).sum(axis=2) < (same.sum(axis=2) - 1) % (field.q - 1) + 1
-    place = (k + 1) ** (first & keep[:, None, :]).sum(axis=2)
+    keep = ((first & same).sum(axis=2) < (same.sum(axis=2) - 1) % (q - 1) + 1) & (t > 0)
+    keys = (keep * (t + 1) * (k + 1) ** (first & keep[:, None, :]).sum(axis=2)).sum(axis=1)
+    keys.setflags(write=False)
+    return keys
+
+
+def _holds_witness(h: Polynomial, lam: int, pairing: np.ndarray,
+                   start: int, n: int) -> bool:
+    """Whether some a = a0 + v mod the monic h, a0 the residue of index start
+    (a multiple of q^n), v in the span of the first n basis residues, has
+    lam * a^N off the kernel of the form with this _pairing (m >= 2).  Over
+    b_0 = a0, c_0 = 1, and the basis b_k, the test is sum over m-tuples of
+    T(k_0..k_(m-1)) c_(k_0)...c_(k_(m-1)), T = form(lam * prod_i
+    sigma^i(b_(k_i))): a function F_q^n -> F_q of degree < q in each
+    variable, zero exactly when its folded coefficients (_monomial_keys) are."""
+    field, sub = h.field, h.field.subfield
+    m, r, k = field.m, int(h.degree), n + 1
+    images = [np.vstack([digits(start, field.order, r), _ring_basis(field, r)[:n]])]
+    for _ in range(1, m):
+        images.append(matmul(field, field.frobenius_table[images[-1]], _ring_frobenius(h)))
+    prefix = field.mul_table[lam][images[0]]
+    for image in images[1:-1]:
+        rows = len(prefix) * k
+        prefix = batch_mul_mod(field, prefix.repeat(k, axis=0), np.resize(image, (rows, r)),
+                               np.broadcast_to(np.array(h.coeffs[:-1], dtype=np.int16), (rows, r)))
+    values = matmul(sub, matmul(sub, _flatten_codes(field, prefix), pairing),
+                    _flatten_codes(field, images[-1]).T)
     # F_q sums digitwise mod p (int64 throughout: add.at would cast int16)
     sums = np.zeros(((k + 1) ** m, field.a), dtype=np.int64)
-    digs = digit_array(values.astype(np.int64), field.p, field.a)
-    np.add.at(sums, (keep * (t + 1) * place).sum(axis=1), digs)
+    np.add.at(sums, _monomial_keys(k, m, field.q),
+              digit_array(values.ravel().astype(np.int64), field.p, field.a))
     return bool((sums % field.p).any())
 
 
-def _norm_scan(h: Polynomial, lam: int, form: np.ndarray,
-               what: str) -> Optional[int]:
+def _first_witness(h: Polynomial, lam: int, form: np.ndarray,
+                   what: str) -> Optional[int]:
     """Index of the first residue a mod the monic h, in code order, whose
-    lam * a^N flattened has a nonzero F_q dot product with form; None when
-    there is none.
+    lam * a^N has a nonzero form; None when there is none.
 
-    Layer d holds the residues of degree d, indices [Q^d, Q^(d+1)) (from 0
-    for d = 0).  Layers go in order, so when layer d comes no lower one
-    holds a hit, and _holds_witness on degree <= d decides layer d.  That
-    certificate is computed when its (m (d+1))^m tuples are fewer than the
-    candidates a scan of the rest of the layer could test, after the
-    layer's first residue x^d alone: the test is a nonzero function on a
-    layer that holds a witness, true on about 1 - 1/q of it, so x^d often
-    settles the layer for the price of one candidate.  A layer the
-    certificate clears is skipped; the rest of any other is scanned in
-    index order, in chunks that double across layers and end at each
-    layer a certificate may skip.  Tuples and candidates are charged
-    before their work; BudgetExceeded comes when WITNESS_SCAN_BUDGET is
-    spent with candidates left, so every one of the first
-    WITNESS_SCAN_BUDGET is ruled out.
+    The base-q digits of an index are the F_q-coordinates of its residue
+    in slot order, so [b q^n, (b+1) q^n) is a coset a0 + span of n basis
+    residues.  The walk takes such ranges in index order: one of no more
+    candidates than its (n + 1)^m certificate tuples is scanned; any other
+    has its first residue tested, then is passed, or entered at its next
+    digit when _holds_witness finds a witness in its coset or the budget
+    cannot pay that certificate.  The ring is entered by its layers
+    [Q^(j-1), Q^j), lowest first.  Work is charged before it is done;
+    BudgetExceeded names the index below which no witness exists.
     """
     field = h.field
-    Q, m, r = field.order, field.m, int(h.degree)
-    norms = _norm_map(h, lam)
-    cap = max(poly._FIRST_CHUNK, poly._CHUNK_CELLS // (m * r))
-    # candidates grow Q-fold per layer and tuples at most 2^m-fold, so from
-    # the first layer d0 whose tuples are fewer than its candidates on,
-    # every layer's are; the layers below d0 are scanned as one run
-    d0 = next((d for d in range(r) if (m * (d + 1)) ** m < Q ** (d + 1) - (Q**d if d else 0)), r)
-    start, size, charged = 0, poly._FIRST_CHUNK, 0
-    for d in range(r):
-        stop = Q ** max(d + 1, d0)
-        tuples = (m * (d + 1)) ** m
-        probe = d >= d0 and tuples < min(stop - start, WITNESS_SCAN_BUDGET - charged) - 1
-        while start < stop:
-            count = 1 if probe else min(size, stop - start, WITNESS_SCAN_BUDGET - charged)
-            if count == 0:
-                raise BudgetExceeded(
-                    f"{what}: no witness among the first WITNESS_SCAN_BUDGET = "
-                    f"{WITNESS_SCAN_BUDGET} of {Q**r} candidates"
-                )
-            block = _candidate_block(start, count, Q, r)
-            found = np.flatnonzero(_trace(form, field.subfield, _flatten_codes(field, norms(block))))
-            if found.size:
-                return start + int(found[0])
-            start, charged = start + len(block), charged + len(block)
-            if probe:
-                probe, charged = False, charged + tuples
-                if not _holds_witness(h, lam, form, d):
-                    start = stop
-            else:
-                size = min(2 * size, cap)
+    q, m, r = field.q, field.m, int(h.degree)
+    pairing = functools.cache(functools.partial(_pairing, h, form))
+    spent = 0
+
+    def charge(units, below):
+        nonlocal spent
+        if spent + units > WITNESS_SCAN_BUDGET:
+            raise BudgetExceeded(
+                f"{what}: no witness below index {below} of {q**(m * r)} candidates "
+                f"within WITNESS_SCAN_BUDGET = {WITNESS_SCAN_BUDGET}")
+        spent += units
+
+    def scan(start, stop):
+        for lo, block in _candidate_chunks(field.order, r, start, stop, m * r):
+            charge(len(block), lo)
+            traces = _trace(form, field.subfield, _flatten_codes(field, _norms(h, lam, block)))
+            if traces.any():
+                return lo + int(np.flatnonzero(traces)[0])
+
+    @functools.cache  # each coset once: the ring's also decides its top layer
+    def holds(b, n):
+        charge((n + 1) ** m, lo + 1)
+        return _holds_witness(h, lam, pairing(), b * q**n, n)
+
+    lo, n, tested = 0, m * r, True  # residue 0 is never a witness
+    while lo < q ** (m * r):
+        tuples, b = (n + 1) ** m, lo // q**n
+        hi = (b + 1) * q**n
+        if hi - lo <= tuples:
+            hit = scan(lo + tested, hi)
+            if hit is not None:
+                return hit
+        elif not tested and (hit := scan(lo, lo + 1)) is not None:
+            return hit
+        elif spent + tuples > WITNESS_SCAN_BUDGET or holds(b, n):
+            lo, n, tested = (1, m, False) if lo == 0 else (lo, n - 1, True)
+            continue
+        # passed: a coset's sibling, a layer's next slot or, at its end, next layer
+        lo, n, tested = hi, n + (b == 0 and (m if n % m == 0 else 1)), False
     return None
 
 
@@ -458,11 +458,10 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
     """First residue alpha mod h whose twisted norm has nonzero trace.
 
     h must be irreducible of degree r >= 2 over the top field and lam a
-    nonzero trace-zero element.  Scans F[x]/(h) in code order for alpha
-    with absolute trace of lam * alpha^(e+1) nonzero, skipping the degree
-    layers a certificate clears (_norm_scan); exhausting the ring without
-    a hit falsifies the existence claim, so that raises, and spending
-    WITNESS_SCAN_BUDGET without a hit raises BudgetExceeded.
+    nonzero trace-zero element.  alpha is the first in code order with
+    absolute trace of lam * alpha^(e+1) nonzero (_first_witness); a ring
+    without one falsifies the existence claim, so that raises, and a
+    search that WITNESS_SCAN_BUDGET cannot finish raises BudgetExceeded.
 
     Degree 1 is rejected: there alpha^(e+1) is a subfield norm and the
     trace factors through trace(lam) = 0, so no witness can exist.
@@ -475,7 +474,7 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
         raise ValueError(
             "witness search needs degree >= 2; degree 1 cannot succeed"
         )
-    idx = _norm_scan(h, lam.code, _trace_form(h), "startkey search")
+    idx = _first_witness(h, lam.code, _trace_form(h), "startkey search")
     if idx is None:
         raise FalsificationError(
             f"no witness in a ring of size {field.order**r} for q={field.q} m={field.m} "
@@ -513,8 +512,8 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     trace (the one-functional criterion), and tau must kill it on the full
     evaluation set.  Returns (a, report).
 
-    The candidates are tested as in startkey_search, layer by layer, and
-    spending WITNESS_SCAN_BUDGET without a hit raises BudgetExceeded.
+    The candidates are searched as in startkey_search, and a search that
+    WITNESS_SCAN_BUDGET cannot finish raises BudgetExceeded.
     """
     g = g.monic()
     lam = _require_trace_zero_unit(field, lam)
@@ -528,7 +527,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     t = int(g.degree)
     D = field.norm_exponent * t
 
-    idx = _norm_scan(g, lam.code, psi, "decomposition search")
+    idx = _first_witness(g, lam.code, psi, "decomposition search")
     if idx is None:
         raise FalsificationError(
             f"no decomposition witness among {field.order**t} candidates for "

@@ -413,17 +413,17 @@ def _candidate_block(start: int, count: int, order: int, degree: int) -> np.ndar
     return out
 
 
-def _candidate_chunks(order: int, degree: int, total: int,
+def _candidate_chunks(order: int, degree: int, start: int, stop: int,
                       width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, block) for the candidates 0 .. total - 1 in index order, each
+    """(start, block) for the candidates start .. stop - 1 in index order, each
     block from :func:`_candidate_block`. Blocks hold _FIRST_CHUNK rows, then
     double while rows * width stays within _CHUNK_CELLS, so a caller whose
     working arrays hold ``width`` cells per candidate keeps them at a fixed
     size."""
     cap = max(_FIRST_CHUNK, _CHUNK_CELLS // width)
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        block = _candidate_block(start, min(size, total - start), order, degree)
+    size = _FIRST_CHUNK
+    while start < stop:
+        block = _candidate_block(start, min(size, stop - start), order, degree)
         yield start, block
         start += len(block)
         size = min(2 * size, cap)
@@ -625,7 +625,7 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
 
     if degree >= 4 and _berlekamp_cells(field, degree) > IRREDUCIBLE_CELL_BUDGET:
         charge(_berlekamp_cells(field, degree))
-    for start, cands in _candidate_chunks(order, degree, total, max(order, degree * degree)):
+    for start, cands in _candidate_chunks(order, degree, 0, total, max(order, degree * degree)):
         charge(_root_cells(field, degree, start, len(cands)))
         for i in _sieve(field, cands, charge).tolist():
             cand = Polynomial._raw(field, cands[i].tolist() + [1])

@@ -39,7 +39,10 @@ candidate at a time by Python powers, with no budget; ``find_decomposition``
 tests each against ``stack_phi``, the original functional: the one kernel
 row of K stacked on ``multiples_of(g)``, the rows g*z^j*x^l of
 g*F[x]_{<et}, flattened below (e+1)t. ``twisted_norms`` is the original
-batched lam*a^N, unreduced, as shifted multiply-adds. ``crt_matrix`` and
+batched lam*a^N, unreduced, as shifted multiply-adds. ``_norm_scan`` is
+the layered witness scan that ``evidence._first_witness`` replaced, with
+its layer certificate ``_holds_witness`` and norm map ``_norm_map``, moved
+unchanged but for ``linalg.matmul``, as the descent's oracle. ``crt_matrix`` and
 ``goppa_via_crt`` are the original CRT construction of a Goppa code: the
 support product built one ``Polynomial`` product at a time, then one scalar
 division by x - a_i and one reduction mod G per support point.
@@ -77,13 +80,18 @@ import functools
 
 import numpy as np
 
+from wildgoppa import linalg, poly
 from wildgoppa.codes import LinearCode, subfield_kernel
-from wildgoppa.evidence import DecompositionReport, build_K, tau
-from wildgoppa.gf import Field, FieldElement, build_tower, digits, prime_factors
+from wildgoppa.errors import BudgetExceeded
+from wildgoppa.evidence import (
+    WITNESS_SCAN_BUDGET, DecompositionReport, _flatten_codes, _ring_basis,
+    _ring_frobenius, _trace, build_K, tau,
+)
+from wildgoppa.gf import Field, FieldElement, build_tower, digit_array, digits, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
-    NEG_INF, Polynomial, _adder, _as_code, _lookup,
+    NEG_INF, Polynomial, _adder, _as_code, _candidate_block, _lookup,
     batch_mul_mod, batch_pow_mod, find_irreducible as searched_irreducible, gcd,
     pow_mod,
 )
@@ -516,6 +524,123 @@ def find_decomposition(field: Field, g: Polynomial, lam: int):
             ring_trace=tr, tau_vanishes=True,
         )
         return a, report
+    return None
+
+
+def _norm_map(h: Polynomial, lam: int):
+    """The map from an (N, r) block of residues a mod the monic h
+    (coefficient codes, low degree first) to the residues lam * a^N, N the
+    norm exponent, in the same form.  Given picks, an (M, m) array of row
+    indices, it maps to the M residues lam * prod_i sigma^i(a_(picks[:, i]))
+    instead, sigma the q-power map.
+
+    a^N is the product of the Frobenius images a^(q^i), i < m, each one
+    product with the q-power table from the last; h need not be
+    irreducible.
+    """
+    field = h.field
+    table = _ring_frobenius(h)
+    modulus = np.array(h.coeffs[:-1], dtype=np.int16)
+
+    def norms(block, picks=None):
+        cur, norm = block, block if picks is None else block[picks[:, 0]]
+        moduli = np.broadcast_to(modulus, norm.shape)
+        for i in range(1, field.m):
+            cur = linalg.matmul(field, field.frobenius_table[cur], table)
+            norm = batch_mul_mod(field, norm, cur if picks is None else cur[picks[:, i]], moduli)
+        return field.mul_table[lam][norm]
+
+    return norms
+
+
+def _holds_witness(h: Polynomial, lam: int, form: np.ndarray, d: int) -> bool:
+    """Whether some residue a mod the monic h of degree <= d has lam * a^N
+    off the kernel of form, decided without a scan.
+
+    In the F_q-coordinates c_k of a over the basis b_k = z^j x^l, l <= d,
+    the test is the form of degree m sum over m-tuples of
+    T(k_0..k_(m-1)) c_(k_0)...c_(k_(m-1)), T = form(lam * prod_i
+    sigma^i(b_(k_i))).  The tuples of one multiset give one monomial, and
+    exponents fold by c^q = c.  A function F_q^K -> F_q has one polynomial
+    of degree < q in each variable, so a witness exists exactly when a
+    folded coefficient is nonzero.
+    """
+    field = h.field
+    m, k = field.m, field.m * (d + 1)
+    t = np.indices((k,) * m).reshape(m, -1).T
+    basis, norms = _ring_basis(field, int(h.degree))[:k], _norm_map(h, lam)
+    # tuples a chunk at a time, each within the scans' working set
+    step = max(1, poly._CHUNK_CELLS // (m * int(h.degree)))
+    values = np.concatenate([
+        _trace(form, field.subfield, _flatten_codes(field, norms(basis, t[i : i + step])))
+        for i in range(0, len(t), step)])
+    # entry j of a tuple precedes entry i in its sorted multiset when
+    # (t_j, j) < (t_i, i); of each e equal entries the first
+    # (e - 1) % (q - 1) + 1 are kept, and the kept ones, as digits t + 1
+    # at their sorted places, key the folded monomial below (k + 1)^m
+    same = t[:, None, :] == t[:, :, None]
+    first = (t[:, None, :] < t[:, :, None]) | same & np.tri(m, k=-1, dtype=bool)
+    keep = (first & same).sum(axis=2) < (same.sum(axis=2) - 1) % (field.q - 1) + 1
+    place = (k + 1) ** (first & keep[:, None, :]).sum(axis=2)
+    # F_q sums digitwise mod p (int64 throughout: add.at would cast int16)
+    sums = np.zeros(((k + 1) ** m, field.a), dtype=np.int64)
+    digs = digit_array(values.astype(np.int64), field.p, field.a)
+    np.add.at(sums, (keep * (t + 1) * place).sum(axis=1), digs)
+    return bool((sums % field.p).any())
+
+
+def _norm_scan(h: Polynomial, lam: int, form: np.ndarray,
+               what: str) -> Optional[int]:
+    """Index of the first residue a mod the monic h, in code order, whose
+    lam * a^N flattened has a nonzero F_q dot product with form; None when
+    there is none.
+
+    Layer d holds the residues of degree d, indices [Q^d, Q^(d+1)) (from 0
+    for d = 0).  Layers go in order, so when layer d comes no lower one
+    holds a hit, and _holds_witness on degree <= d decides layer d.  That
+    certificate is computed when its (m (d+1))^m tuples are fewer than the
+    candidates a scan of the rest of the layer could test, after the
+    layer's first residue x^d alone: the test is a nonzero function on a
+    layer that holds a witness, true on about 1 - 1/q of it, so x^d often
+    settles the layer for the price of one candidate.  A layer the
+    certificate clears is skipped; the rest of any other is scanned in
+    index order, in chunks that double across layers and end at each
+    layer a certificate may skip.  Tuples and candidates are charged
+    before their work; BudgetExceeded comes when WITNESS_SCAN_BUDGET is
+    spent with candidates left, so every one of the first
+    WITNESS_SCAN_BUDGET is ruled out.
+    """
+    field = h.field
+    Q, m, r = field.order, field.m, int(h.degree)
+    norms = _norm_map(h, lam)
+    cap = max(poly._FIRST_CHUNK, poly._CHUNK_CELLS // (m * r))
+    # candidates grow Q-fold per layer and tuples at most 2^m-fold, so from
+    # the first layer d0 whose tuples are fewer than its candidates on,
+    # every layer's are; the layers below d0 are scanned as one run
+    d0 = next((d for d in range(r) if (m * (d + 1)) ** m < Q ** (d + 1) - (Q**d if d else 0)), r)
+    start, size, charged = 0, poly._FIRST_CHUNK, 0
+    for d in range(r):
+        stop = Q ** max(d + 1, d0)
+        tuples = (m * (d + 1)) ** m
+        probe = d >= d0 and tuples < min(stop - start, WITNESS_SCAN_BUDGET - charged) - 1
+        while start < stop:
+            count = 1 if probe else min(size, stop - start, WITNESS_SCAN_BUDGET - charged)
+            if count == 0:
+                raise BudgetExceeded(
+                    f"{what}: no witness among the first WITNESS_SCAN_BUDGET = "
+                    f"{WITNESS_SCAN_BUDGET} of {Q**r} candidates"
+                )
+            block = _candidate_block(start, count, Q, r)
+            found = np.flatnonzero(_trace(form, field.subfield, _flatten_codes(field, norms(block))))
+            if found.size:
+                return start + int(found[0])
+            start, charged = start + len(block), charged + len(block)
+            if probe:
+                probe, charged = False, charged + tuples
+                if not _holds_witness(h, lam, form, d):
+                    start = stop
+            else:
+                size = min(2 * size, cap)
     return None
 
 

@@ -371,18 +371,32 @@ def test_probe_dense_g_squarefree_gcd_charged(check, degree, want):
         assert "equal: yes" in out
 
 
-def test_evidence_degree_120_power_refused_in_bounded_time():
+def test_evidence_degree_120_power_answers_in_bounded_time():
     # g = h^3, h the degree-40 irreducible over F_4: irreducible_power raises
     # x^(Q^dh) mod g to the Q-th power once per factor degree dh, about
-    # 0.18 s, once per run as every check shares the split, and the run
-    # reaches the startkey scan's refusal, about 3 s of 2^18 norms, in
-    # 3.2-3.8 s in a fresh process on 2 cores (3.2-4.2 s when three checks
-    # each split g); certificates clear layers 2-12 of F[x]/(h) and find
-    # layer 13 nonempty, so its scan spends the rest of the budget
+    # 0.18 s, once per run as every check shares the split.  Both witnesses
+    # are x^13 + 2 x^11, index 75,497,472 = 4^13 + 2 * 4^11: the descent
+    # certifies the ring, clears layers 3-12 by certificates and enters
+    # layer 13 digit by digit, in about 0.6 s in a fresh process on 2 cores
     argv = ["evidence", "--p", "2", "--m", "2", "--g", "irreducible:40^3"]
     code, out, err, elapsed = run_cli_bounded(argv)
-    assert code == 4, err
-    assert "WITNESS_SCAN_BUDGET" in err
+    assert code == 0, err
+    coeffs = "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1]"
+    assert f"startkey residue coeffs {coeffs}\n" in out
+    assert f"decomposition witness coeffs {coeffs}: 720 = 239 + 1 + 480\n" in out
+    assert elapsed < 10.0
+
+
+def test_evidence_witness_search_refused_in_bounded_time():
+    # mod the degree-100 irreducible over F_8/F_2 the certificates of the
+    # layers grow as (3 j + 1)^3 and clear every degree below 13 before
+    # WITNESS_SCAN_BUDGET is spent: exit 4 in about 2 s, naming the index
+    # below which no witness exists
+    argv = ["evidence", "--p", "2", "--m", "3", "--g", "irreducible:100"]
+    code, out, err, elapsed = run_cli_bounded(argv)
+    assert code == 4 and out == ""
+    assert "startkey search: no witness below index " in err
+    assert "within WITNESS_SCAN_BUDGET = 262144" in err
     assert elapsed < 10.0
 
 
@@ -499,15 +513,16 @@ def test_evidence_rejects_bad_lam(capsys, g, lam, msg):
 
 def test_evidence_scan_budget_exit_4(capsys, monkeypatch):
     # over F_16/F_4 the first witness of irreducible:2 is candidate 16, the
-    # first of layer 1; residue 0 and a certificate of 4 tuples clear layer
-    # 0, so the scan is charged 1 + 4 + 1 and a cap of 5 leaves layer 0 to
-    # a scan
+    # first of layer 1: the ring's certificate (25 tuples), residue 1 and a
+    # certificate of 9 tuples that clear layer 0, and residue 16 are
+    # charged 25 + 1 + 9 + 1, so a cap of 35 refuses at residue 16
     argv = ["evidence", "--p", "2", "--a", "2", "--m", "2", "--g", "irreducible:2"]
-    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 5)
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 35)
     code, out, err = run_main(capsys, *argv)
     assert code == 4
-    assert out == "" and "WITNESS_SCAN_BUDGET = 5" in err
-    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 6)
+    assert out == "" and "no witness below index 16 of 256 candidates" in err
+    assert "WITNESS_SCAN_BUDGET = 35" in err
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 36)
     code, out, err = run_main(capsys, *argv)
     assert code == 0 and "startkey residue coeffs [0, 1]" in out
 
