@@ -52,6 +52,7 @@ from .errors import BudgetExceeded, FalsificationError
 from .gf import Field, FieldElement, digit_array, digits
 from .linalg import MatrixGF, charge_elimination, kernel, matmul, rank
 from .poly import (
+    _FIRST_CHUNK,
     Polynomial,
     _adder,
     _candidate_chunks,
@@ -373,7 +374,14 @@ def _first_witness(h: Polynomial, lam: int, form: np.ndarray,
         spent += units
 
     def scan(start, stop):
-        for lo, block in _candidate_chunks(field.order, r, start, stop, m * r):
+        # one chunk for a range of at most 4 * _FIRST_CHUNK (a _norms call
+        # costs about as much as 250 rows) that the budget pays in full; any
+        # other doubles from _FIRST_CHUNK, so that an early hit ends it
+        # early and a refusal names the same index
+        n = stop - start
+        whole = n <= 4 * _FIRST_CHUNK and spent + n <= WITNESS_SCAN_BUDGET
+        for lo, block in _candidate_chunks(field.order, r, start, stop, m * r,
+                                           n if whole else None):
             charge(len(block), lo)
             traces = _trace(form, field.subfield, _flatten_codes(field, _norms(h, lam, block)))
             if traces.any():

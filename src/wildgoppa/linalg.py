@@ -270,18 +270,19 @@ def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     Over a prime field the codes are the integers mod p, so the product is
     one float64 product reduced mod p, exact while its sums k (p - 1)^2 stay
-    below 2^53. Over an extension field, when the inner axis is the longest
-    and a row's k c terms fit in _CHUNK_CELLS, chunks of rows gather all
-    their terms from the mul table and sum over k (XOR in characteristic 2,
-    else a pairwise fold). Else a loop adds the outer products A[:, j] B[j],
-    each gathered through the smaller temporary, a row per field element or
-    one per row of A.
+    below 2^53; an outer product (k = 1) is one gather, as below, which is
+    faster than the int64 reduction. Over an extension field, when the
+    inner axis is the longest and a row's k c terms fit in _CHUNK_CELLS,
+    chunks of rows gather all their terms from the mul table and sum over
+    k (XOR in characteristic 2, else a pairwise fold). Else a loop adds the
+    outer products A[:, j] B[j], each gathered through the smaller
+    temporary, a row per field element or one per row of A.
     """
     (r, k), c = A.shape, B.shape[1]
     if r * k * c == 0:
         return np.zeros((r, c), dtype=_DT)
     p = field.p
-    if field.a * field.m == 1 and k * (p - 1) ** 2 < 2**53:
+    if field.a * field.m == 1 and 1 < k and k * (p - 1) ** 2 < 2**53:
         return (np.matmul(A, B, dtype=np.float64).astype(np.int64) % p).astype(_DT)
     add, mul = _adder(field), _lookup(field.mul_table)
     if k > min(r, c) and k * c <= _CHUNK_CELLS:

@@ -9,6 +9,7 @@ special cases.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator
 
@@ -35,16 +36,19 @@ __all__ = [
 NEG_INF = float("-inf")
 
 # Table lookups one find_irreducible call may spend: _root_cells per chunk,
-# _berlekamp_cells per root-sieve survivor and d^2 per squarefree
-# confirmation; one is_squarefree gcd may spend d^2 too. The largest
-# searches that the tests, the towers and the benchmark workloads make,
-# F_4 at degree 40 and the quartics over F_256, are charged 1.4e7 and
-# 8.3e6-9.3e6; the largest in the workloads, F_81 at degree 6, 3.9e6.
+# the quadratic stage's cells or _berlekamp_cells per root-sieve survivor
+# (per stage survivor when both run), and d^2 per squarefree confirmation;
+# one is_squarefree gcd may spend d^2 too. The largest searches the tests
+# make, degree 7 over F_243 and degree 6 over F_256, are charged 5.9e7 and
+# 3.4e7; F_4 at degree 40 9.1e6 and the quartics over F_256 8.3e6-9.3e6.
+# The largest in the benchmark workloads, F_64 and F_81 at degree 6, are
+# charged 2.7e6 and 1.5e6.
 IRREDUCIBLE_CELL_BUDGET = 10**8
 
 # Candidate scans (the sieve here, the witness scans of evidence) run in
 # chunks that double from _FIRST_CHUNK while chunk * (cells per candidate)
-# stays within _CHUNK_CELLS, so the working arrays keep a fixed size.
+# stays within _CHUNK_CELLS, so the working arrays keep a fixed size; a
+# witness scan of up to 4 * _FIRST_CHUNK candidates is one chunk.
 _FIRST_CHUNK = 16
 _CHUNK_CELLS = 1 << 17
 
@@ -413,20 +417,28 @@ def _candidate_block(start: int, count: int, order: int, degree: int) -> np.ndar
     return out
 
 
-def _candidate_chunks(order: int, degree: int, start: int, stop: int,
-                      width: int) -> Iterator[tuple[int, np.ndarray]]:
+def _candidate_chunks(order: int, degree: int, start: int, stop: int, width: int,
+                      first: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """(start, block) for the candidates start .. stop - 1 in index order, each
-    block from :func:`_candidate_block`. Blocks hold _FIRST_CHUNK rows, then
-    double while rows * width stays within _CHUNK_CELLS, so a caller whose
-    working arrays hold ``width`` cells per candidate keeps them at a fixed
-    size."""
+    block from :func:`_candidate_block`. Blocks hold ``first`` rows
+    (_FIRST_CHUNK by default), then double, all while rows * width stays
+    within _CHUNK_CELLS, so a caller whose working arrays hold ``width``
+    cells per candidate keeps them at a fixed size."""
     cap = max(_FIRST_CHUNK, _CHUNK_CELLS // width)
-    size = _FIRST_CHUNK
+    size = min(first or _FIRST_CHUNK, cap)
     while start < stop:
         block = _candidate_block(start, min(size, stop - start), order, degree)
         yield start, block
         start += len(block)
         size = min(2 * size, cap)
+
+
+def _run_starts(high: np.ndarray) -> np.ndarray:
+    """Which rows start a run: a row whose high part differs from the one
+    before it."""
+    starts = np.ones(len(high), dtype=bool)
+    starts[1:] = (high[1:] != high[:-1]).any(axis=1)
+    return starts
 
 
 def _root_free(field: Field, cands: np.ndarray) -> np.ndarray:
@@ -439,10 +451,8 @@ def _root_free(field: Field, cands: np.ndarray) -> np.ndarray:
     order share it in runs of |F|. Each row is then one lookup.
     """
     add, mul = _adder(field), _lookup(field.mul_table)
-    high = cands[:, 1:]
-    starts = np.ones(len(cands), dtype=bool)
-    starts[1:] = (high[1:] != high[:-1]).any(axis=1)
-    runs = high[starts]
+    starts = _run_starts(cands[:, 1:])
+    runs = cands[starts, 1:]
     xs = np.arange(field.order, dtype=_DT)
     # Horner from the leading 1: R = (((x + c_(d-1)) x + ...) + c_1) x
     acc = np.broadcast_to(xs, (len(runs), xs.size))
@@ -537,38 +547,132 @@ def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     return _batch_rank(field, M) == d - 1
 
 
-def _sieve(field: Field, rows: np.ndarray, charge=None) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _irreducible_quadratics(field: Field) -> np.ndarray:
+    """(2, H) codes: -h_0 and -h_1 for the H = |F|(|F| - 1)/2 monic
+    irreducible quadratics x^2 + h_1 x + h_0, the root sieve's survivors
+    among the |F|^2 monic quadratics. Cached per field and read-only."""
+    quads = _candidate_block(0, field.order**2, field.order, 2)
+    neg = field.neg_table[quads[_root_free(field, quads)].T]
+    neg.setflags(write=False)
+    return neg
+
+
+class _QuadraticStage:
+    """Which monic candidates of one degree d >= 4 (rows of non-leading
+    coefficients) have no monic irreducible quadratic factor, for the
+    chunks of one search.
+
+    The candidates that share (c_2, ..., c_(d-1)) form runs of |F|^2 rows
+    in index order, and in a run each irreducible quadratic h divides
+    exactly one candidate: the one whose c_0 + c_1 x is minus
+    x^d + sum_(i>=2) c_i x^i mod h. So one pass over the quadratics
+    (:func:`_irreducible_quadratics`), 2(d - 2) lookups each, marks every
+    row of a run that has such a factor. The last run's marks are kept,
+    since a search's next chunk starts in it.
+    """
+
+    def __init__(self, field: Field, degree: int):
+        self.field, self.degree = field, degree
+        self.powers = None  # x^j mod h, j = 2 .. d, formed on first use
+        self.high = self.marks = None  # the last run marked
+
+    def _runs(self, rows: np.ndarray):
+        starts = _run_starts(rows[:, 2:])
+        high = rows[starts, 2:]
+        return starts, high, self.high is not None and bool((high[0] == self.high).all())
+
+    def cells(self, rows: np.ndarray) -> int | None:
+        """Table lookups to mark ``rows``: unless formed, the quadratics'
+        root sieve (2|F|^2) and powers (3 per quadratic and power), then
+        2(d - 2) per quadratic in each new run and one per row. None when
+        the runs' marks would exceed _CHUNK_CELLS."""
+        square, d = self.field.order**2, self.degree
+        _, high, known = self._runs(rows)
+        if len(high) * square > _CHUNK_CELLS:
+            return None
+        fetch = 0 if self.powers is not None else (3 * d - 2) * square // 2
+        return fetch + (len(high) - known) * (d - 2) * square + len(rows)
+
+    def free(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows have no monic irreducible quadratic factor."""
+        field, d, order = self.field, self.degree, self.field.order
+        add, mul, neg = _adder(field), _lookup(field.mul_table), field.neg_table
+        if self.powers is None:  # x (a + b x) = -b h_0 + (a - b h_1) x
+            nh0, nh1 = _irreducible_quadratics(field)
+            self.powers = [(nh0, nh1)]
+            for _ in range(d - 2):
+                a, b = self.powers[-1]
+                self.powers.append((mul(b, nh0), add(a, mul(b, nh1))))
+        starts, high, known = self._runs(rows)
+        marks = np.zeros((len(high), order * order), dtype=bool)
+        if known:
+            marks[0] = self.marks
+        if len(high) > known:
+            lo, hi = self.powers[d - 2]  # x^d mod h
+            for i in range(d - 2):  # + c_(i+2) x^(i+2) mod h
+                c, (a, b) = high[known:, i : i + 1], self.powers[i]
+                lo, hi = add(lo, mul(c, a)), add(hi, mul(c, b))
+            cols = np.multiply(neg[hi], order, dtype=np.intp) + neg[lo]
+            marks[np.arange(known, len(high))[:, None], cols] = True
+        self.high, self.marks = high[-1], marks[-1]
+        cols = np.multiply(rows[:, 1], order, dtype=np.intp) + rows[:, 0]
+        return ~marks[np.cumsum(starts) - 1, cols]
+
+
+def _sieve(field: Field, rows: np.ndarray, charge=None,
+           quadratics: _QuadraticStage | None = None) -> tuple[np.ndarray, bool]:
     """Indices of the monic candidates (rows of non-leading coefficients,
     degree d) that survive the root sieve (d >= 2) and, from degree 4, the
-    Berlekamp sieve (:func:`_one_distinct_factor`). Each drop proves
-    reducibility; a survivor of degree 2 or 3 is irreducible, and one of
-    degree d >= 4 is h^s for an irreducible h. ``charge``, when given, is
-    called with the Berlekamp sieve's lookups on the root sieve's survivors
-    before it runs."""
+    quadratic stage and the Berlekamp sieve (:func:`_one_distinct_factor`),
+    and whether those survivors are proven irreducible.
+
+    Each drop proves reducibility. A survivor of degree 2 or 3 is
+    irreducible, and so is one of degree 4 or 5 with no irreducible
+    quadratic factor: a reducible f of such a degree has a factor of
+    degree 1 or 2. The quadratic stage (``quadratics``, kept over the
+    chunks of a search, or a new one) runs on the root sieve's survivors
+    when it costs fewer lookups than the Berlekamp sieve on them and its
+    marks fit in _CHUNK_CELLS; at degrees 4 and 5 it then replaces the
+    Berlekamp sieve. A survivor of the Berlekamp sieve is h^s for an
+    irreducible h. ``charge``, when given, is called with each stage's
+    lookups before it runs.
+    """
     degree = rows.shape[1]
     keep = np.arange(len(rows))
     if degree >= 2:
         keep = keep[_root_free(field, rows)]
-    if degree >= 4 and keep.size:
+    if degree < 4 or not keep.size:
+        return keep, True
+    if quadratics is None:
+        quadratics = _QuadraticStage(field, degree)
+    berlekamp = _berlekamp_cells(field, degree)
+    cells = quadratics.cells(rows[keep])
+    if cells is not None and cells < keep.size * berlekamp:
         if charge is not None:
-            charge(keep.size * _berlekamp_cells(field, degree))
-        keep = keep[_one_distinct_factor(field, rows[keep])]
-    return keep
+            charge(cells)
+        keep = keep[quadratics.free(rows[keep])]
+        if degree <= 5 or not keep.size:
+            return keep, True
+    if charge is not None:
+        charge(keep.size * berlekamp)
+    return keep[_one_distinct_factor(field, rows[keep])], False
 
 
 def is_irreducible(f: Polynomial) -> bool:
     """Deterministic irreducibility over the coefficient field.
 
     f of degree d is irreducible exactly when d = 1, or f survives
-    :func:`_sieve` and, from degree 4, is squarefree: the sieve leaves
-    f = h^s with h irreducible, and s = 1 exactly when f is squarefree.
+    :func:`_sieve` and, unless the sieve proved it irreducible, is
+    squarefree: the Berlekamp sieve leaves f = h^s with h irreducible, and
+    s = 1 exactly when f is squarefree.
     """
     d = f.degree
     if d is NEG_INF or d == 0:
         return False
     fm = f.monic()
-    row = np.array([fm.coeffs[:-1]], dtype=_DT)
-    return _sieve(f.field, row).size == 1 and (d < 4 or is_squarefree(fm))
+    keep, proven = _sieve(f.field, np.array([fm.coeffs[:-1]], dtype=_DT))
+    return keep.size == 1 and (proven or is_squarefree(fm))
 
 
 def _root_cells(field: Field, degree: int, start: int, count: int) -> int:
@@ -593,19 +697,19 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
     order (non-leading coefficient vector read as a base-|F| integer).
 
     Candidates are scanned in that order, in chunks, each through
-    :func:`_sieve`. Below degree 4 the first survivor is the answer; from
-    degree 4 the survivors are powers h^s of one irreducible, and the first
-    that :func:`is_squarefree` confirms is the answer. Each drop proves
+    :func:`_sieve`, which keeps one quadratic stage over the search. The
+    first survivor the sieve proves irreducible is the answer; otherwise
+    the survivors are powers h^s of one irreducible, and the first that
+    :func:`is_squarefree` confirms is the answer. Each drop proves
     reducibility, so this finds the same polynomial as testing every
     candidate.
 
-    Each chunk's root sieve is charged before it runs, the Berlekamp sieve
-    on the root sieve's survivors only, and each confirmation d^2 lookups
-    before it runs; BudgetExceeded is raised as soon as the lookups charged
-    pass IRREDUCIBLE_CELL_BUDGET. The answer itself goes through the
-    Berlekamp sieve, so a search whose first root sieve is over budget, or
-    whose answer's Berlekamp sieve alone would be, is refused before any
-    work.
+    Each chunk's root sieve is charged before it runs, the quadratic stage
+    and the Berlekamp sieve on the survivors they are given, and each
+    confirmation d^2 lookups before it runs; BudgetExceeded is raised as
+    soon as the lookups charged pass IRREDUCIBLE_CELL_BUDGET. A search
+    whose first root sieve is over budget, or in which one candidate's
+    Berlekamp sieve alone would be, is refused before any work.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -625,11 +729,13 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
 
     if degree >= 4 and _berlekamp_cells(field, degree) > IRREDUCIBLE_CELL_BUDGET:
         charge(_berlekamp_cells(field, degree))
+    quadratics = _QuadraticStage(field, degree)
     for start, cands in _candidate_chunks(order, degree, 0, total, max(order, degree * degree)):
         charge(_root_cells(field, degree, start, len(cands)))
-        for i in _sieve(field, cands, charge).tolist():
+        keep, proven = _sieve(field, cands, charge, quadratics)
+        for i in keep.tolist():
             cand = Polynomial._raw(field, cands[i].tolist() + [1])
-            if degree < 4:
+            if proven:
                 return cand
             charge(degree * degree)
             if is_squarefree(cand):

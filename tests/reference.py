@@ -30,7 +30,10 @@ deg gcd(g, x^Q - x). ``root_free`` is the original root sieve of
 ``poly._sieve``: Horner's rule at every element, for every candidate.
 ``one_distinct_factor`` is the original Berlekamp sieve, with x^Q mod f by
 square and multiply (``batch_pow_mod``) in every field and each B - I
-ranked on its own by ``rref_array``. ``irreducible_power``
+ranked on its own by ``rref_array``. ``quadratic_free`` is the oracle of
+the quadratic stage of ``poly._sieve``: a root-free f has an irreducible
+quadratic factor exactly when gcd(f, x^(Q^2) - x) is nonconstant, one
+scalar ``pow_mod`` and ``gcd`` per candidate. ``irreducible_power``
 is the original distinct-degree sieve, each x^(Q^dh) mod g powered from x.
 ``trace_form``, ``startkey_search`` and ``find_decomposition`` are the
 original evidence scans: the trace form from one scalar q-power orbit per
@@ -392,6 +395,18 @@ def one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     diag = np.arange(1, d)
     M[:, diag - 1, diag] = _adder(field)(M[:, diag - 1, diag], field.neg_table[1])
     return np.array([rref_array(field, B.copy())[1] == d - 1 for B in M], dtype=bool)
+
+
+def quadratic_free(field: Field, cands: np.ndarray) -> np.ndarray:
+    """Which root-free monic candidates (rows of non-leading coefficients)
+    have no irreducible quadratic factor: gcd(f, x^(Q^2) - x), the product
+    of the distinct factors of degree 1 or 2, is constant."""
+    x = Polynomial.x(field)
+    out = []
+    for row in cands.tolist():
+        f = Polynomial(field, row + [1])
+        out.append(gcd(f, pow_mod(x, field.order**2, f) - x % f).degree == 0)
+    return np.array(out, dtype=bool)
 
 
 def find_irreducible(field: Field, degree: int, limit: int | None = None) -> Polynomial | None:

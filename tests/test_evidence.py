@@ -1,5 +1,6 @@
 """Tests for the trace-space decomposition machinery."""
 
+import functools
 import itertools
 import time
 
@@ -549,8 +550,8 @@ def test_first_witness_chunk_boundaries(monkeypatch, target):
     # falls over F_4/F_2 with residues of degree < 5 (10 F_2-digits), every
     # certificate finding its coset nonempty.  The ring (1023 candidates
     # past residue 0, 121 tuples) is certified; layers 0, 1 and 2 (3, 12
-    # and 48 candidates against 9, 25 and 49 tuples) are scanned, in chunks
-    # of 16 and 32; layer 3 has its first residue 64 tested alone before it
+    # and 48 candidates against 9, 25 and 49 tuples) are scanned, each in
+    # one chunk; layer 3 has its first residue 64 tested alone before it
     # is entered.  Residue 0 is never a witness and never scanned, so a
     # mark there is not found
     field = build_tower(2, 1, 2)
@@ -575,8 +576,8 @@ def test_first_witness_chunk_boundaries(monkeypatch, target):
     last = 1023 if not target else target
     seen = [i for chunk in chunks for i in chunk]
     assert seen == list(range(1, len(seen) + 1)) and last <= len(seen)
-    runs = [(1, 4), (4, 16), (16, 32), (32, 64), (64, 65)]
-    assert chunks[:5] == [list(range(lo, hi)) for lo, hi in runs if lo <= last]
+    runs = [(1, 4), (4, 16), (16, 64), (64, 65)]
+    assert chunks[:4] == [list(range(lo, hi)) for lo, hi in runs if lo <= last]
     assert certified[0] == (0, 10) and all(n < 10 for _, n in certified[1:])
 
 
@@ -647,6 +648,55 @@ def test_scans_raise_budget_exceeded_at_the_cap(monkeypatch):
         monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", charge)
         assert startkey_search(field, h, 1) == Polynomial.x(field)
         assert find_decomposition(field, h, 1)[1].candidate_index == field.order
+
+
+@pytest.mark.parametrize("target,found", [(20, True), (40, False)])
+def test_first_witness_unpaid_range_in_doubling_chunks(monkeypatch, target, found):
+    # as above, with a cap of 160: the ring's certificate and layers 0 and
+    # 1 are charged 121 + 3 + 12 = 136, so the 48 candidates of layer 2 are
+    # not paid for at once and are scanned in chunks of 16 and 32, as a
+    # scan from _FIRST_CHUNK would: a hit in the first chunk is found, and
+    # one past it is refused at index 32, where the second chunk's charge
+    # passes the cap
+    field = build_tower(2, 1, 2)
+    powers = field.order ** np.arange(5)
+    chunks = []
+
+    def norms(h, lam, block):
+        idx = block.astype(np.int64) @ powers
+        chunks.append((int(idx[0]), int(idx[-1]) + 1))
+        return (idx == target)[:, None] * np.eye(1, 5, dtype=np.int16)
+
+    monkeypatch.setattr(evidence, "_norms", norms)
+    monkeypatch.setattr(evidence, "_holds_witness", lambda *args: True)
+    monkeypatch.setattr(evidence, "WITNESS_SCAN_BUDGET", 160)
+    search = functools.partial(_first_witness, Polynomial.monomial(field, 5, 1), 1,
+                               np.ones(10, dtype=np.int16), "test")
+    if found:
+        assert search() == target
+    else:
+        with pytest.raises(BudgetExceeded, match="no witness below index 32 of 1024"):
+            search()
+    assert chunks == [(1, 4), (4, 16), (16, 32)]
+
+
+def test_long_scan_doubles_from_first_chunk(monkeypatch):
+    # over F_64/F_2 mod a quadratic the ring (4,095 candidates past residue
+    # 0, against 13^6 tuples) is scanned: a range over 4 * _FIRST_CHUNK
+    # starts at _FIRST_CHUNK and doubles, and its first witness, in the
+    # third chunk, ends it there
+    field = build_tower(2, 1, 6)
+    h = find_irreducible(field, 2)
+    sizes = []
+
+    def norms(h, lam, block):
+        sizes.append(len(block))
+        return _norms(h, lam, block)
+
+    monkeypatch.setattr(evidence, "_norms", norms)
+    lam = trace_zero_units(field)[0]
+    assert startkey_search(field, h, lam) == reference.startkey_search(field, h, lam)
+    assert sizes == [16, 32, 64]
 
 
 def test_ring_certified_empty_falsifies_without_a_scan(monkeypatch):

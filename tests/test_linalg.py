@@ -275,11 +275,13 @@ class TestMatmul:
         assert_same_array(linalg.matmul(field, A, B), reference_product(field, A, B))
 
     @pytest.mark.parametrize("field", [F2, F3, F7, F127, F1021], ids=lambda f: f"GF{f.order}")
-    @pytest.mark.parametrize("shape", [(5, 40, 3), (300, 4, 50)], ids=["inner", "outer"])
+    @pytest.mark.parametrize("shape", [(5, 40, 3), (300, 4, 50), (215, 1, 286), (3, 1, 1)],
+                             ids=["inner", "outer", "k1-wide", "k1-narrow"])
     def test_prime_field_product(self, field, shape):
         # a prime field takes the float64 product on the shapes that an
         # extension field sums by row chunks (the inner axis longest) and by
-        # outer products
+        # outer products; with k = 1 it takes the mul-table gather, through
+        # a row per field element (r > p) or one per row of A
         r, k, c = shape
         rng = np.random.default_rng(field.order)
         A = rng.integers(0, field.order, size=(r, k)).astype(np.int16)

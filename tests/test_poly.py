@@ -23,6 +23,7 @@ from wildgoppa.poly import (
     _fold_mod,
     _one_distinct_factor,
     _power_rows,
+    _QuadraticStage,
     _root_free,
     _xq_by_frobenius,
     batch_mul_mod,
@@ -43,7 +44,9 @@ F9 = build_tower(3, 1, 2)
 F16 = build_tower(2, 2, 2)
 
 # find_irreducible's answers on every tower of order <= 81 at degrees 1-6,
-# and on F_4 at degree 40, keyed "p,a,m,degree"
+# on F_4 at degree 40, on the Table 1 towers F_25, F_49, F_64 and F_81
+# (m = 2) at degree 7, and on every tower of order 128 or 256 at degrees 4
+# and 5, keyed "p,a,m,degree"
 IRREDUCIBLE_GOLDEN_PATH = Path(__file__).parent / "data" / "irreducible_golden.json"
 
 # every proper tower within the table cap, and the prime fields up to 7
@@ -56,6 +59,8 @@ TOWERS = sorted(
 REFERENCE_SCAN = 128
 # the towers on which is_irreducible is compared with Rabin's test
 SMALL_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 256]
+# the towers on which the quadratic stage is compared with its gcd oracle
+QUADRATIC_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 81]
 
 
 @functools.cache
@@ -421,6 +426,85 @@ class TestIrreducibility:
         g = find_irreducible(build_tower(*params), degree)
         assert g.degree == degree and reference.is_irreducible(g)
 
+    @staticmethod
+    def quadratic_cases(field, degree, rng):
+        """Monic polynomials of the degree: random ones, and h^2 and h h'
+        (times a root-free cofactor) and h times a root-free cofactor, for
+        irreducible quadratics h and h'."""
+        def monic(d):
+            return Polynomial(field, rng.integers(0, field.order, d).tolist() + [1])
+
+        def root_free(d):
+            while d:
+                f = monic(d)
+                if reference.root_free(field, np.array([f.coeffs[:-1]]))[0]:
+                    return f
+            return Polynomial.one(field)
+
+        cases = [monic(degree) for _ in range(12)]
+        for _ in range(4):
+            h = root_free(2)
+            if degree != 5:  # no root-free cofactor of degree 1
+                cases += [h * h * root_free(degree - 4), h * root_free(2) * root_free(degree - 4)]
+            cases.append(h * root_free(degree - 2))
+        return cases
+
+    @pytest.mark.parametrize("degree", [4, 5, 6, 7])
+    @pytest.mark.parametrize("tower", QUADRATIC_TOWERS)
+    def test_quadratic_stage_against_gcd(self, tower, degree):
+        """The quadratic stage drops exactly the root-free candidates with an
+        irreducible quadratic factor (a nonconstant gcd with x^(Q^2) - x):
+        on random rows, squares h^2 and products h h', in any order, and on
+        index-ordered rows across a run boundary, taken as two chunks through
+        one stage as a search takes them."""
+        field = build_tower(*tower)
+        order = field.order
+        rng = np.random.default_rng([order, degree])
+        cases = self.quadratic_cases(field, degree, rng)
+        rows = np.array([f.coeffs[:-1] for f in cases], dtype=np.int16)
+        keep = reference.root_free(field, rows)
+        assert keep[12:].all()  # the built cases are root-free
+        rows = rows[keep]
+        got = _QuadraticStage(field, degree).free(rows)
+        assert got.tolist() == reference.quadratic_free(field, rows).tolist()
+        assert not got[keep[:12].sum():].any()
+        start = max(order * order - 40, 0)
+        stage = _QuadraticStage(field, degree)
+        for lo, hi in [(0, 24), (24, 80)]:
+            block = _candidate_block(start + lo, hi - lo, order, degree)
+            block = block[reference.root_free(field, block)]
+            if len(block):  # the sieve passes no empty chunk to the stage
+                got = stage.free(block)
+                assert got.tolist() == reference.quadratic_free(field, block).tolist()
+        assert stage.high is not None
+
+    @pytest.mark.parametrize("tower", QUADRATIC_TOWERS)
+    def test_quadratic_route_against_berlekamp_route(self, tower, monkeypatch):
+        """At degrees 4 and 5 both routes of the sieve agree with Rabin's
+        test: the quadratic stage in place of the Berlekamp sieve and the
+        squarefree step, and the Berlekamp sieve with that step. Both
+        routes' searches return the same polynomial."""
+        field = build_tower(*tower)
+        rng = np.random.default_rng(field.order)
+        cases = [f.scale(int(rng.integers(1, field.order)))
+                 for d in (4, 5) for f in self.quadratic_cases(field, d, rng)]
+        cases += [searched_irreducible(field, d) for d in (4, 5)]
+        want = [reference.is_irreducible(f) for f in cases]
+
+        def fail(*args):
+            raise AssertionError("Berlekamp route taken")
+
+        answers = []
+        for cells in (lambda self, rows: 0, lambda self, rows: None):
+            with monkeypatch.context() as mp:
+                mp.setattr(_QuadraticStage, "cells", cells)
+                if not answers:  # the stage's route never reaches these
+                    mp.setattr(poly, "_one_distinct_factor", fail)
+                    mp.setattr(poly, "is_squarefree", fail)
+                assert [is_irreducible(f) for f in cases] == want
+                answers.append([find_irreducible(field, d) for d in (4, 5)])
+        assert answers[0] == answers[1] == cases[-2:]
+
     def test_candidate_block_exact_past_int64(self):
         """Blocks are exact where order**degree passes 2**63, and stop at
         the next multiple of order**k so that the high digits are shared."""
@@ -450,7 +534,7 @@ class TestIrreducibility:
         """The search order is frozen: every recorded search returns the
         same coefficients."""
         expected = json.loads(IRREDUCIBLE_GOLDEN_PATH.read_text())
-        assert len(expected) == 277
+        assert len(expected) == 293
         for key, coeffs in expected.items():
             p, a, m, d = map(int, key.split(","))
             assert list(find_irreducible(build_tower(p, a, m), d).coeffs) == coeffs, key
