@@ -45,8 +45,9 @@ F16 = build_tower(2, 2, 2)
 
 # find_irreducible's answers on every tower of order <= 81 at degrees 1-6,
 # on F_4 at degree 40, on the Table 1 towers F_25, F_49, F_64 and F_81
-# (m = 2) at degree 7, and on every tower of order 128 or 256 at degrees 4
-# and 5, keyed "p,a,m,degree"
+# (m = 2) at degree 7, on every tower of order 121 to 361 at degrees 4 and
+# 5, and on every tower of order above 81 at degrees 2 and 3, keyed
+# "p,a,m,degree"
 IRREDUCIBLE_GOLDEN_PATH = Path(__file__).parent / "data" / "irreducible_golden.json"
 
 # every proper tower within the table cap, and the prime fields up to 7
@@ -534,7 +535,7 @@ class TestIrreducibility:
         """The search order is frozen: every recorded search returns the
         same coefficients."""
         expected = json.loads(IRREDUCIBLE_GOLDEN_PATH.read_text())
-        assert len(expected) == 293
+        assert len(expected) == 401
         for key, coeffs in expected.items():
             p, a, m, d = map(int, key.split(","))
             assert list(find_irreducible(build_tower(p, a, m), d).coeffs) == coeffs, key
