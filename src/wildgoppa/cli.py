@@ -103,11 +103,9 @@ def _check_budget(args) -> None:
 
 
 def _report_dict(rep) -> dict:
-    """The one path from a report dataclass to JSON: its fields, without the
-    wall time (which would break byte-for-byte reproducibility) and with
+    """The one path from a report dataclass to JSON: its fields, with
     ``distinct_roots`` written as ``r``."""
     d = asdict(rep)
-    d.pop("elapsed", None)
     if "distinct_roots" in d:
         d["r"] = d.pop("distinct_roots")
     return d

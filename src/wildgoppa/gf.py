@@ -37,8 +37,9 @@ __all__ = [
 ORDER_CAP = 1024
 
 _TABLE_DTYPE = np.int16
-# Construction writes the order x order tables this many cells at a time.
-_TABLE_BLOCK_CELLS = 1 << 17
+# Cells one batched pass writes at a time: construction's blocks of table
+# rows here, and the candidate scans, products and enumerations built on it.
+_CHUNK_CELLS = 1 << 17
 
 
 def prime_factors(n: int) -> list[int]:
@@ -222,7 +223,7 @@ class Field:
         mul_t = np.empty((order, order), dtype=_TABLE_DTYPE)
         exp2 = np.concatenate([exp, exp])
         digs = digit_array(codes, p, a * m) if p > 2 else None
-        step = max(1, _TABLE_BLOCK_CELLS // order)
+        step = max(1, _CHUNK_CELLS // order)
         for lo in range(0, order, step):
             block = slice(lo, lo + step)
             if p == 2:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf import Field, FieldElement, digit_array, digits, mirror_row
+from .gf import _CHUNK_CELLS, Field, FieldElement, digit_array, digits, mirror_row
 
 __all__ = [
     "NEG_INF",
@@ -35,14 +35,14 @@ __all__ = [
 
 NEG_INF = float("-inf")
 
-# Table lookups one find_irreducible call may spend: _root_cells per chunk,
-# the quadratic stage's cells or _berlekamp_cells per root-sieve survivor
-# (per stage survivor when both run), and d^2 per squarefree confirmation;
-# one is_squarefree gcd may spend d^2 too. The largest searches the tests
-# make, degree 7 over F_243 and degree 6 over F_256, are charged 5.9e7 and
-# 3.4e7; F_4 at degree 40 9.1e6 and the quartics over F_256 8.3e6-9.3e6.
-# The largest in the benchmark workloads, F_64 and F_81 at degree 6, are
-# charged 2.7e6 and 1.5e6.
+# Table lookups one find_irreducible call may spend: each small-factor
+# stage's cells on the rows it is given (_SmallFactorStage.cells),
+# _berlekamp_cells per row the stages leave to the Berlekamp sieve, and d^2
+# per squarefree confirmation; one is_squarefree gcd may spend d^2 too. The
+# largest searches the tests make, degree 7 over F_243 and degree 6 over
+# F_256, are charged 5.9e7 and 3.4e7; F_4 at degree 40 9.1e6 and the
+# quartics over F_256 8.2e6-9.2e6. The largest in the benchmark workloads,
+# F_64 and F_81 at degree 6, are charged 2.7e6 and 1.5e6.
 IRREDUCIBLE_CELL_BUDGET = 10**8
 
 # Candidate scans (the sieve here, the witness scans of evidence) run in
@@ -50,7 +50,6 @@ IRREDUCIBLE_CELL_BUDGET = 10**8
 # stays within _CHUNK_CELLS, so the working arrays keep a fixed size; a
 # witness scan of up to 4 * _FIRST_CHUNK candidates is one chunk.
 _FIRST_CHUNK = 16
-_CHUNK_CELLS = 1 << 17
 
 _DT = np.int16
 
@@ -433,36 +432,6 @@ def _candidate_chunks(order: int, degree: int, start: int, stop: int, width: int
         size = min(2 * size, cap)
 
 
-def _run_starts(high: np.ndarray) -> np.ndarray:
-    """Which rows start a run: a row whose high part differs from the one
-    before it."""
-    starts = np.ones(len(high), dtype=bool)
-    starts[1:] = (high[1:] != high[:-1]).any(axis=1)
-    return starts
-
-
-def _root_free(field: Field, cands: np.ndarray) -> np.ndarray:
-    """Which monic candidates (rows of non-leading coefficients, degree
-    d >= 2) have no root in the field.
-
-    A candidate is c_0 + R(x), and it has a root exactly when -c_0 is a
-    value of R. R is evaluated at every element once per run of rows that
-    share (c_1, ..., c_(d-1)), in d - 1 array steps; candidates in index
-    order share it in runs of |F|. Each row is then one lookup.
-    """
-    add, mul = _adder(field), _lookup(field.mul_table)
-    starts = _run_starts(cands[:, 1:])
-    runs = cands[starts, 1:]
-    xs = np.arange(field.order, dtype=_DT)
-    # Horner from the leading 1: R = (((x + c_(d-1)) x + ...) + c_1) x
-    acc = np.broadcast_to(xs, (len(runs), xs.size))
-    for k in range(runs.shape[1] - 1, -1, -1):
-        acc = mul(add(acc, runs[:, k : k + 1]), xs)
-    values = np.zeros(acc.shape, dtype=bool)
-    values[np.arange(len(runs))[:, None], acc] = True
-    return ~values[np.cumsum(starts) - 1, field.neg_table[cands[:, 0]]]
-
-
 def _batch_rank(field: Field, M: np.ndarray) -> np.ndarray:
     """Ranks of the N matrices in an (N, r, c) array, by a row echelon
     elimination of all of them at once; M is overwritten."""
@@ -547,115 +516,146 @@ def _one_distinct_factor(field: Field, moduli: np.ndarray) -> np.ndarray:
     return _batch_rank(field, M) == d - 1
 
 
-@functools.lru_cache(maxsize=16)
-def _irreducible_quadratics(field: Field) -> np.ndarray:
-    """(2, H) codes: -h_0 and -h_1 for the H = |F|(|F| - 1)/2 monic
-    irreducible quadratics x^2 + h_1 x + h_0, the root sieve's survivors
-    among the |F|^2 monic quadratics. Cached per field and read-only."""
-    quads = _candidate_block(0, field.order**2, field.order, 2)
-    neg = field.neg_table[quads[_root_free(field, quads)].T]
+@functools.lru_cache(maxsize=32)
+def _irreducibles(field: Field, k: int) -> np.ndarray:
+    """(k, H) codes: minus the non-leading coefficients, low degree first,
+    of the H monic irreducibles h of degree k in {1, 2}. At k = 1 they are
+    the elements a, for h = x - a; at k = 2 the |F|(|F| - 1)/2 monic
+    quadratics without a root. Cached per field and read-only."""
+    if k == 1:
+        neg = np.arange(field.order, dtype=_DT)[None]
+    else:
+        quads = _candidate_block(0, field.order**2, field.order, 2)
+        neg = field.neg_table[quads[_SmallFactorStage(field, 2, 1).free(quads)].T]
     neg.setflags(write=False)
     return neg
 
 
-class _QuadraticStage:
-    """Which monic candidates of one degree d >= 4 (rows of non-leading
-    coefficients) have no monic irreducible quadratic factor, for the
-    chunks of one search.
+def _joined(parts, order: int) -> np.ndarray:
+    """sum_i parts[i] order^i, for code arrays of one shape."""
+    out = parts[-1]
+    for part in parts[-2::-1]:
+        out = np.multiply(out, order, dtype=np.intp) + part
+    return out
 
-    The candidates that share (c_2, ..., c_(d-1)) form runs of |F|^2 rows
-    in index order, and in a run each irreducible quadratic h divides
-    exactly one candidate: the one whose c_0 + c_1 x is minus
-    x^d + sum_(i>=2) c_i x^i mod h. So one pass over the quadratics
-    (:func:`_irreducible_quadratics`), 2(d - 2) lookups each, marks every
-    row of a run that has such a factor. The last run's marks are kept,
-    since a search's next chunk starts in it.
+
+class _SmallFactorStage:
+    """Which monic candidates of one degree d > k (rows of non-leading
+    coefficients) have no monic irreducible factor of degree k, for k = 1
+    (a root) or k = 2, over the chunks of one search: the small-degree end
+    of distinct-degree factorisation.
+
+    The candidates that share (c_k, ..., c_(d-1)) form runs of |F|^k rows
+    in index order, and in a run each monic irreducible h of degree k
+    divides exactly one candidate: the one whose c_0 + ... + c_(k-1) x^(k-1)
+    is minus x^d + sum_(i>=k) c_i x^i mod h. So one pass over the
+    irreducibles (:func:`_irreducibles`), k(d - k) products each, marks
+    every row of a run that has such a factor. The last run's marks are
+    kept, since a search's next chunk starts in it.
     """
 
-    def __init__(self, field: Field, degree: int):
-        self.field, self.degree = field, degree
-        self.powers = None  # x^j mod h, j = 2 .. d, formed on first use
+    def __init__(self, field: Field, degree: int, k: int):
+        self.field, self.degree, self.k = field, degree, k
+        self.powers = None  # x^j mod h, j = k .. d, formed on first use
         self.high = self.marks = None  # the last run marked
+        self.runs = None  # the rows last given, with their runs
 
     def _runs(self, rows: np.ndarray):
-        starts = _run_starts(rows[:, 2:])
-        high = rows[starts, 2:]
-        return starts, high, self.high is not None and bool((high[0] == self.high).all())
+        """Which rows start a run, the runs' shared high parts, and whether
+        the first run is the last one marked; found once per array."""
+        if self.runs is None or self.runs[0] is not rows:
+            high = rows[:, self.k :]
+            starts = np.ones(len(rows), dtype=bool)
+            starts[1:] = (high[1:] != high[:-1]).any(axis=1)
+            high = high[starts]
+            known = self.high is not None and bool((high[0] == self.high).all())
+            self.runs = rows, starts, high, known
+        return self.runs[1:]
 
     def cells(self, rows: np.ndarray) -> int | None:
-        """Table lookups to mark ``rows``: unless formed, the quadratics'
-        root sieve (2|F|^2) and powers (3 per quadratic and power), then
-        2(d - 2) per quadratic in each new run and one per row. None when
-        the runs' marks would exceed _CHUNK_CELLS."""
-        square, d = self.field.order**2, self.degree
+        """Table lookups to mark ``rows``: unless formed, the irreducibles
+        (at k = 2 a root pass over the |F|^2 quadratics, 2|F|^2) and their
+        powers (2k - 1 per irreducible and power, about |F|^k / k
+        irreducibles), then (d - k)|F|^k per new run and one per row. None
+        when the runs' marks would exceed _CHUNK_CELLS."""
+        k, d, size = self.k, self.degree, self.field.order**self.k
         _, high, known = self._runs(rows)
-        if len(high) * square > _CHUNK_CELLS:
+        if len(high) * size > _CHUNK_CELLS:
             return None
-        fetch = 0 if self.powers is not None else (3 * d - 2) * square // 2
-        return fetch + (len(high) - known) * (d - 2) * square + len(rows)
+        cells = (len(high) - known) * (d - k) * size + len(rows)
+        if self.powers is None:
+            cells += ((2 * k - 1) * (d - k) + 2 * k * (k - 1)) * size // k
+        return cells
 
     def free(self, rows: np.ndarray) -> np.ndarray:
-        """Which rows have no monic irreducible quadratic factor."""
-        field, d, order = self.field, self.degree, self.field.order
-        add, mul, neg = _adder(field), _lookup(field.mul_table), field.neg_table
-        if self.powers is None:  # x (a + b x) = -b h_0 + (a - b h_1) x
-            nh0, nh1 = _irreducible_quadratics(field)
-            self.powers = [(nh0, nh1)]
-            for _ in range(d - 2):
-                a, b = self.powers[-1]
-                self.powers.append((mul(b, nh0), add(a, mul(b, nh1))))
+        """Which rows have no monic irreducible factor of degree k."""
+        field, d, k, order = self.field, self.degree, self.k, self.field.order
+        add, mul = _adder(field), _lookup(field.mul_table)
+        if self.powers is None:  # x (a_0 + ... + a_(k-1) x^(k-1)) mod h
+            neg_h = _irreducibles(field, k)
+            self.powers = [tuple(neg_h)]
+            for _ in range(d - k):
+                *low, top = self.powers[-1]
+                shifted = [mul(top, c) for c in neg_h]
+                self.powers.append((shifted[0], *map(add, low, shifted[1:])))
         starts, high, known = self._runs(rows)
-        marks = np.zeros((len(high), order * order), dtype=bool)
+        self.runs = None
+        marks = np.zeros((len(high), order**k), dtype=bool)
         if known:
             marks[0] = self.marks
         if len(high) > known:
-            lo, hi = self.powers[d - 2]  # x^d mod h
-            for i in range(d - 2):  # + c_(i+2) x^(i+2) mod h
-                c, (a, b) = high[known:, i : i + 1], self.powers[i]
-                lo, hi = add(lo, mul(c, a)), add(hi, mul(c, b))
-            cols = np.multiply(neg[hi], order, dtype=np.intp) + neg[lo]
+            acc = self.powers[d - k]  # x^d mod h
+            for i in range(k, d):  # + c_i x^i mod h
+                c = high[known:, i - k : i - k + 1]
+                acc = [add(s, mul(c, t)) for s, t in zip(acc, self.powers[i - k])]
+            cols = _joined([field.neg_table[s] for s in acc], order)
             marks[np.arange(known, len(high))[:, None], cols] = True
         self.high, self.marks = high[-1], marks[-1]
-        cols = np.multiply(rows[:, 1], order, dtype=np.intp) + rows[:, 0]
-        return ~marks[np.cumsum(starts) - 1, cols]
+        return ~marks[np.cumsum(starts) - 1, _joined(rows[:, :k].T, order)]
+
+
+def _stages(field: Field, degree: int) -> list[_SmallFactorStage]:
+    """The small-factor stages of a search of this degree, kept over its
+    chunks: k = 1 from degree 2 and k = 2 from degree 4."""
+    return [_SmallFactorStage(field, degree, k) for k in (1, 2) if 2 * k <= degree]
 
 
 def _sieve(field: Field, rows: np.ndarray, charge=None,
-           quadratics: _QuadraticStage | None = None) -> tuple[np.ndarray, bool]:
+           stages: list[_SmallFactorStage] | None = None) -> tuple[np.ndarray, bool]:
     """Indices of the monic candidates (rows of non-leading coefficients,
-    degree d) that survive the root sieve (d >= 2) and, from degree 4, the
-    quadratic stage and the Berlekamp sieve (:func:`_one_distinct_factor`),
+    degree d) that survive the small-factor stages (:func:`_stages`, kept
+    over the chunks of a search, or new ones) and, where those do not prove
+    them irreducible, the Berlekamp sieve (:func:`_one_distinct_factor`),
     and whether those survivors are proven irreducible.
 
-    Each drop proves reducibility. A survivor of degree 2 or 3 is
-    irreducible, and so is one of degree 4 or 5 with no irreducible
-    quadratic factor: a reducible f of such a degree has a factor of
-    degree 1 or 2. The quadratic stage (``quadratics``, kept over the
-    chunks of a search, or a new one) runs on the root sieve's survivors
-    when it costs fewer lookups than the Berlekamp sieve on them and its
-    marks fit in _CHUNK_CELLS; at degrees 4 and 5 it then replaces the
-    Berlekamp sieve. A survivor of the Berlekamp sieve is h^s for an
-    irreducible h. ``charge``, when given, is called with each stage's
-    lookups before it runs.
+    Each drop proves reducibility. The stage at k = 1 drops the candidates
+    with a root, and the one at k = 2 those with an irreducible quadratic
+    factor; it runs on the survivors at k = 1 when its marks fit in
+    _CHUNK_CELLS and it costs fewer lookups than the Berlekamp sieve on
+    them. A survivor of the stages up to k is irreducible when d < 2(k + 1),
+    since a reducible f has a factor of degree at most d / 2, so degrees 2
+    and 3 end at k = 1 and degrees 4 and 5 at k = 2. A survivor of the
+    Berlekamp sieve is h^s for an irreducible h. ``charge``, when given, is
+    called with each step's lookups before it runs.
     """
     degree = rows.shape[1]
     keep = np.arange(len(rows))
-    if degree >= 2:
-        keep = keep[_root_free(field, rows)]
-    if degree < 4 or not keep.size:
+    if degree < 2:
         return keep, True
-    if quadratics is None:
-        quadratics = _QuadraticStage(field, degree)
+    if stages is None:
+        stages = _stages(field, degree)
+    charge = charge or (lambda cells: None)
     berlekamp = _berlekamp_cells(field, degree)
-    cells = quadratics.cells(rows[keep])
-    if cells is not None and cells < keep.size * berlekamp:
-        if charge is not None:
-            charge(cells)
-        keep = keep[quadratics.free(rows[keep])]
-        if degree <= 5 or not keep.size:
+    for stage in stages:
+        part = rows[keep]
+        cells = stage.cells(part)
+        if stage.k == 2 and (cells is None or cells >= keep.size * berlekamp):
+            break
+        charge(cells)
+        keep = keep[stage.free(part)]
+        if degree < 2 * stage.k + 2 or not keep.size:
             return keep, True
-    if charge is not None:
-        charge(keep.size * berlekamp)
+    charge(keep.size * berlekamp)
     return keep[_one_distinct_factor(field, rows[keep])], False
 
 
@@ -675,18 +675,9 @@ def is_irreducible(f: Polynomial) -> bool:
     return keep.size == 1 and (proven or is_squarefree(fm))
 
 
-def _root_cells(field: Field, degree: int, start: int, count: int) -> int:
-    """Table lookups of the root sieve on the candidates start ..
-    start + count - 1 in index order: d - 1 steps over the field per shared
-    high part and one lookup per candidate."""
-    order = field.order
-    groups = (start + count - 1) // order - start // order + 1
-    return groups * order * (degree - 1) + count
-
-
 def _berlekamp_cells(field: Field, degree: int) -> int:
     """Table lookups of the Berlekamp sieve on one candidate of degree
-    d >= 4: x^Q (:func:`_xq_by_frobenius`), d - 2 products of about 4d^2
+    d >= 2: x^Q (:func:`_xq_by_frobenius`), d - 2 products of about 4d^2
     for B and about 2d^3 for its rank."""
     xq = _xq_by_frobenius(field.p, field.a * field.m, degree)[1]
     return xq + 4 * degree * degree * (degree - 2) + 2 * degree**3
@@ -697,19 +688,18 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
     order (non-leading coefficient vector read as a base-|F| integer).
 
     Candidates are scanned in that order, in chunks, each through
-    :func:`_sieve`, which keeps one quadratic stage over the search. The
-    first survivor the sieve proves irreducible is the answer; otherwise
-    the survivors are powers h^s of one irreducible, and the first that
-    :func:`is_squarefree` confirms is the answer. Each drop proves
-    reducibility, so this finds the same polynomial as testing every
+    :func:`_sieve`, which keeps the small-factor stages over the search.
+    The first survivor the sieve proves irreducible is the answer;
+    otherwise the survivors are powers h^s of one irreducible, and the
+    first that :func:`is_squarefree` confirms is the answer. Each drop
+    proves reducibility, so this finds the same polynomial as testing every
     candidate.
 
-    Each chunk's root sieve is charged before it runs, the quadratic stage
-    and the Berlekamp sieve on the survivors they are given, and each
-    confirmation d^2 lookups before it runs; BudgetExceeded is raised as
-    soon as the lookups charged pass IRREDUCIBLE_CELL_BUDGET. A search
-    whose first root sieve is over budget, or in which one candidate's
-    Berlekamp sieve alone would be, is refused before any work.
+    Each step of the sieve is charged its lookups before it runs, and each
+    confirmation d^2; BudgetExceeded is raised as soon as the lookups
+    charged pass IRREDUCIBLE_CELL_BUDGET. A search whose first chunk's
+    stage at k = 1 is over budget, or in which one candidate's Berlekamp
+    sieve alone would be, is refused before any work.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -729,10 +719,9 @@ def find_irreducible(field: Field, degree: int) -> Polynomial:
 
     if degree >= 4 and _berlekamp_cells(field, degree) > IRREDUCIBLE_CELL_BUDGET:
         charge(_berlekamp_cells(field, degree))
-    quadratics = _QuadraticStage(field, degree)
-    for start, cands in _candidate_chunks(order, degree, 0, total, max(order, degree * degree)):
-        charge(_root_cells(field, degree, start, len(cands)))
-        keep, proven = _sieve(field, cands, charge, quadratics)
+    stages = _stages(field, degree)
+    for _, cands in _candidate_chunks(order, degree, 0, total, max(order, degree * degree)):
+        keep, proven = _sieve(field, cands, charge, stages)
         for i in keep.tolist():
             cand = Polynomial._raw(field, cands[i].tolist() + [1])
             if proven:

@@ -26,12 +26,13 @@ polynomial evaluated by Horner's rule at every support point and traced.
 on the powers x^(Q^k) mod f, and ``find_irreducible`` the original
 irreducible search: that test on every candidate in index order, with no
 sieve and no budget. ``count_distinct_roots`` is the original root count,
-deg gcd(g, x^Q - x). ``root_free`` is the original root sieve of
-``poly._sieve``: Horner's rule at every element, for every candidate.
+deg gcd(g, x^Q - x). ``root_free`` is the original root sieve, the oracle
+of the small-factor stage at k = 1 of ``poly._sieve``: Horner's rule at
+every element, for every candidate.
 ``one_distinct_factor`` is the original Berlekamp sieve, with x^Q mod f by
 square and multiply (``batch_pow_mod``) in every field and each B - I
 ranked on its own by ``rref_array``. ``quadratic_free`` is the oracle of
-the quadratic stage of ``poly._sieve``: a root-free f has an irreducible
+the stage at k = 2: a root-free f has an irreducible
 quadratic factor exactly when gcd(f, x^(Q^2) - x) is nonconstant, one
 scalar ``pow_mod`` and ``gcd`` per candidate. ``irreducible_power``
 is the original distinct-degree sieve, each x^(Q^dh) mod g powered from x.

@@ -23,8 +23,7 @@ from wildgoppa.poly import (
     _fold_mod,
     _one_distinct_factor,
     _power_rows,
-    _QuadraticStage,
-    _root_free,
+    _SmallFactorStage,
     _xq_by_frobenius,
     batch_mul_mod,
     batch_pow_mod,
@@ -60,7 +59,7 @@ TOWERS = sorted(
 REFERENCE_SCAN = 128
 # the towers on which is_irreducible is compared with Rabin's test
 SMALL_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 256]
-# the towers on which the quadratic stage is compared with its gcd oracle
+# the towers on which the small-factor stages are compared with their oracles
 QUADRATIC_TOWERS = [t for t in TOWERS if t[0] ** (t[1] * t[2]) <= 81]
 
 
@@ -335,7 +334,7 @@ class TestIrreducibility:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_root_free_matches_horner(self, data):
-        """The root sieve, one evaluation per run of a shared high part,
+        """The stage at k = 1, one pass per run of a shared high part,
         agrees with Horner's rule at every element for every row, on rows in
         any order: runs, high parts repeated apart, shuffled, a single row."""
         field = build_tower(*data.draw(st.sampled_from(SMALL_TOWERS)))
@@ -350,7 +349,7 @@ class TestIrreducibility:
         cands = np.array([[c0] + highs[h] for h, c0 in picks], dtype=np.int16)
         if data.draw(st.booleans()):
             cands = cands[data.draw(st.permutations(range(len(cands))))]
-        got = _root_free(field, cands)
+        got = _SmallFactorStage(field, d, 1).free(cands)
         assert got.tolist() == reference.root_free(field, cands).tolist()
 
     @pytest.mark.parametrize("field,d", [(F4, 2), (F9, 3), (F16, 4), (build_tower(7, 1, 2), 2)])
@@ -360,8 +359,8 @@ class TestIrreducibility:
         total = min(field.order**d, 4096)
         cands = np.array([digits(i, field.order, d) for i in range(total)], dtype=np.int16)
         want = reference.root_free(field, cands)
-        assert _root_free(field, cands).tolist() == want.tolist()
-        assert _root_free(field, cands[3:-5]).tolist() == want[3:-5].tolist()
+        assert _SmallFactorStage(field, d, 1).free(cands).tolist() == want.tolist()
+        assert _SmallFactorStage(field, d, 1).free(cands[3:-5]).tolist() == want[3:-5].tolist()
 
     @pytest.mark.parametrize("params,d,by_maps", [
         ((2, 1, 2), 4, True), ((2, 4, 2), 5, True), ((3, 2, 2), 6, True),
@@ -423,7 +422,7 @@ class TestIrreducibility:
     @pytest.mark.parametrize("params,degree", [((2, 4, 2), 6), ((3, 1, 5), 7)])
     def test_berlekamp_charged_on_root_survivors(self, params, degree):
         """Degree 6 over F_256 and degree 7 over F_243 fit the budget: the
-        Berlekamp sieve is charged only on the root sieve's survivors."""
+        Berlekamp sieve is charged only on the survivors at k = 1."""
         g = find_irreducible(build_tower(*params), degree)
         assert g.degree == degree and reference.is_irreducible(g)
 
@@ -453,11 +452,13 @@ class TestIrreducibility:
     @pytest.mark.parametrize("degree", [4, 5, 6, 7])
     @pytest.mark.parametrize("tower", QUADRATIC_TOWERS)
     def test_quadratic_stage_against_gcd(self, tower, degree):
-        """The quadratic stage drops exactly the root-free candidates with an
+        """The stage at k = 2 drops exactly the root-free candidates with an
         irreducible quadratic factor (a nonconstant gcd with x^(Q^2) - x):
         on random rows, squares h^2 and products h h', in any order, and on
         index-ordered rows across a run boundary, taken as two chunks through
-        one stage as a search takes them."""
+        one stage as a search takes them. So does the stage at k = 1 with
+        the candidates that have a root, on index-ordered rows split inside
+        a run of |F| after 16 rows."""
         field = build_tower(*tower)
         order = field.order
         rng = np.random.default_rng([order, degree])
@@ -466,11 +467,11 @@ class TestIrreducibility:
         keep = reference.root_free(field, rows)
         assert keep[12:].all()  # the built cases are root-free
         rows = rows[keep]
-        got = _QuadraticStage(field, degree).free(rows)
+        got = _SmallFactorStage(field, degree, 2).free(rows)
         assert got.tolist() == reference.quadratic_free(field, rows).tolist()
         assert not got[keep[:12].sum():].any()
         start = max(order * order - 40, 0)
-        stage = _QuadraticStage(field, degree)
+        stage = _SmallFactorStage(field, degree, 2)
         for lo, hi in [(0, 24), (24, 80)]:
             block = _candidate_block(start + lo, hi - lo, order, degree)
             block = block[reference.root_free(field, block)]
@@ -478,13 +479,18 @@ class TestIrreducibility:
                 got = stage.free(block)
                 assert got.tolist() == reference.quadratic_free(field, block).tolist()
         assert stage.high is not None
+        block = _candidate_block((1 - 16) % order, 16 + 2 * order, order, degree)
+        stage = _SmallFactorStage(field, degree, 1)
+        got = [stage.free(chunk) for chunk in (block[:16], block[16:]) if len(chunk)]
+        assert np.concatenate(got).tolist() == reference.root_free(field, block).tolist()
 
     @pytest.mark.parametrize("tower", QUADRATIC_TOWERS)
     def test_quadratic_route_against_berlekamp_route(self, tower, monkeypatch):
         """At degrees 4 and 5 both routes of the sieve agree with Rabin's
-        test: the quadratic stage in place of the Berlekamp sieve and the
+        test: the stage at k = 2 in place of the Berlekamp sieve and the
         squarefree step, and the Berlekamp sieve with that step. Both
-        routes' searches return the same polynomial."""
+        routes' searches return the same polynomial. Only the stage at k = 2
+        is forced to run or not; the one at k = 1 is charged as usual."""
         field = build_tower(*tower)
         rng = np.random.default_rng(field.order)
         cases = [f.scale(int(rng.integers(1, field.order)))
@@ -495,10 +501,14 @@ class TestIrreducibility:
         def fail(*args):
             raise AssertionError("Berlekamp route taken")
 
+        real = _SmallFactorStage.cells
         answers = []
-        for cells in (lambda self, rows: 0, lambda self, rows: None):
+        for forced in (0, None):
+            def cells(self, rows, forced=forced):
+                return real(self, rows) if self.k == 1 else forced
+
             with monkeypatch.context() as mp:
-                mp.setattr(_QuadraticStage, "cells", cells)
+                mp.setattr(_SmallFactorStage, "cells", cells)
                 if not answers:  # the stage's route never reaches these
                     mp.setattr(poly, "_one_distinct_factor", fail)
                     mp.setattr(poly, "is_squarefree", fail)
