@@ -558,19 +558,19 @@ class _SmallFactorStage:
         self.field, self.degree, self.k = field, degree, k
         self.powers = None  # x^j mod h, j = k .. d, formed on first use
         self.high = self.marks = None  # the last run marked
-        self.runs = None  # the rows last given, with their runs
+        self.chunk = None  # the rows last given, with their runs
 
     def _runs(self, rows: np.ndarray):
         """Which rows start a run, the runs' shared high parts, and whether
         the first run is the last one marked; found once per array."""
-        if self.runs is None or self.runs[0] is not rows:
+        if self.chunk is None or self.chunk[0] is not rows:
             high = rows[:, self.k :]
             starts = np.ones(len(rows), dtype=bool)
             starts[1:] = (high[1:] != high[:-1]).any(axis=1)
             high = high[starts]
             known = self.high is not None and bool((high[0] == self.high).all())
-            self.runs = rows, starts, high, known
-        return self.runs[1:]
+            self.chunk = rows, starts, high, known
+        return self.chunk[1:]
 
     def cells(self, rows: np.ndarray) -> int | None:
         """Table lookups to mark ``rows``: unless formed, the irreducibles
@@ -591,7 +591,9 @@ class _SmallFactorStage:
         """Which rows have no monic irreducible factor of degree k."""
         field, d, k, order = self.field, self.degree, self.k, self.field.order
         add, mul = _adder(field), _lookup(field.mul_table)
-        if self.powers is None:  # x (a_0 + ... + a_(k-1) x^(k-1)) mod h
+        if self.powers is None:
+            # x (a_0 + ... + a_(k-1) x^(k-1)) = sum_i (a_(i-1) - a_(k-1) h_i) x^i
+            # mod h, with a_(-1) = 0
             neg_h = _irreducibles(field, k)
             self.powers = [tuple(neg_h)]
             for _ in range(d - k):
@@ -599,7 +601,7 @@ class _SmallFactorStage:
                 shifted = [mul(top, c) for c in neg_h]
                 self.powers.append((shifted[0], *map(add, low, shifted[1:])))
         starts, high, known = self._runs(rows)
-        self.runs = None
+        self.chunk = None
         marks = np.zeros((len(high), order**k), dtype=bool)
         if known:
             marks[0] = self.marks
@@ -647,16 +649,16 @@ def _sieve(field: Field, rows: np.ndarray, charge=None,
     charge = charge or (lambda cells: None)
     berlekamp = _berlekamp_cells(field, degree)
     for stage in stages:
-        part = rows[keep]
-        cells = stage.cells(part)
+        cells = stage.cells(rows)
         if stage.k == 2 and (cells is None or cells >= keep.size * berlekamp):
             break
         charge(cells)
-        keep = keep[stage.free(part)]
+        free = stage.free(rows)
+        keep, rows = keep[free], rows[free]
         if degree < 2 * stage.k + 2 or not keep.size:
             return keep, True
     charge(keep.size * berlekamp)
-    return keep[_one_distinct_factor(field, rows[keep])], False
+    return keep[_one_distinct_factor(field, rows)], False
 
 
 def is_irreducible(f: Polynomial) -> bool:
