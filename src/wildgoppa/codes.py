@@ -3,11 +3,11 @@
 A :class:`LinearCode` is fixed by its canonical generator, the reduced row
 echelon form of any generator matrix: two codes are equal exactly when
 their canonical generators are identical arrays over equal fields. It
-keeps that generator as a pair (K, T): K is in RREF over the first w
-columns with no zero row, and the generator is [K | K T], T of shape
-w x (n - w). A code built from rows has T of width 0, so K is the
-generator; an alternant code keeps its Cauchy systematic form, and the
-product K T is formed, once, only when ``generator`` is read.
+keeps that generator as a pair (K, T), [K | K T] with T of shape
+w x (n - w): K, in RREF over the first w columns with no zero row, is a
+``linalg.KernelBasis``, its lead columns and its redundancy block W on
+the others (Roth-Seroussi 1985). T has width 0 for a code built from rows.
+[K | K T] is formed, once, only when ``generator`` is read.
 
 Every code the verifiers compare is an alternant code, the F_q-kernel of
 the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
@@ -15,10 +15,10 @@ the rows v_i a_i^l (l < d) over F_(q^m) (MacWilliams-Sloane, ch. 12), and
 rows (Roth-Seroussi 1985), one elimination over F_q of (m - 1) d rows.
 ``restrict_alternant`` cuts such a code down by s more rows v'_i a_i^l
 without starting over: one elimination over F_q of the m s digit rows of
-those rows times the code's generator, two products formed from the pair
-without K T. ``subfield_kernel`` is the general F_q-kernel of any parity
-matrix, by expanding it over F_q (``expand_over_subfield``, which also
-gives the alternant rows their digits). Every matrix product here is
+those rows times the code's generator, two products formed from T and W.
+``subfield_kernel`` is the general F_q-kernel of any parity matrix, by
+expanding it over F_q (``expand_over_subfield``, which also gives the
+alternant rows their digits). Every matrix product here is
 ``linalg.matmul``.
 
 The minimum distance routine is exact and budgeted: it returns the exact
@@ -59,36 +59,30 @@ class LinearCode:
 
     __slots__ = ("field", "n", "k", "_K", "_T", "_generator")
 
-    def __init__(self, field: Field, n: int, rows=None, *, _canonical=None, _tail=None):
+    def __init__(self, field: Field, n: int, rows=None, *, _K=None, _T=None):
         if n < 1:
             raise ValueError("code length must be >= 1")
         self.field = field
         self.n = n
-        if _canonical is not None:
-            G = _canonical
-        else:
-            if rows is None:
-                rows = np.zeros((0, n), dtype=np.int16)
-            M = MatrixGF(field, rows)
+        if _K is None:
+            M = MatrixGF(field, np.zeros((0, n), dtype=np.int16) if rows is None else rows)
             if M.ncols not in (n, 0):
                 raise ValueError(f"rows have length {M.ncols}, expected {n}")
-            if M.nrows == 0:
-                G = np.zeros((0, n), dtype=np.int16)
-            else:
-                res = linalg.rref(M)
-                G = res.matrix.array[: res.rank]
-        G = G.astype(np.int16, copy=False)
-        G.setflags(write=False)
-        self._K = G
-        self._T = np.zeros((n, 0), dtype=np.int16) if _tail is None else _tail
-        self._generator = G if _tail is None else None
-        self.k = int(G.shape[0])
+            res = linalg.rref(M) if M.nrows else linalg.RrefResult(M, 0, ())
+            lead = np.array(res.pivots, dtype=np.intp)
+            rest = np.delete(np.arange(n), lead)
+            _K = linalg.KernelBasis(lead, rest, res.matrix.array[: res.rank].reshape(-1, n)[:, rest])
+        self._K = _K
+        self._T = np.zeros((n, 0), dtype=np.int16) if _T is None else _T
+        self._generator = None
+        self.k = _K.nrows
 
     @property
     def generator(self) -> np.ndarray:
         """The canonical generator [K | K T], formed on the first read."""
         if self._generator is None:
-            G = np.hstack([self._K, _rref_times(self.field, self._K, self._T)])
+            K, T = self._K, self._T
+            G = np.hstack([K.array, _rref_times(self.field, K, T)]) if T.shape[1] else K.array
             G.setflags(write=False)
             self._generator = G
         return self._generator
@@ -187,8 +181,7 @@ def subfield_kernel(field: Field, H: np.ndarray) -> LinearCode:
     if n == 0:
         raise ValueError("parity matrix must have at least one column")
     expanded = expand_over_subfield(field, H)
-    K = linalg.kernel(MatrixGF(field.subfield, expanded))
-    return LinearCode(field.subfield, n, _canonical=K.array)
+    return LinearCode(field.subfield, n, _K=linalg.kernel(MatrixGF(field.subfield, expanded)))
 
 
 def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
@@ -219,9 +212,8 @@ def alternant_kernel(field: Field, points, mult, count: int) -> LinearCode:
     lpy = lyx.sum(axis=1, dtype=np.int32) + lv[: n - d]
     lpx = log[field.add_table[x[:, None], neg_x]].sum(axis=1, dtype=np.int32) + lv[n - d:]
     A = expand_over_subfield(field, exp[(lpy[None, :] - lpx[:, None] - lyx.T) % n1])
-    K = linalg.kernel(MatrixGF._wrap(sub, A[d:])).array
-    T = np.ascontiguousarray(sub.neg_table[A[:d]].T)
-    return LinearCode(sub, n, _canonical=K, _tail=T)
+    K = linalg.kernel(MatrixGF._wrap(sub, A[d:]))
+    return LinearCode(sub, n, _K=K, _T=np.ascontiguousarray(sub.neg_table[A[:d]].T))
 
 
 def restrict_alternant(code: LinearCode, field: Field, points, mult, count: int) -> LinearCode:
@@ -230,43 +222,33 @@ def restrict_alternant(code: LinearCode, field: Field, points, mult, count: int)
 
     With (K, T) the code's pair, Y its first w points and X the rest, a
     word x [K | K T] lies in the subcode exactly when M x = 0 for
-    M = (E_Y + E_X T^T) K^T over F_(q^m), so the subcode is the pair
-    (N K, T) for N the kernel of M's digit rows; N K is in RREF, as N is and
-    K is the identity on its pivots. When M = 0 the code itself is
-    returned. The generator is never read.
+    M = EY K^T = EY_lead + EY_rest W^T, EY = E_Y + E_X T^T, so the subcode
+    is the pair (N K, T), N the kernel of M's digit rows and N K formed on
+    the blocks, in RREF as N is and K is the identity on its lead columns.
+    When M = 0 the code itself is returned. The generator is never read.
     """
     K, T, k, n = code._K, code._T, code.k, code.n
-    w = K.shape[1]
+    w = K.ncols
     # EY = E_Y + E_X T^T, count x w x (n - w) lookups, then
-    # M = EY_P + EY_rest K_rest^T, P the pivots of K, count x k x (w - k) more
+    # M = EY_lead + EY_rest W^T, count x k x (w - k) more
     linalg.charge_cells(count * (w * (n - w) + k * (w - k)),
                         f"restricting a {k} x {n} code by {count} rows")
     L, add, mul = np.asarray(points, dtype=np.int64), _adder(field), field.mul_table
     E = np.broadcast_to(np.asarray(mult, dtype=np.int16), (count, n)).copy()
     for l in range(1, count):
         E[l] = mul[E[l - 1], L]
-    lead, rest = _split_columns(K)
     EY = add(E[:, :w], linalg.matmul(field, E[:, w:], T.T))
-    M = add(EY[:, lead], linalg.matmul(field, EY[:, rest], K[:, rest].T))
+    M = add(EY[:, K.free], linalg.matmul(field, EY[:, K.pivots], K.block.T))
     if not M.any():
         return code
     sub = field.subfield
-    N = linalg.kernel(MatrixGF._wrap(sub, expand_over_subfield(field, M))).array
-    return LinearCode(sub, n, _canonical=_rref_times(sub, N, K), _tail=T)
+    N = linalg.kernel(MatrixGF._wrap(sub, expand_over_subfield(field, M)))
+    # N K: the identity at K.free[N.free], N's block at K.free[N.pivots], N W at K.pivots
+    NK = linalg.KernelBasis(K.free[N.free], np.concatenate([K.free[N.pivots], K.pivots]),
+                            np.hstack([N.block, _rref_times(sub, N, K.block)]))
+    return LinearCode(sub, n, _K=NK, _T=T)
 
 
-def _split_columns(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pivot column of each row of R, in RREF with no zero row, and the
-    mask of R's other nonzero columns."""
-    lead = (R != 0).argmax(axis=1)
-    rest = R.any(axis=0)
-    rest[lead] = False
-    return lead, rest
-
-
-def _rref_times(field: Field, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """R Y over the field, for R in RREF with no zero row: R is the identity
-    on its pivot columns, so R Y is Y's pivot rows plus the product of R's
-    other columns with the rest of Y."""
-    lead, rest = _split_columns(R)
-    return _adder(field)(Y[lead], linalg.matmul(field, R[:, rest], Y[rest]))
+def _rref_times(field: Field, R: linalg.KernelBasis, Y: np.ndarray) -> np.ndarray:
+    """R Y over the field: Y at R's free rows plus R's block times Y at its pivots."""
+    return _adder(field)(Y[R.free], linalg.matmul(field, R.block, Y[R.pivots]))

@@ -12,7 +12,9 @@ from the right (the RREF of the column-reversed matrix). Each pivot row is
 then zero to the right of its pivot, so the null-space vector for a free
 column f is nonzero only at f and at pivot columns to the right of f. The
 rows for the free columns, in increasing order, are therefore already the
-canonical RREF of the null space, with no second elimination.
+canonical RREF of the null space, with no second elimination. ``kernel``
+keeps them as a ``KernelBasis``, the negated pivot rows as the block on the
+pivot columns; the identity on the free columns is written only on read.
 
 Every elimination (``rref``, ``rank``, ``kernel``, ``LinearCode``) runs
 through ``_rref_array``, which charges rows x cols x min(rows, cols) cells,
@@ -44,6 +46,7 @@ from .poly import _CHUNK_CELLS, _adder, _lookup
 
 __all__ = [
     "MatrixGF",
+    "KernelBasis",
     "RrefResult",
     "rref",
     "rank",
@@ -129,6 +132,24 @@ class MatrixGF:
 
     def __repr__(self) -> str:
         return f"MatrixGF({self.nrows}x{self.ncols} over GF({self.field.order}))"
+
+
+@dataclass(frozen=True, eq=False)
+class KernelBasis:
+    """Rows, the identity on the increasing ``free`` and ``block`` on ``pivots``."""
+
+    free: np.ndarray
+    pivots: np.ndarray
+    block: np.ndarray
+    nrows = property(lambda self: self.free.size)
+    ncols = property(lambda self: self.free.size + self.pivots.size)
+
+    @property
+    def array(self) -> np.ndarray:
+        B = np.zeros((self.nrows, self.ncols), dtype=_DT)
+        B[np.arange(self.nrows), self.free] = 1
+        B[:, self.pivots] = self.block
+        return B
 
 
 @dataclass(frozen=True)
@@ -249,20 +270,17 @@ def rank(M: MatrixGF) -> int:
     return rref(M).rank
 
 
-def kernel(M: MatrixGF) -> MatrixGF:
-    """Canonical (RREF) basis of the right null space, as rows.
+def kernel(M: MatrixGF) -> KernelBasis:
+    """Canonical (RREF) basis of the right null space, as a KernelBasis.
 
     For a matrix with no rows the kernel is the whole ambient space.
     """
-    field = M.field
-    W, rk, rpiv = _rref_array(field, M.array[:, ::-1].astype(_DT))
+    W, rk, rpiv = _rref_array(M.field, M.array[:, ::-1].astype(_DT))
     n = W.shape[1]
-    piv = [n - 1 - c for c in rpiv]
-    free = np.delete(np.arange(n), piv)
-    B = np.zeros((free.size, n), dtype=_DT)
-    B[np.arange(free.size), free] = 1
-    B[:, piv] = field.neg_table[W[:rk, ::-1][:, free]].T
-    return MatrixGF._wrap(field, B)
+    pivots = n - 1 - np.array(rpiv[::-1], dtype=np.intp)
+    free = np.delete(np.arange(n), pivots)
+    block = M.field.neg_table[W[:rk][::-1, n - 1 - free]].T
+    return KernelBasis(free, pivots, np.ascontiguousarray(block, dtype=_DT))
 
 
 def matmul(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:

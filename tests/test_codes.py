@@ -15,6 +15,7 @@ from wildgoppa.codes import (
     LinearCode, alternant_kernel, expand_over_subfield, restrict_alternant, subfield_kernel,
 )
 from wildgoppa.gf import build_tower
+from wildgoppa.linalg import MatrixGF
 from wildgoppa.poly import _CHUNK_CELLS
 
 F2 = build_tower(2, 1, 1)
@@ -275,6 +276,77 @@ class TestRestrictAlternant:
         monkeypatch.setattr(linalg_mod, "kernel", forbidden)
         extra = value_powers(field, spec.goppa_values, -5)
         assert restrict_alternant(code, field, spec.support, extra, 2) is code
+
+
+def reference_generator(field, rows) -> np.ndarray:
+    """The canonical generator of the F_q-kernel of parity rows over
+    F_(q^m): the two-elimination kernel of their digit rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    digits = np.vstack([rows // field.q**j % field.q for j in range(field.m)])
+    return reference.kernel(MatrixGF(field.subfield, digits)).array
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_compact_codes_against_reference_generator(data):
+    # a code keeps K's lead columns, block and tail; the generator formed
+    # from them has the bytes and hash of the code of the reference rows
+    field = build_tower(*data.draw(st.sampled_from(ALTERNANT_TOWERS)))
+    n = data.draw(st.integers(3, field.order))
+    points = data.draw(st.permutations(range(field.order)))[:n]
+    unit = st.integers(1, field.order - 1)
+    mults = st.one_of(unit, st.lists(unit, min_size=n, max_size=n))
+    mult, count = data.draw(mults), data.draw(st.integers(1, n - 2))
+    rows = reference.vandermonde_rows(field, points, mult, count)
+    how = data.draw(st.sampled_from(["alternant", "restricted", "subfield"]))
+    if how == "alternant":
+        got = alternant_kernel(field, points, mult, count)
+    elif how == "restricted":
+        code = alternant_kernel(field, points, mult, count)
+        extra = reference.vandermonde_rows(field, points, data.draw(mults), 1)
+        got = restrict_alternant(code, field, points, extra[0], 1)
+        assume(got is not code)  # M != 0: the subcode is composed on the blocks
+        rows = np.vstack([rows, extra])
+    else:
+        rows = data.draw(st.lists(st.lists(st.integers(0, field.order - 1), min_size=n,
+                                           max_size=n), min_size=1, max_size=4))
+        got = subfield_kernel(field, rows)
+    want = reference_generator(field, rows)
+    code = LinearCode(field.subfield, n, rows=want)
+    assert got.k == code.k == want.shape[0]
+    assert got.generator.tobytes() == code.generator.tobytes() == want.tobytes()
+    assert hash(got) == hash(code)
+
+
+def _held_bytes(code: LinearCode) -> int:
+    """Bytes of the arrays a code holds, the field's tables aside, counting
+    each array's whole base."""
+    total = 0
+    for name in LinearCode.__slots__:
+        value = getattr(code, name)
+        if name != "field":
+            for a in vars(value).values() if hasattr(value, "__dict__") else [value]:
+                while isinstance(a, np.ndarray) and isinstance(a.base, np.ndarray):
+                    a = a.base
+                total += a.nbytes if isinstance(a, np.ndarray) else 0
+    return total
+
+
+def test_wild_code_holds_its_block_not_its_basis():
+    # the code of g^32, g a rootless cubic over F_1024/F_32 on the full
+    # support, as in the verify_f1024 benchmark: 841 x 1024 with K of width
+    # 928, whose basis in full (1.56 MB) is never written before the
+    # generator is read
+    from wildgoppa.goppa import GoppaSpec, full_support, goppa_power_codes
+    from wildgoppa.poly import find_irreducible
+
+    field = build_tower(2, 5, 2)
+    spec = GoppaSpec(field, full_support(field), find_irreducible(field, 3))
+    code, = goppa_power_codes(spec, (32,))
+    assert (code.n, code.k) == (1024, 841)
+    assert _held_bytes(code) < 500_000
+    G = code.generator
+    assert G.shape == (841, 1024) and _held_bytes(code) > G.nbytes
 
 
 class TestIntersectContains:

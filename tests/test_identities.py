@@ -87,27 +87,27 @@ class TestTheorem1:
 
     def test_rootless_forms_no_generator(self, monkeypatch):
         # the identity reads dims and compares a code with itself, so the
-        # product K T of the alternant code is formed only once its
-        # generator is read, and then once
-        import wildgoppa.codes as codes_mod
+        # alternant code's basis K in full, the left block of its generator,
+        # is written only once its generator is read, and then once
+        import wildgoppa.linalg as linalg_mod
 
         field = build_tower(2, 4, 2)   # F_256 / F_16, e = 16
         g = find_irreducible(field, 3)
-        real, calls = codes_mod._rref_times, []
+        real, calls = linalg_mod.KernelBasis.array, []
 
-        def forbidden(*args):
-            raise AssertionError("K T formed")
+        def forbidden(basis):
+            raise AssertionError("generator formed")
 
-        monkeypatch.setattr(codes_mod, "_rref_times", forbidden)
+        monkeypatch.setattr(linalg_mod.KernelBasis, "array", property(forbidden))
         rep = verify_theorem1(field, full_support(field), g)
         k = closed_form(16, 2, 3)
         assert rep.dims == (k, k) and rep.equal == (True,)
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(basis):
+            calls.append(basis)
+            return real.fget(basis)
 
-        monkeypatch.setattr(codes_mod, "_rref_times", counted)
+        monkeypatch.setattr(linalg_mod.KernelBasis, "array", property(counted))
         spec = GoppaSpec(field, full_support(field), g)
         low, high = goppa_power_codes(spec, (16, 17))
         assert high is low and not calls

@@ -175,13 +175,13 @@ class TestKernel:
     @given(matrix_strategy(F9, 3, 4))
     @settings(max_examples=40, deadline=None)
     def test_kernel_is_canonical(self, M):
-        K = kernel(M)
-        res = rref(K)
-        assert np.array_equal(res.matrix.array[: res.rank], K.array)
+        K = kernel(M).array
+        res = rref(MatrixGF(F9, K))
+        assert np.array_equal(res.matrix.array[: res.rank], K)
 
     def test_kernel_exhaustive_small(self):
         M = MatrixGF(F2, [[1, 1, 1, 0], [0, 0, 1, 1]])
-        K = kernel(M)
+        K = MatrixGF(F2, kernel(M).array)
         brute = {
             v
             for v in itertools.product(range(2), repeat=4)
@@ -322,7 +322,7 @@ def test_large_elimination_is_fast():
 ENTRY_POINTS = {
     "rref": rref,
     "rank": rank,
-    "kernel": kernel,
+    "kernel": lambda M: MatrixGF(M.field, kernel(M).array),
     "LinearCode": lambda M: LinearCode(M.field, M.ncols, M.array),
 }
 
@@ -452,7 +452,7 @@ class TestAgainstReference:
             stack = MatrixGF(field, np.vstack(blocks[:depth]))
             K = kernel(stack)
             assert_same_array(K.array, reference.kernel(stack).array)
-            code = LinearCode(field, stack.ncols, _canonical=K.array)
+            code = LinearCode(field, stack.ncols, _K=K)
             assert previous is None or previous.contains(code)
             previous = code
 
@@ -467,6 +467,56 @@ class TestAgainstReference:
         assert_same_array(W, W_ref)
         wide = MatrixGF(field, M.array[:20].T)
         assert_same_array(kernel(wide).array, reference.kernel(wide).array)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A matrix over a tower of order <= 256: tall, wide, with no rows, of
+    full rank, or of a rank below both its dimensions."""
+    field = build_tower(*draw(st.sampled_from(SMALL_TOWERS)))
+    kind = draw(st.sampled_from(["tall", "wide", "no_rows", "full_rank", "deficient"]))
+    ncols = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "no_rows":
+        return MatrixGF(field, np.zeros((0, ncols), dtype=np.int16))
+    if kind == "tall":
+        nrows = ncols + draw(st.integers(1, 8))
+    elif kind == "wide":
+        nrows = draw(st.integers(1, max(1, ncols - 1)))
+    else:
+        nrows = draw(st.integers(1, ncols))
+    A = rng.integers(0, field.order, size=(nrows, ncols))
+    if kind == "full_rank":
+        # a staircase of nonzero leading entries, rows shuffled
+        leads = sorted(rng.choice(ncols, size=nrows, replace=False))
+        for i, c in enumerate(leads):
+            A[i, :c] = 0
+            A[i, c] = rng.integers(1, field.order)
+        A = A[rng.permutation(nrows)]
+    elif kind == "deficient":
+        # combinations of fewer rows than either dimension
+        r = draw(st.integers(0, min(nrows, ncols) - 1))
+        coeffs = MatrixGF(field, rng.integers(0, field.order, size=(nrows, r)))
+        basis = MatrixGF(field, A[:r])
+        A = reference.matmul(coeffs, basis).array if r else np.zeros_like(A)
+    return MatrixGF(field, A)
+
+
+@given(M=kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_against_two_eliminations(M):
+    # the canonical basis of two eliminations, formed on read, and the
+    # free columns, pivots and block that are all the kernel keeps
+    want = reference.kernel(M).array
+    K = kernel(M)
+    assert_same_array(K.array, want)
+    assert (K.nrows, K.ncols) == want.shape
+    assert np.array_equal(np.sort(np.concatenate([K.free, K.pivots])), np.arange(M.ncols))
+    rebuilt = np.zeros_like(want)
+    rebuilt[np.arange(K.nrows), K.free] = 1
+    rebuilt[:, K.pivots] = K.block
+    assert_same_array(rebuilt, want)
+    assert K.block.shape == (K.nrows, M.ncols - K.nrows)
 
 
 @pytest.mark.parametrize("field", [F127, F131], ids=lambda f: f"GF{f.order}")
