@@ -9,7 +9,7 @@ for the underlying trace-space decompositions.
 from __future__ import annotations
 
 from .errors import BudgetExceeded, FalsificationError
-from .gf import Field, FieldElement, build_tower
+from .gf import Field, build_tower
 from .poly import (
     Polynomial,
     count_distinct_roots,
@@ -79,7 +79,6 @@ __all__ = [
     "BudgetExceeded",
     "FalsificationError",
     "Field",
-    "FieldElement",
     "build_tower",
     "Polynomial",
     "count_distinct_roots",

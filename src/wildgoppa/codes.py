@@ -64,6 +64,7 @@ class LinearCode:
             raise ValueError("code length must be >= 1")
         self.field = field
         self.n = n
+        self._generator = None
         if _K is None:
             M = MatrixGF(field, np.zeros((0, n), dtype=np.int16) if rows is None else rows)
             if M.ncols not in (n, 0):
@@ -71,10 +72,11 @@ class LinearCode:
             res = linalg.rref(M) if M.nrows else linalg.RrefResult(M, 0, ())
             lead = np.array(res.pivots, dtype=np.intp)
             rest = np.delete(np.arange(n), lead)
-            _K = linalg.KernelBasis(lead, rest, res.matrix.array[: res.rank].reshape(-1, n)[:, rest])
+            # the read-only RREF rows are the generator already
+            self._generator = res.matrix.array[: res.rank].reshape(-1, n)
+            _K = linalg.KernelBasis(lead, rest, self._generator[:, rest])
         self._K = _K
         self._T = np.zeros((n, 0), dtype=np.int16) if _T is None else _T
-        self._generator = None
         self.k = _K.nrows
 
     @property

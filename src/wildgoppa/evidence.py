@@ -49,7 +49,7 @@ import numpy as np
 
 from .codes import LinearCode, alternant_kernel
 from .errors import BudgetExceeded, FalsificationError
-from .gf import Field, FieldElement, digit_array, digits
+from .gf import Field, digit_array, digits, element_code
 from .linalg import MatrixGF, charge_elimination, kernel, matmul, rank
 from .poly import (
     _FIRST_CHUNK,
@@ -119,7 +119,8 @@ def tau(field: Field, support: Sequence[int], f: Polynomial) -> np.ndarray:
 
 
 def mu_generators(field: Field, t: int) -> list:
-    """Images mu(z^j x^l) = (z^j x^l)^q - z^j x^l for j < m, l < t.
+    """Images mu(z^j x^l) = (z^j x^l)^q - z^j x^l for j < m, l < t, where
+    z^j has code q^j.
 
     These span the image of a -> a^q - a on F_{q^m}[x]_{<t} because mu is
     q-semilinear in the coefficient and multiplicative pieces split.
@@ -128,7 +129,7 @@ def mu_generators(field: Field, t: int) -> list:
         raise ValueError(f"t must be >= 1, got {t}")
     gens = []
     for j in range(field.m):
-        zj = (field.gen**j).code
+        zj = field.q**j
         zj_q = int(field.frobenius_table[zj])
         for l in range(t):
             gens.append(Polynomial.monomial(field, field.q * l, zj_q)
@@ -177,16 +178,11 @@ def _require_irreducible(h: Polynomial) -> None:
         raise ValueError("modulus must be irreducible over the top field")
 
 
-def _require_trace_zero_unit(field: Field, lam: FieldElement) -> FieldElement:
-    if isinstance(lam, int):
-        if not 0 <= lam < field.order:
-            raise ValueError(f"lambda code {lam} out of range for F_{field.order}")
-        lam = field.element(lam)
-    if lam.field != field:
-        raise ValueError("lambda must live in the top field")
-    if lam.code == 0:
+def _require_trace_zero_unit(field: Field, lam: int) -> int:
+    lam = element_code(field, lam, "lambda code", f"F_{field.order}")
+    if lam == 0:
         raise ValueError("lambda must be nonzero")
-    if int(field.trace_table[lam.code]) != 0:
+    if int(field.trace_table[lam]) != 0:
         raise ValueError("lambda must have trace zero")
     return lam
 
@@ -293,9 +289,10 @@ def _norms(h: Polynomial, lam: int, block: np.ndarray) -> np.ndarray:
 
 def _pairing(h: Polynomial, form: np.ndarray) -> np.ndarray:
     """P[s, s'] = form(e_s e_s') on the basis e_s = z^i x^l, s = l m + i, of
-    F[x]/(h), h monic: form(u w) = flat(u) P flat(w), F_q-bilinear."""
+    F[x]/(h), h monic, m >= 2: form(u w) = flat(u) P flat(w), F_q-bilinear.
+    z has code q, and its powers z^u, u < 2m - 1, come from exp and log."""
     field, m, r = h.field, h.field.m, int(h.degree)
-    z = [(field.gen**u).code for u in range(2 * m - 1)]
+    z = field._exp[np.arange(2 * m - 1) * int(field._log[field.q]) % (field.order - 1)]
     xs = _fold_mod(field, np.eye(2 * r - 1, dtype=np.int16), np.array([h.coeffs[:-1]]))
     vals = _trace(form, field.subfield, _flatten_codes(field, field.mul_table[z][:, xs]))
     l, i = np.divmod(np.arange(m * r), m)
@@ -462,7 +459,7 @@ def verify_K_properties(field: Field, g: Polynomial) -> KReport:
     )
 
 
-def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
+def startkey_search(field: Field, h: Polynomial, lam: int) -> Polynomial:
     """First residue alpha mod h whose twisted norm has nonzero trace.
 
     h must be irreducible of degree r >= 2 over the top field and lam a
@@ -482,11 +479,11 @@ def startkey_search(field: Field, h: Polynomial, lam) -> Polynomial:
         raise ValueError(
             "witness search needs degree >= 2; degree 1 cannot succeed"
         )
-    idx = _first_witness(h, lam.code, _trace_form(h), "startkey search")
+    idx = _first_witness(h, lam, _trace_form(h), "startkey search")
     if idx is None:
         raise FalsificationError(
             f"no witness in a ring of size {field.order**r} for q={field.q} m={field.m} "
-            f"r={r} lambda={lam.code}"
+            f"r={r} lambda={lam}"
         )
     return Polynomial(field, digits(idx, field.order, r))
 
@@ -508,7 +505,7 @@ class DecompositionReport:
     tau_vanishes: bool
 
 
-def find_decomposition(field: Field, g: Polynomial, lam):
+def find_decomposition(field: Field, g: Polynomial, lam: int):
     """Search the witness a making K, lam*a^(e+1), g*F[x]_{<et} a direct sum.
 
     g must be a rootless power of an irreducible; candidates a run over
@@ -535,14 +532,14 @@ def find_decomposition(field: Field, g: Polynomial, lam):
     t = int(g.degree)
     D = field.norm_exponent * t
 
-    idx = _first_witness(g, lam.code, psi, "decomposition search")
+    idx = _first_witness(g, lam, psi, "decomposition search")
     if idx is None:
         raise FalsificationError(
             f"no decomposition witness among {field.order**t} candidates for "
-            f"q={field.q} m={field.m} t={t} lambda={lam.code}"
+            f"q={field.q} m={field.m} t={t} lambda={lam}"
         )
     a = Polynomial(field, digits(idx, field.order, t))
-    w = Polynomial.constant(field, lam.code) * a**field.norm_exponent
+    w = Polynomial.constant(field, lam) * a**field.norm_exponent
     tr = int(_trace(_trace_form(h), field.subfield, flatten_poly(w % h, r)))
     if tr == 0:
         raise FalsificationError(
@@ -554,7 +551,7 @@ def find_decomposition(field: Field, g: Polynomial, lam):
             f"tau does not vanish on the witness; candidate index {idx}"
         )
     report = DecompositionReport(
-        q=field.q, m=field.m, t=t, lam=lam.code,
+        q=field.q, m=field.m, t=t, lam=lam,
         ambient_dim=field.m * D, dim_K=K.k, dim_gF=field.m * D - 1 - K.k,
         candidate_index=idx, witness_coeffs=tuple(a.coeffs),
         ring_trace=tr, tau_vanishes=True,

@@ -9,7 +9,8 @@ an element of F_(p^a) with power-basis coordinates (c_0, ..., c_(a-1)) over
 F_p is encoded as sum(c_i * p^i), and an element of the top field with
 coordinates (e_0, ..., e_(m-1)) over F_q is encoded as sum(enc(e_j) * q^j).
 The overall encoding is therefore positional base p, and addition is
-digitwise.
+digitwise. There is no element type: :func:`element_code` checks a code
+passed in as an argument.
 
 Construction works in batched passes over K (see :class:`Field`);
 afterwards all arithmetic goes through full lookup tables (numpy arrays),
@@ -27,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "Field",
-    "FieldElement",
     "build_tower",
     "ORDER_CAP",
 ]
@@ -323,94 +323,6 @@ class Field:
         """(order - 1)/(q - 1): x -> x**norm_exponent is the norm to F_q."""
         return (self.order - 1) // (self.q - 1)
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.order:
-            raise ValueError(f"code {code} out of range for {self!r}")
-        return FieldElement(self, code)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """Class of the variable of the top modulus (code q); for m == 1 the
-        class of the level-1 variable (code p)."""
-        if self.m > 1:
-            return FieldElement(self, self.q)
-        return FieldElement(self, self.p if self.a > 1 else 1)
-
-
-class FieldElement:
-    """An element of a :class:`Field`, identified by its integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
-            raise ValueError(f"cannot combine {self!r} with {other!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field._add_py[self.code][other.code])
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        f = self.field
-        return FieldElement(f, f._add_py[self.code][f._neg_py[other.code]])
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._neg_py[self.code])
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field._mul_py[self.code][other.code])
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        if other.code == 0:
-            raise ZeroDivisionError("division by the zero element")
-        f = self.field
-        return FieldElement(f, f._mul_py[self.code][f._inv_py[other.code]])
-
-    def __pow__(self, e: int) -> "FieldElement":
-        f = self.field
-        if self.code == 0:
-            if e < 0:
-                raise ZeroDivisionError("zero has no inverse")
-            return f.one if e == 0 else f.zero
-        k = int(f._log[self.code]) * e % (f.order - 1)
-        return FieldElement(f, int(f._exp[k]))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.code == self.code
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.params, self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __int__(self) -> int:
-        return self.code
-
-    def __repr__(self) -> str:
-        return f"<{self.code} in GF({self.field.order})>"
-
 
 @functools.lru_cache(maxsize=None)
 def build_tower(p: int, a: int, m: int) -> Field:
@@ -420,3 +332,15 @@ def build_tower(p: int, a: int, m: int) -> Field:
     parameters, so a cache-bypassing rebuild still compares equal.
     """
     return Field(p, a, m)
+
+
+def element_code(field: Field, c, what: str, where: str = "") -> int:
+    """c as a code of ``field``: ValueError unless it is an int or numpy
+    integer with 0 <= c < order. ``what`` names the argument in the message,
+    and ``where`` the field (its repr when empty)."""
+    if not isinstance(c, (int, np.integer)):
+        raise ValueError(f"{what} {c!r} is not an integer")
+    code = int(c)
+    if not 0 <= code < field.order:
+        raise ValueError(f"{what} {code} out of range for {where or repr(field)}")
+    return code

@@ -38,7 +38,7 @@ import numpy as np
 
 from .codes import LinearCode, alternant_kernel, restrict_alternant, subfield_kernel
 from .errors import BudgetExceeded
-from .gf import Field, FieldElement
+from .gf import Field, element_code
 from .poly import _DT, NEG_INF, Polynomial, _adder, _fold_mod, _lookup, parse_poly_spec
 
 __all__ = [
@@ -69,17 +69,7 @@ def require_power_degree(name: str, degree: int) -> None:
 def support_codes(field: Field, support: Sequence) -> tuple[int, ...]:
     """Normalise a support to a tuple of element codes, validating range and
     distinctness."""
-    codes = []
-    for s in support:
-        if isinstance(s, FieldElement):
-            if s.field != field:
-                raise ValueError(f"support point {s!r} not in {field!r}")
-            codes.append(s.code)
-        else:
-            c = int(s)
-            if not 0 <= c < field.order:
-                raise ValueError(f"support code {c} out of range for {field!r}")
-            codes.append(c)
+    codes = [element_code(field, s, "support code") for s in support]
     if len(set(codes)) != len(codes):
         raise ValueError("support points must be distinct")
     if not codes:
@@ -94,9 +84,7 @@ def full_support(field: Field) -> tuple[int, ...]:
 
 def punctured_support(field: Field, removed: Iterable) -> tuple[int, ...]:
     """The full support minus the given elements, in encoding order."""
-    gone = set()
-    for r in removed:
-        gone.add(r.code if isinstance(r, FieldElement) else int(r))
+    gone = {element_code(field, r, "removed code") for r in removed}
     return tuple(c for c in range(field.order) if c not in gone)
 
 
@@ -243,9 +231,6 @@ def parse_support_spec(field: Field, text: str) -> tuple[int, ...]:
             removed = [int(tok) for tok in body.split(",") if tok != ""]
         except ValueError:
             raise ValueError(f"bad removal list in {text!r}") from None
-        for r in removed:
-            if not 0 <= r < field.order:
-                raise ValueError(f"removed code {r} out of range for {field!r}")
         return punctured_support(field, removed)
     try:
         codes = [int(tok) for tok in text.split(",")]

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf import Field, FieldElement
+from .gf import Field
 from .poly import _CHUNK_CELLS, _adder, _lookup
 
 __all__ = [
@@ -69,10 +69,10 @@ ELIMINATION_CELL_BUDGET = 1_500_000_000
 
 def _as_array(field: Field, rows) -> np.ndarray:
     arr = np.asarray(rows)
-    # a cast would truncate a float and parse a string; ints past int64 and
-    # FieldElements arrive as objects
+    # a cast would truncate a float and parse a string; ints past int64
+    # arrive as objects
     if arr.size and arr.dtype.kind not in "iub" and not (arr.dtype.kind == "O" and all(
-            isinstance(x, (int, np.integer, FieldElement)) for x in arr.flat)):
+            isinstance(x, (int, np.integer)) for x in arr.flat)):
         raise ValueError(f"matrix entries must be integer codes, got {arr.dtype} entries")
     try:
         arr = arr.astype(np.int64)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf import _CHUNK_CELLS, Field, FieldElement, digit_array, digits, mirror_row
+from .gf import _CHUNK_CELLS, Field, digit_array, digits, element_code, mirror_row
 
 __all__ = [
     "NEG_INF",
@@ -54,24 +54,13 @@ _FIRST_CHUNK = 16
 _DT = np.int16
 
 
-def _as_code(field: Field, c) -> int:
-    if isinstance(c, FieldElement):
-        if c.field != field:
-            raise ValueError(f"coefficient {c!r} not in {field!r}")
-        return c.code
-    code = int(c)
-    if not 0 <= code < field.order:
-        raise ValueError(f"coefficient code {code} out of range for {field!r}")
-    return code
-
-
 class Polynomial:
     """A polynomial over a :class:`Field`, coefficients low degree first."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
-        cs = [_as_code(field, c) for c in coeffs]
+        cs = [element_code(field, c, "coefficient code") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -101,11 +90,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field: Field, c) -> "Polynomial":
-        return cls._raw(field, [_as_code(field, c)])
+        return cls._raw(field, [element_code(field, c, "coefficient code")])
 
     @classmethod
     def monomial(cls, field: Field, degree: int, c=1) -> "Polynomial":
-        code = _as_code(field, c)
+        code = element_code(field, c, "coefficient code")
         if code == 0:
             return cls.zero(field)
         return cls._raw(field, [0] * degree + [code])
@@ -120,10 +109,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -179,9 +164,7 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, FieldElement):
-            return self.scale(other)
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -199,7 +182,7 @@ class Polynomial:
         return Polynomial._raw(self.field, out)
 
     def scale(self, c) -> "Polynomial":
-        code = _as_code(self.field, c)
+        code = element_code(self.field, c, "coefficient code")
         mrow = mirror_row(self.field._mul_py, code)
         return Polynomial._raw(self.field, [mrow[ci] for ci in self.coeffs])
 
@@ -249,9 +232,6 @@ class Polynomial:
                 r.pop()
         return Polynomial._raw(f, q), Polynomial._raw(f, r)
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
@@ -260,7 +240,7 @@ class Polynomial:
             raise ValueError("zero polynomial cannot be made monic")
         if self.coeffs[-1] == 1:
             return self
-        return self.scale(self.field.element(self.field._inv_py[self.coeffs[-1]]))
+        return self.scale(self.field._inv_py[self.coeffs[-1]])
 
     def derivative(self) -> "Polynomial":
         f = self.field

@@ -65,11 +65,11 @@ products, and the add and mul tables formed as int64 order x order arrays.
 ``shorten``, ``subfield_subcode`` and ``trace_code`` are the original code
 constructions, each a row space or a kernel eliminated in full, and
 ``grs_pair`` the original generalised Reed-Solomon pair C, D = C^perp.
-The scalar element API that the library no longer carries lives here too:
-``elements`` and ``embed`` of a field; ``inverse``, ``coordinates``,
-``in_subfield``, ``frobenius``, ``trace`` and ``norm`` of one element, each
-read from the tables; ``leading_coefficient`` and ``evaluate`` (Horner's
-rule at one point) of a polynomial; ``ext_gcd``, the extended Euclidean
+The scalar element API that the library no longer carries lives here too,
+on integer codes: ``elements`` and ``embed`` of a field; ``inverse``,
+``coordinates``, ``in_subfield``, ``frobenius``, ``trace`` and ``norm`` of
+one element of a field, each read from the tables; ``leading_coefficient``
+and ``evaluate`` (Horner's rule at one point) of a polynomial; ``ext_gcd``, the extended Euclidean
 algorithm; and ``ring_mul``, ``ring_pow`` and ``ring_inv``, the product,
 power and inverse of residues mod a monic modulus h, each reduced mod h.
 The residue helpers take h itself: a residue mod h is a ``Polynomial`` of
@@ -91,11 +91,11 @@ from wildgoppa.evidence import (
     WITNESS_SCAN_BUDGET, DecompositionReport, _flatten_codes, _ring_basis,
     _ring_frobenius, _trace, build_K, tau,
 )
-from wildgoppa.gf import Field, FieldElement, build_tower, digit_array, digits, prime_factors
+from wildgoppa.gf import Field, build_tower, digit_array, digits, element_code, prime_factors
 from wildgoppa.goppa import GoppaSpec, full_support, support_codes
 from wildgoppa.linalg import MatrixGF, rank, rref
 from wildgoppa.poly import (
-    NEG_INF, Polynomial, _adder, _as_code, _candidate_block, _lookup,
+    NEG_INF, Polynomial, _adder, _candidate_block, _lookup,
     batch_mul_mod, batch_pow_mod, find_irreducible as searched_irreducible, gcd,
     pow_mod,
 )
@@ -306,7 +306,7 @@ def tau_span_dims(field: Field, support, g: Polynomial) -> tuple[int, int]:
         rows = []
         for l in range(count):
             for j in range(field.m):
-                f = mult * Polynomial.monomial(field, l, (field.gen**j).code)
+                f = mult * Polynomial.monomial(field, l, field.q**j)
                 rows.append(field.trace_table[f.evaluate_codes(pts)])
         if not rows:
             return 0
@@ -433,7 +433,7 @@ def trace_form(h: Polynomial) -> np.ndarray:
     form = np.zeros(steps, dtype=_DT)
     for l in range(r):
         for j in range(m):
-            acc = cur = Polynomial.monomial(field, l, (field.gen**j).code)
+            acc = cur = Polynomial.monomial(field, l, field.q**j)
             for _ in range(steps - 1):
                 cur = ring_pow(h, cur, q)
                 acc = acc + cur
@@ -466,7 +466,7 @@ def multiples_of(g: Polynomial, count: int) -> list:
     for l in range(count):
         shifted = g * Polynomial.monomial(field, l)
         for j in range(field.m):
-            out.append(shifted.scale((field.gen**j).code))
+            out.append(shifted.scale(field.q**j))
     return out
 
 
@@ -788,7 +788,7 @@ def trace_code(code: LinearCode) -> LinearCode:
     if field.m < 2:
         raise ValueError("trace code needs a proper tower (m >= 2)")
     rows = code.generator.astype(np.int64)
-    blocks = [field.trace_table[field.mul_table[(field.gen**l).code, rows]]
+    blocks = [field.trace_table[field.mul_table[field.q**l, rows]]
               for l in range(field.m)]
     return LinearCode(field.subfield, code.n, np.vstack(blocks))
 
@@ -884,73 +884,66 @@ def tower_tables(p: int, a: int, m: int) -> dict[str, object]:
 # -- the scalar element and residue API, one element at a time ---------------
 
 
-def elements(field: Field):
-    for c in range(field.order):
-        yield FieldElement(field, c)
+def elements(field: Field) -> range:
+    return range(field.order)
 
 
-def embed(field: Field, x: FieldElement | int) -> FieldElement:
-    """Image of an F_q element in the top field (same code by encoding)."""
-    if isinstance(x, FieldElement):
-        if x.field != field.subfield:
-            raise ValueError(f"{x!r} is not in the scalar level of {field!r}")
-        return FieldElement(field, x.code)
+def embed(field: Field, x: int) -> int:
+    """Image of an F_q code in the top field (the same code, by the encoding)."""
     code = int(x)
     if not 0 <= code < field.q:
         raise ValueError(f"scalar code {code} out of range for F_{field.q}")
-    return FieldElement(field, code)
+    return code
 
 
-def inverse(x: FieldElement) -> FieldElement:
-    if x.code == 0:
+def inverse(field: Field, x: int) -> int:
+    if x == 0:
         raise ZeroDivisionError("zero has no inverse")
-    return FieldElement(x.field, x.field._inv_py[x.code])
+    return field._inv_py[x]
 
 
-def coordinates(x: FieldElement) -> tuple[FieldElement, ...]:
-    """Coordinates over F_q, low power first, as subfield elements."""
-    f = x.field
-    sub = f.subfield
-    return tuple(FieldElement(sub, c) for c in digits(x.code, f.q, f.m))
+def coordinates(field: Field, x: int) -> tuple[int, ...]:
+    """Coordinates over F_q, low power first, as F_q codes."""
+    return tuple(digits(x, field.q, field.m))
 
 
-def in_subfield(x: FieldElement) -> bool:
+def in_subfield(field: Field, x: int) -> bool:
     """Whether the element lies in F_q (fixed by x -> x^q; by the
     encoding this is exactly code < q)."""
-    return x.code < x.field.q
+    return x < field.q
 
 
-def frobenius(x: FieldElement) -> FieldElement:
+def frobenius(field: Field, x: int) -> int:
     """x -> x^q."""
-    return FieldElement(x.field, int(x.field.frobenius_table[x.code]))
+    return int(field.frobenius_table[x])
 
 
-def trace(x: FieldElement) -> FieldElement:
-    """Trace to F_q: sum of x^(q^i) for 0 <= i < m."""
-    return FieldElement(x.field.subfield, int(x.field.trace_table[x.code]))
+def trace(field: Field, x: int) -> int:
+    """Trace to F_q: sum of x^(q^i) for 0 <= i < m, as an F_q code."""
+    return int(field.trace_table[x])
 
 
-def norm(x: FieldElement) -> FieldElement:
+def norm(field: Field, x: int) -> int:
     """Norm to F_q: product of x^(q^i) for 0 <= i < m; equals
     x^((q^m-1)/(q-1)) on nonzero x."""
-    return FieldElement(x.field.subfield, int(x.field.norm_table[x.code]))
+    return int(field.norm_table[x])
 
 
-def leading_coefficient(f: Polynomial) -> FieldElement:
+def leading_coefficient(f: Polynomial) -> int:
     if not f.coeffs:
         raise ValueError("zero polynomial has no leading coefficient")
-    return f.field.element(f.coeffs[-1])
+    return f.coeffs[-1]
 
 
-def evaluate(f: Polynomial, x) -> FieldElement:
+def evaluate(f: Polynomial, x) -> int:
     """f(x) by Horner's rule on the scalar tables."""
     field = f.field
-    code = _as_code(field, x)
+    code = element_code(field, x, "point")
     add, mul = field._add_py, field._mul_py
     acc = 0
     for c in reversed(f.coeffs):
         acc = add[mul[acc][code]][c]
-    return field.element(acc)
+    return acc
 
 
 def ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -967,7 +960,7 @@ def ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polyn
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero:
         return r0, u0, v0
-    lead_inv = inverse(leading_coefficient(r0))
+    lead_inv = inverse(f, leading_coefficient(r0))
     return r0.scale(lead_inv), u0.scale(lead_inv), v0.scale(lead_inv)
 
 

@@ -200,7 +200,8 @@ class TestPowerCodes:
         field = build_tower(*tower)
         values = np.arange(1, field.order, dtype=np.int64)
         for j in (2**63, 2**63 + 1, 2**64 + 5, 3**50, -(2**63) - 3):
-            want = [(field.element(int(c)) ** j).code for c in values]
+            e = j % (field.order - 1)
+            want = [(Polynomial.constant(field, c) ** e).coeffs[0] for c in values]
             assert value_powers(field, values, j).tolist() == want
 
     def test_rejects_bad_cofactor_and_exponent(self):
@@ -278,7 +279,7 @@ class TestBatchedCrt:
         coeffs = [int(c) for c in rng.integers(0, field.order, size=d)]
         g = Polynomial(field, coeffs + [int(rng.integers(2, field.order))])
         spec = crt_spec(field, points, n, g)
-        assert spec is not None and not spec.goppa_poly.is_monic
+        assert spec is not None and spec.goppa_poly.coeffs[-1] != 1
         assert_crt_matches_reference(spec)
         if shift >= 0:
             assert goppa_via_crt(spec).k == 0
@@ -286,7 +287,7 @@ class TestBatchedCrt:
     @pytest.mark.parametrize("tower,s", [((2, 1, 4), 3), ((3, 2, 2), 2), ((7, 1, 2), 4)])
     def test_repeated_factors(self, tower, s):
         field = build_tower(*tower)
-        h = find_irreducible(field, 2).scale(field.element(2))
+        h = find_irreducible(field, 2).scale(2)
         points = list(range(field.order - 1, 0, -2))
         spec = crt_spec(field, points, len(points), h**s)
         assert_crt_matches_reference(spec)
@@ -324,8 +325,7 @@ class TestSpecValidation:
         g = Polynomial(F9, [2, 1, 1])
         spec = crt_spec(F9, [7, 3, 1, 8, 5, 0, 2, 4, 6], 5, g)
         support = spec.support
-        assert spec.goppa_values.tolist() == [reference.evaluate(g, c).code
-                                              for c in support]
+        assert spec.goppa_values.tolist() == [reference.evaluate(g, c) for c in support]
         assert not spec.goppa_values.flags.writeable
         assert "goppa_values" not in repr(spec)
         same = GoppaSpec(F9, support, g)
@@ -354,7 +354,7 @@ class TestSpecValidation:
     def test_support_helpers(self):
         assert full_support(F4) == (0, 1, 2, 3)
         assert punctured_support(F4, [0, 2]) == (1, 3)
-        assert support_codes(F4, [F4.element(3), 1]) == (3, 1)
+        assert support_codes(F4, [np.int16(3), 1]) == (3, 1)
         with pytest.raises(ValueError):
             support_codes(F4, [])
 
